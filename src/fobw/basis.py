@@ -228,17 +228,45 @@ def fobw_eval(idx: BasisIndex, spec: WaveletBasisSpec, t: float) -> float:
     return scale * bernstein_frac(idx.upsilon, spec.M, spec.gamma, x)
 
 
+@lru_cache(maxsize=1024)
+def local_series_table(spec: WaveletBasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Local series of all M+1 wavelets on one shared exponent grid.
+
+    Returns ``(coefficients, exponents)``: row upsilon of the (M+1, P)
+    coefficient matrix holds the terms of ``local_wavelet_series(spec,
+    upsilon)``, with zeros where that series has no term of the exponent.
+    Both arrays are read-only.
+    """
+    series = [local_wavelet_series(spec, upsilon) for upsilon in range(spec.M + 1)]
+    exps = np.array(sorted({float(p) for s in series for p in s.exponents}))
+    coeffs = np.zeros((spec.M + 1, exps.size))
+    for upsilon, s in enumerate(series):
+        coeffs[upsilon, np.searchsorted(exps, s.exponents)] = s.coefficients
+    coeffs.setflags(write=False)
+    exps.setflags(write=False)
+    return coeffs, exps
+
+
+def fobw_matrix(spec: WaveletBasisSpec, ts) -> np.ndarray:
+    """Basis vectors at every point of the 1-D array ``ts``, one row per point.
+
+    Each row is ordered like :func:`fobw_vector`, and cells are assigned as
+    in :func:`cell_index`.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):
+        raise ValueError("t must lie in [0, 1]")
+    coeffs, exps = local_series_table(spec)
+    eta = np.clip(np.ceil(ts * spec.translations), 1, spec.translations)
+    x = 1.0 + spec.translations * ts - eta
+    out = np.zeros((ts.size, spec.translations, spec.M + 1))
+    out[np.arange(ts.size), eta.astype(int) - 1] = np.power(x[:, None], exps) @ coeffs.T
+    return out.reshape(ts.size, spec.sigma_tilde)
+
+
 def fobw_vector(spec: WaveletBasisSpec, t: float) -> np.ndarray:
     """All sigma_tilde wavelets at t, ordered (eta=1: upsilon=0..M), (eta=2: ...)."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    out = np.zeros(spec.sigma_tilde)
-    eta = cell_index(spec, t)
-    x = 1.0 + spec.translations * t - eta
-    base = (eta - 1) * (spec.M + 1)
-    for upsilon in range(spec.M + 1):
-        out[base + upsilon] = local_wavelet_series(spec, upsilon).evaluate(x)
-    return out
+    return fobw_matrix(spec, [float(t)])[0]
 
 
 def weight_eval(spec: WaveletBasisSpec, eta: int, t: float) -> float:

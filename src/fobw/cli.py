@@ -130,22 +130,10 @@ def _cmd_preset(args) -> int:
     except ValueError as exc:
         log.error("invalid preset options: %s", exc)
         return 2
-    table, ok = run_experiment(cfg)
+    labeled = [] if args.plot_data is not None else None
+    table, ok = run_experiment(cfg, approximants=labeled)
     code = _emit(table, ok, args.format, args.out)
-    if args.plot_data is not None:
-        from .basis import WaveletBasisSpec
-        from .solver import SolverError, solve_problem
-
-        labeled = []
-        for alpha_entry in cfg.alpha:
-            problem = cfg.build_problem(alpha_entry)
-            for k, m, g in cfg.basis:
-                label = f"residual gamma={g:g} M={m} alpha={problem.alpha.label}"
-                try:
-                    labeled.append((label, solve_problem(problem, WaveletBasisSpec(k, m, g))))
-                except SolverError as exc:
-                    log.warning("plot data: solve failed for %s: %s", label, exc)
-                    code = 1
+    if labeled is not None:
         emit_plot_data(labeled, density=args.plot_points, path=args.plot_data)
         log.info("wrote %s", args.plot_data)
     return code

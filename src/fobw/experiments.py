@@ -20,7 +20,7 @@ from .basis import WaveletBasisSpec
 from .expr import parse_expression
 from .fracops import OrderFunction
 from .published import COMPARISON_COLUMNS, TABLE_POINTS
-from .reference import ErrorTable, absolute_error, max_absolute_error, residual_sample, rk4_integrate
+from .reference import ErrorTable, absolute_error, residual_sample, rk4_integrate
 from .solver import OscillatorProblem, SolverError, solve_problem
 
 log = logging.getLogger("fobw")
@@ -209,14 +209,19 @@ def _column_label(metric: str, k: int, M: int, g: float, alpha_label: str, multi
     return " ".join(parts)
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[ErrorTable, bool]:
+def run_experiment(
+    cfg: ExperimentConfig, approximants: list | None = None
+) -> tuple[ErrorTable, bool]:
     """Solve every (basis, alpha) combination and tabulate the metrics.
 
     Returns the table and a success flag; a non-converged solve leaves a NaN
-    sentinel column and flips the flag.
+    sentinel column and flips the flag.  When ``approximants`` is a list,
+    every converged solve is appended to it as ``(plot label, approximant)``,
+    ready for :func:`emit_plot_data`.
     """
     cfg.validate()
     grid = tuple(cfg.output_grid)
+    points = np.array(grid)
     columns: dict[str, tuple] = {}
     failed: list[str] = []
     multi_alpha = len(cfg.alpha) > 1
@@ -246,14 +251,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ErrorTable, bool]:
                     columns[labels[metric]] = tuple(math.nan for _ in grid)
                     failed.append(labels[metric])
                 continue
+            if approximants is not None:
+                plot_label = _column_label("residual", k, M, g, alpha_label, True)
+                approximants.append((plot_label, approx))
             for metric in cfg.metrics:
                 if metric == "AE":
-                    vals = tuple(absolute_error(approx, reference, t) for t in grid)
+                    vals = tuple(absolute_error(approx, reference, points))
                 elif metric == "MAE":
-                    mae = max_absolute_error(approx, reference, grid)
+                    mae = float(absolute_error(approx, reference, points).max())
                     vals = tuple(mae for _ in grid)
                 else:
-                    vals = tuple(residual_sample(approx, problem, t) for t in grid)
+                    vals = tuple(residual_sample(approx, problem, points))
                 columns[labels[metric]] = vals
 
     if cfg.include_published and cfg.preset in COMPARISON_COLUMNS and grid == TABLE_POINTS:
@@ -328,9 +336,7 @@ def emit_plot_data(labeled_approximants, density: int = 401, path: str | None = 
         raise ValueError("density must be at least 2")
     grid = np.linspace(0.0, 1.0, density + 1)[1:]
     labels = [label for label, _ in labeled_approximants]
-    curves = []
-    for label, approx in labeled_approximants:
-        curves.append([residual_sample(approx, approx.problem, t) for t in grid])
+    curves = [residual_sample(approx, approx.problem, grid) for _, approx in labeled_approximants]
     lines = ["t," + ",".join(labels)]
     for i, t in enumerate(grid):
         lines.append(",".join([f"{t:.8g}"] + [f"{c[i]:.5e}" for c in curves]))

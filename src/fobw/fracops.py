@@ -1,15 +1,17 @@
 """Variable-order Riemann-Liouville integrals and Caputo derivatives.
 
-Two computation routes coexist on purpose.  On a single-cell basis (k = 1)
-every wavelet is a monomial series on [0, 1] and the fractional integral of
-order ``lam`` acts termwise,
+Every wavelet is a finite sum of real-power monomials in its local cell
+coordinate, so its fractional integral of order ``lam`` is exact termwise.
+On its own cell, with s the distance from the cell start,
 
-    c * t**p  ->  c * gamma(p+1)/gamma(p+1+lam) * t**(p+lam),
+    c * s**p  ->  c * gamma(p+1)/gamma(p+1+lam) * s**(p+lam),
 
-which is exact.  The quadrature route integrates the defining singular
-integral directly and serves both as the independent oracle for the analytic
-route and as the only route for multi-cell bases (k > 1), where translated
-fractional monomials have no closed form in the global variable.
+and beyond the cell the same term is cut by a regularized incomplete beta
+function (DLMF 8.17), because the wavelet's integral stops at the cell end.
+:func:`basis_images` evaluates these closed forms over arrays of points, with
+one order per point for variable order.  The quadrature route integrates the
+defining singular integral directly; it is kept as the independent oracle
+that the closed forms are tested against, not used to compute them.
 
 Variable order is frozen pointwise: at an evaluation point t the operator of
 order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
@@ -18,7 +20,6 @@ order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -27,10 +28,11 @@ from .basis import (
     FracMonomialSeries,
     WaveletBasisSpec,
     cell_bounds,
-    fobw_vector,
+    fobw_matrix,
+    local_series_table,
     local_wavelet_series,
 )
-from .special import gamma
+from .special import betainc, gamma, gamma_ratio
 
 __all__ = [
     "AccuracyError",
@@ -38,6 +40,7 @@ __all__ = [
     "rl_integral_series",
     "rl_integral_quadrature",
     "basis_images",
+    "caputo_images",
     "reconstruct",
     "caputo_on_approximant",
     "weighted_inner_product",
@@ -230,7 +233,8 @@ def rl_integral_quadrature(
 def _wavelet_image_quadrature(
     spec: WaveletBasisSpec, eta: int, upsilon: int, lam: float, t: float
 ) -> float:
-    """I^lam of wavelet (eta, upsilon) at t for a multi-cell basis.
+    """I^lam of wavelet (eta, upsilon) at t by quadrature: the test oracle of
+    :func:`basis_images`.
 
     The wavelet lives on one cell.  When t sits inside that cell the kernel
     singularity is removed by the same substitution as above, shifted to the
@@ -255,55 +259,125 @@ def _wavelet_image_quadrature(
     return cell / gamma(lam) * j
 
 
-@lru_cache(maxsize=16384)
-def _image_series(spec: WaveletBasisSpec, lam: float) -> tuple[FracMonomialSeries, ...]:
-    """Cached termwise images I^lam of every wavelet, single-cell bases only."""
-    return tuple(
-        rl_integral_series(local_wavelet_series(spec, upsilon), lam)
-        for upsilon in range(spec.M + 1)
-    )
+# ---------------------------------------------------------------------------
+# closed-form basis images
+# ---------------------------------------------------------------------------
 
+def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
+    """Vector [I^lam of each wavelet](t), ordered like the basis vector.
 
-def basis_images(spec: WaveletBasisSpec, lam: float, t: float) -> np.ndarray:
-    """Vector [I^lam of each wavelet](t), ordered like the basis vector."""
-    if lam <= 0.0:
+    ``t`` may also be a 1-D array of points, and ``lam`` an array holding one
+    order per point; the result then has one row per point.  Wavelet
+    (eta, upsilon) on the cell [lo, hi] is sum_i c_i x**p_i in the local
+    coordinate x = T*(tau - lo), T = 2**(k-1).  With s = t - lo and
+    G_i = gamma(p_i+1)/gamma(p_i+1+lam), the image of term i is
+
+        0                                              for t <= lo,
+        c_i T**p_i G_i s**(p_i+lam)                    for lo < t <= hi,
+        c_i T**p_i G_i s**(p_i+lam) I_z(p_i+1, lam)    for t > hi,
+
+    with z = (hi - lo)/s: the last line is s**(p_i+lam) B_z(p_i+1, lam) /
+    gamma(lam) written with the regularized incomplete beta function.
+    """
+    ts = np.asarray(t, dtype=float)
+    pts = np.atleast_1d(ts)
+    lams = np.broadcast_to(np.asarray(lam, dtype=float), pts.shape)
+    if np.any(lams <= 0.0):
         raise ValueError("integral order must be positive")
-    t = float(t)
-    if spec.k == 1:
-        return np.array([s.evaluate(t) for s in _image_series(spec, lam)])
-    out = np.empty(spec.sigma_tilde)
-    pos = 0
-    for eta in range(1, spec.translations + 1):
-        for upsilon in range(spec.M + 1):
-            out[pos] = _wavelet_image_quadrature(spec, eta, upsilon, lam, t)
-            pos += 1
-    return out
+    coeffs, exps = local_series_table(spec)
+    # The terms of one wavelet cancel: for M = 5 their sum can be 1e3 times
+    # smaller than the largest term, and an ill-conditioned collocation
+    # system (k = 2) amplifies the rounding further.  So the terms are formed
+    # and summed in extended precision, where the platform has it.
+    wide = np.longdouble
+    exps = exps.astype(wide)
+    lams = lams.astype(wide)
+    tw = pts.astype(wide)
+    cells = spec.translations
+    lo = np.arange(cells, dtype=wide) / cells
+    hi = lo + wide(1.0) / cells
+    s = np.maximum(tw[:, None] - lo, 0.0)[:, :, None]
+    # one row of gamma ratios serves every point when the order is constant
+    orders = lams[:1] if np.all(lams == lams[:1]) else lams
+    terms = (
+        gamma_ratio(exps + 1.0, orders[:, None])[:, None, :]
+        * (cells * s) ** exps
+        * s ** lams[:, None, None]
+    )
+    row, cell = np.nonzero(tw[:, None] > hi)
+    if row.size:
+        beyond = s[row, cell]
+        terms[row, cell] *= betainc(
+            exps + 1.0,
+            lams[row][:, None],
+            (hi[cell] - lo[cell])[:, None] / beyond,
+            (tw[row] - hi[cell])[:, None] / beyond,
+        )
+    images = terms.reshape(-1, exps.size) @ coeffs.T.astype(wide)
+    images = images.astype(float).reshape(pts.size, spec.sigma_tilde)
+    return images[0] if ts.ndim == 0 else images
+
+
+def caputo_images(
+    spec: WaveletBasisSpec, alpha: OrderFunction, ts
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha at every point of the 1-D array ``ts``, and the Caputo image rows.
+
+    Row r is [I^(2-alpha(t_r)) Psi](t_r), the Caputo derivative of order
+    alpha(t_r) of each basis function's second antiderivative.  For alpha in
+    (1, 2) the initial value correction sum is empty, because its lower limit
+    ceil(alpha) = 2 exceeds its upper limit 1; at alpha(t_r) = 2 exactly the
+    operator is the plain second derivative and the row is the basis vector.
+    """
+    ts = np.asarray(ts, dtype=float)
+    alphas = np.array([alpha(t) for t in ts], dtype=float)
+    outside = ~((alphas > 1.0) & (alphas <= 2.0))
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise ValueError(f"alpha({ts[r]:g}) = {alphas[r]:g} outside (1, 2]")
+    images = fobw_matrix(spec, ts)
+    frac = alphas < 2.0
+    images[frac] = basis_images(spec, 2.0 - alphas[frac], ts[frac])
+    return alphas, images
 
 
 # ---------------------------------------------------------------------------
 # approximant reconstruction and its Caputo image
 # ---------------------------------------------------------------------------
 
+def _coefficient_vector(U: np.ndarray, spec: WaveletBasisSpec) -> np.ndarray:
+    U = np.asarray(U, dtype=float)
+    if U.shape != (spec.sigma_tilde,):
+        raise ValueError(f"coefficient vector must have length {spec.sigma_tilde}")
+    return U
+
+
+def _shaped(values: np.ndarray, like: np.ndarray):
+    """A float for a scalar ``like``, else ``values`` in the shape of ``like``."""
+    return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
+
+
 def reconstruct(
     U: np.ndarray,
     spec: WaveletBasisSpec,
     init: tuple[float, float],
-    t: float,
-) -> tuple[float, float, float]:
+    t,
+) -> tuple:
     """Value, first and second derivative of the approximant at t.
 
     The coefficient vector expands the second derivative; value and slope
-    follow from the cached first and second antiderivative images plus the
-    initial data, which the representation satisfies exactly.
+    follow from the first and second antiderivative images plus the initial
+    data, which the representation satisfies exactly.  A point ``t`` gives
+    floats, an array of points gives arrays of its shape.
     """
-    U = np.asarray(U, dtype=float)
-    if U.shape != (spec.sigma_tilde,):
-        raise ValueError(f"coefficient vector must have length {spec.sigma_tilde}")
+    U = _coefficient_vector(U, spec)
+    ts = np.asarray(t, dtype=float)
+    pts = ts.ravel()
     value0, slope0 = float(init[0]), float(init[1])
-    second = float(U @ fobw_vector(spec, t))
-    first = float(U @ basis_images(spec, 1.0, t)) + slope0
-    value = float(U @ basis_images(spec, 2.0, t)) + value0 + t * slope0
-    return value, first, second
+    second = fobw_matrix(spec, pts) @ U
+    first = basis_images(spec, 1.0, pts) @ U + slope0
+    value = basis_images(spec, 2.0, pts) @ U + value0 + pts * slope0
+    return _shaped(value, ts), _shaped(first, ts), _shaped(second, ts)
 
 
 def caputo_on_approximant(
@@ -311,24 +385,17 @@ def caputo_on_approximant(
     spec: WaveletBasisSpec,
     alpha: OrderFunction,
     init: tuple[float, float],
-    t: float,
-) -> float:
+    t,
+):
     """Variable-order Caputo derivative of the approximant at t.
 
-    For alpha(t) in (1, 2) this is U . [I^(2-alpha(t)) Psi](t); the initial
-    value correction sum is empty on that range because its lower limit
-    ceil(alpha) = 2 exceeds its upper limit 1.  At alpha(t) = 2 exactly the
-    operator is the plain second derivative.
+    This is U . [I^(2-alpha(t)) Psi](t), see :func:`caputo_images`.  A point
+    ``t`` gives a float, an array of points an array of its shape.
     """
-    a_t = alpha(t)
-    if not (1.0 < a_t <= 2.0):
-        raise ValueError(f"order {a_t} outside (1, 2]")
-    U = np.asarray(U, dtype=float)
-    if U.shape != (spec.sigma_tilde,):
-        raise ValueError(f"coefficient vector must have length {spec.sigma_tilde}")
-    if a_t == 2.0:
-        return float(U @ fobw_vector(spec, t))
-    return float(U @ basis_images(spec, 2.0 - a_t, t))
+    U = _coefficient_vector(U, spec)
+    ts = np.asarray(t, dtype=float)
+    _, images = caputo_images(spec, alpha, ts.ravel())
+    return _shaped(images @ U, ts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Hot numeric kernels: numba-compiled by default, pure numpy on request.
+"""Numeric kernels: numba-compiled when numba is installed, else pure numpy.
 
-Two inner loops dominate runtime: evaluating power sums ``sum_i c_i * t**p_i``
-(every basis function, every fractional image, every quadrature panel goes
+Two inner loops live here: evaluating power sums ``sum_i c_i * t**p_i`` of a
+single series (the quadrature oracles and scalar series evaluation go
 through this) and the sequential RK4 reference sweep.  Both ship in a jitted
 and a plain-numpy variant.  Set ``FOBW_PURE_NUMPY=1`` to force the numpy path;
-it is also taken automatically when numba is not importable.
+it is also taken automatically when numba is not importable (numba is the
+optional ``numba`` extra).
 
 ``benchmarks/bench_kernels.py`` times the two paths side by side.
 """

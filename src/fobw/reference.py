@@ -145,9 +145,16 @@ def _as_evaluable(obj):
     return obj
 
 
-def absolute_error(approx, ref, t: float) -> float:
-    """|approx(t) - ref(t)|; either side may be an approximant or a plain callable."""
-    return abs(float(_as_evaluable(approx)(t)) - float(_as_evaluable(ref)(t)))
+def absolute_error(approx, ref, t):
+    """|approx(t) - ref(t)|; either side may be an approximant or a plain callable.
+
+    An array ``t`` gives an array, when both sides accept arrays.
+    """
+    err = np.abs(
+        np.asarray(_as_evaluable(approx)(t), dtype=float)
+        - np.asarray(_as_evaluable(ref)(t), dtype=float)
+    )
+    return float(err) if np.ndim(t) == 0 else err
 
 
 def max_absolute_error(approx, ref, grid) -> float:
@@ -158,13 +165,16 @@ def max_absolute_error(approx, ref, grid) -> float:
     return max(absolute_error(approx, ref, t) for t in grid)
 
 
-def residual_sample(approx, problem, t: float) -> float:
-    """Magnitude of the governing equation evaluated on the approximant at t."""
-    value = float(approx.value(t))
-    slope = float(approx.derivative(t))
-    d_alpha = float(approx.caputo(t))
-    phi = float(problem.forcing_at(t))
-    return abs(
+def residual_sample(approx, problem, t):
+    """Magnitude of the governing equation evaluated on the approximant at t.
+
+    ``approx`` provides ``evaluate``, like
+    :class:`fobw.solver.SolutionApproximant`.  A point ``t`` gives a float,
+    an array of points an array.
+    """
+    value, slope, d_alpha = approx.evaluate(t)
+    phi = problem.forcing_at(t)
+    residual = np.abs(
         d_alpha
         - problem.mu * slope
         + problem.mu * value**2 * slope
@@ -172,3 +182,4 @@ def residual_sample(approx, problem, t: float) -> float:
         + problem.b * value**3
         - phi
     )
+    return float(residual) if np.ndim(t) == 0 else residual

@@ -17,8 +17,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .basis import WaveletBasisSpec, fobw_vector
-from .fracops import OrderFunction, basis_images, caputo_on_approximant, reconstruct
+from .basis import WaveletBasisSpec, fobw_matrix
+from .fracops import (
+    OrderFunction,
+    basis_images,
+    caputo_images,
+    caputo_on_approximant,
+    reconstruct,
+)
 from .special import chebyshev_grid
 
 __all__ = [
@@ -109,20 +115,10 @@ def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationS
             "a single collocation point cannot represent oscillation", stacklevel=2
         )
     grid = chebyshev_grid(sigma)
-    psi = np.empty((sigma, sigma))
-    i1 = np.empty((sigma, sigma))
-    i2 = np.empty((sigma, sigma))
-    ica = np.empty((sigma, sigma))
-    alphas = np.empty(sigma)
-    for r, t in enumerate(grid):
-        a_t = problem.alpha(t)
-        if not (1.0 < a_t <= 2.0):
-            raise ValueError(f"alpha({t:g}) = {a_t:g} outside (1, 2]")
-        alphas[r] = a_t
-        psi[r] = fobw_vector(spec, t)
-        i1[r] = basis_images(spec, 1.0, t)
-        i2[r] = basis_images(spec, 2.0, t)
-        ica[r] = psi[r] if a_t == 2.0 else basis_images(spec, 2.0 - a_t, t)
+    alphas, ica = caputo_images(spec, problem.alpha, grid)
+    psi = fobw_matrix(spec, grid)
+    i1 = basis_images(spec, 1.0, grid)
+    i2 = basis_images(spec, 2.0, grid)
     phi = np.asarray(problem.forcing_at(grid), dtype=float)
     for arr in (grid, alphas, psi, i1, i2, ica, phi):
         arr.setflags(write=False)
@@ -235,30 +231,27 @@ class SolutionApproximant:
     coefficients: np.ndarray
     report: SolveReport
 
-    def _scalar_triplet(self, t: float) -> tuple[float, float, float]:
-        return reconstruct(self.coefficients, self.spec, self.problem.init, t)
+    def evaluate(self, ts) -> tuple:
+        """Value, slope and Caputo image at ``ts``, from one set of image matrices.
 
-    def _broadcast(self, fn, t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        return np.array([fn(float(x)) for x in arr])
+        A point gives three floats, an array of points three arrays of its shape.
+        """
+        U, init = self.coefficients, self.problem.init
+        value, slope, _ = reconstruct(U, self.spec, init, ts)
+        return value, slope, caputo_on_approximant(U, self.spec, self.problem.alpha, init, ts)
 
     def value(self, t):
-        return self._broadcast(lambda x: self._scalar_triplet(x)[0], t)
+        return reconstruct(self.coefficients, self.spec, self.problem.init, t)[0]
 
     def derivative(self, t):
-        return self._broadcast(lambda x: self._scalar_triplet(x)[1], t)
+        return reconstruct(self.coefficients, self.spec, self.problem.init, t)[1]
 
     def second_derivative(self, t):
-        return self._broadcast(lambda x: self._scalar_triplet(x)[2], t)
+        return reconstruct(self.coefficients, self.spec, self.problem.init, t)[2]
 
     def caputo(self, t):
-        return self._broadcast(
-            lambda x: caputo_on_approximant(
-                self.coefficients, self.spec, self.problem.alpha, self.problem.init, x
-            ),
-            t,
+        return caputo_on_approximant(
+            self.coefficients, self.spec, self.problem.alpha, self.problem.init, t
         )
 
 

@@ -54,6 +54,30 @@ class TestPresetCommand:
         assert len(lines) == 12
         assert lines[0].count(",") == 2
 
+    def test_plot_data_reuses_table_solves(self, tmp_path, monkeypatch):
+        import fobw.experiments
+        import fobw.solver
+
+        calls = []
+        solve = fobw.solver.solve_problem
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fobw.solver, "solve_problem", counted)
+        monkeypatch.setattr(fobw.experiments, "solve_problem", counted)
+        plot_out = tmp_path / "curves.csv"
+        code = main(
+            ["preset", "example1-single", "--k", "2", "--alpha", "1.5",
+             "--gamma", "0.2", "--M", "3", "--out", str(tmp_path / "t.csv"),
+             "--plot-data", str(plot_out), "--plot-points", "11"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        header = plot_out.read_text().split("\n", 1)[0]
+        assert header == "t,residual k=2 gamma=0.2 M=3 alpha=1.5"
+
     def test_no_published_flag(self, capsys):
         assert main(["preset", "example1-single", "--no-published"]) == 0
         header = capsys.readouterr().out.split("\n", 1)[0]

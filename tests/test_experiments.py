@@ -158,6 +158,21 @@ class TestRunExperiment:
         assert all(math.isnan(v) for v in column)
         assert table.meta["failed_columns"]
 
+    def test_collects_converged_approximants(self):
+        cfg = preset_config(
+            "example1-single", alpha=("1.5", "1.8"), basis=((1, 3, 0.2), (2, 3, 0.2))
+        )
+        approximants = []
+        _, ok = run_experiment(cfg, approximants=approximants)
+        assert ok
+        assert [label for label, _ in approximants] == [
+            "residual gamma=0.2 M=3 alpha=1.5",
+            "residual k=2 gamma=0.2 M=3 alpha=1.5",
+            "residual gamma=0.2 M=3 alpha=1.8",
+            "residual k=2 gamma=0.2 M=3 alpha=1.8",
+        ]
+        assert all(approx.report.converged for _, approx in approximants)
+
     def test_duplicate_combination_rejected(self):
         cfg = ExperimentConfig.from_dict(
             {

@@ -14,6 +14,7 @@ from fobw.basis import (
 from fobw.fracops import (
     AccuracyError,
     OrderFunction,
+    _wavelet_image_quadrature,
     adaptive_unit_integral,
     basis_images,
     caputo_on_approximant,
@@ -186,6 +187,39 @@ class TestMultiCellImages:
         spec = WaveletBasisSpec(2, 1, 0.5)
         imgs = basis_images(spec, 0.5, 0.3)
         assert np.all(imgs[2:] == 0.0)
+
+
+class TestClosedFormImages:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("g", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.2, 0.5, 1.0, 1.7, 2.0])
+    def test_matches_quadrature_oracle(self, k, g, lam):
+        spec = WaveletBasisSpec(k, 5, g)
+        edge = 1.0 / spec.translations
+        # at 0, inside a cell, on the first cell edge, just past it, at 1
+        for t in (0.0, 0.3, edge, edge + 1e-9, 1.0):
+            oracle = [
+                _wavelet_image_quadrature(spec, eta, ups, lam, t)
+                for eta in range(1, spec.translations + 1)
+                for ups in range(spec.M + 1)
+            ]
+            assert np.allclose(basis_images(spec, lam, t), oracle, rtol=0, atol=1e-10)
+
+    def test_batch_rows_equal_pointwise_calls(self):
+        rng = np.random.default_rng(5)
+        spec = WaveletBasisSpec(3, 4, 0.5)
+        ts = rng.uniform(0.0, 1.0, 25)
+        lams = rng.uniform(0.1, 2.0, 25)
+        lams[:2] = (1.0, 2.0)
+        batch = basis_images(spec, lams, ts)
+        assert batch.shape == (25, spec.sigma_tilde)
+        for row, t, lam in zip(batch, ts, lams):
+            assert np.array_equal(row, basis_images(spec, lam, t))
+
+    def test_scalar_point_gives_vector(self):
+        spec = WaveletBasisSpec(2, 3, 0.5)
+        assert basis_images(spec, 0.5, 0.7).shape == (spec.sigma_tilde,)
+        assert basis_images(spec, 0.5, np.array([0.7])).shape == (1, spec.sigma_tilde)
 
 
 class TestReconstruct:

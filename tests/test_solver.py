@@ -9,6 +9,7 @@ from fobw.fracops import OrderFunction
 from fobw.reference import residual_sample, rk4_integrate, absolute_error
 from fobw.solver import (
     OscillatorProblem,
+    SolutionApproximant,
     SolverError,
     assemble,
     newton_solve,
@@ -150,7 +151,7 @@ class TestSolveProblem:
         assert absolute_error(approx, reference, 0.5) <= 5e-4
 
     def test_two_cell_basis_integer_order(self):
-        # k = 2 goes through the piecewise quadrature route for every image
+        # k = 2 uses the incomplete-beta images beyond the first cell
         approx = solve_problem(manufactured_cos_problem(), WaveletBasisSpec(2, 2, 1.0))
         grid = np.linspace(0.0, 1.0, 101)
         assert np.abs(approx.value(grid) - np.cos(grid)).max() <= 1e-4
@@ -161,6 +162,42 @@ class TestSolveProblem:
         assert approx.report.converged
         # converged at the nodes; sampled points between nodes stay bounded
         assert residual_sample(approx, problem, 0.9) <= 1.0
+
+
+class TestEvaluate:
+    ORDERS = (
+        OrderFunction.constant(1.5),
+        ALPHA2,
+        OrderFunction.from_callable(lambda t: 1.0 + math.sin(t), "1 + sin(t)"),
+    )
+
+    @staticmethod
+    def _approximant(k, alpha):
+        spec = WaveletBasisSpec(k, 4, 0.5)
+        problem = OscillatorProblem(alpha=alpha, **SINGLE_WELL)
+        U = np.random.default_rng(k).normal(0.0, 1.0, spec.sigma_tilde)
+        return SolutionApproximant(problem, spec, U, None)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", ORDERS, ids=lambda a: a.label)
+    def test_matches_one_point_calls(self, k, alpha):
+        approx = self._approximant(k, alpha)
+        ts = np.concatenate([[0.25, 0.5, 1.0], np.random.default_rng(7).uniform(0.01, 1.0, 20)])
+        value, slope, caputo = approx.evaluate(ts)
+        for i, t in enumerate(ts):
+            assert value[i] == pytest.approx(approx.value(float(t)), abs=1e-13)
+            assert slope[i] == pytest.approx(approx.derivative(float(t)), abs=1e-13)
+            assert caputo[i] == pytest.approx(approx.caputo(float(t)), abs=1e-13)
+
+    def test_return_types(self):
+        approx = self._approximant(2, self.ORDERS[2])
+        ts = np.linspace(0.1, 1.0, 7)
+        for method in (approx.value, approx.derivative, approx.second_derivative, approx.caputo):
+            assert isinstance(method(0.5), float)
+            out = method(ts)
+            assert isinstance(out, np.ndarray) and out.shape == ts.shape
+        assert all(isinstance(v, float) for v in approx.evaluate(0.5))
+        assert all(v.shape == ts.shape for v in approx.evaluate(ts))
 
 
 class TestRefinementMonotonicity:

@@ -4,7 +4,63 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fobw.special import chebyshev_grid, gamma, gen_binomial
+from fobw.special import betainc, chebyshev_grid, gamma, gamma_array, gamma_ratio, gen_binomial
+
+
+class TestGammaArray:
+    def test_matches_scalar_gamma(self):
+        x = np.concatenate([np.linspace(0.05, 30.0, 601), np.linspace(-4.75, -0.25, 10)])
+        expected = np.array([gamma(float(v)) for v in x])
+        assert np.allclose(gamma_array(x), expected, rtol=1e-14, atol=0)
+
+    def test_pole_raises(self):
+        with pytest.raises(ValueError):
+            gamma_array(np.array([1.5, -2.0]))
+
+    def test_keeps_extended_precision(self):
+        x = np.array([1.5, 2.25], dtype=np.longdouble)
+        assert gamma_array(x).dtype == np.longdouble
+        assert gamma_array([1, 2]).dtype == np.float64
+
+
+class TestGammaRatio:
+    def test_whole_number_offset_is_a_finite_product(self):
+        x = np.linspace(0.2, 5.0, 25)
+        assert np.allclose(gamma_ratio(x, 2.0), 1.0 / (x * (x + 1.0)), rtol=1e-15, atol=0)
+        assert np.array_equal(gamma_ratio(x, 0.0), np.ones_like(x))
+
+    def test_fractional_offset(self):
+        x = np.linspace(0.2, 5.0, 25)
+        d = np.linspace(0.05, 1.95, 25)
+        expected = [math.gamma(a) / math.gamma(a + b) for a, b in zip(x, d)]
+        assert np.allclose(gamma_ratio(x, d), expected, rtol=1e-13, atol=0)
+
+
+class TestBetainc:
+    def test_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(41)
+        a = rng.uniform(0.05, 12.0, 4000)
+        b = rng.uniform(0.05, 3.0, 4000)
+        b[::4] = rng.integers(1, 4, 1000)
+        x = rng.uniform(0.0, 1.0, 4000)
+        x[:3] = (0.0, 1.0, 0.5)
+        assert np.max(np.abs(betainc(a, b, x) - special.betainc(a, b, x))) <= 1e-13
+
+    def test_whole_number_b_is_a_finite_sum(self):
+        x = np.linspace(0.0, 1.0, 11)
+        assert np.allclose(betainc(2.5, 1.0, x), x**2.5, rtol=1e-15, atol=0)
+        assert np.allclose(betainc(2.5, 2.0, x), x**2.5 * (1.0 + 2.5 * (1.0 - x)), rtol=1e-15, atol=0)
+
+    def test_complement_argument_near_one(self):
+        # 1 - x rounds away the tail that y keeps: I_x(1, b) = 1 - (1-x)**b
+        y = 1e-12
+        assert betainc(1.0, 0.5, 1.0 - y, y) == pytest.approx(1.0 - math.sqrt(y), rel=1e-15)
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 0.5), (1.0, -0.5, 0.5), (1.0, 1.0, 1.5)])
+    def test_rejects_bad_arguments(self, args):
+        with pytest.raises(ValueError):
+            betainc(*args)
 
 
 class TestGamma:
