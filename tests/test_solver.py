@@ -7,10 +7,12 @@ import pytest
 from fobw.basis import WaveletBasisSpec
 from fobw.fracops import OrderFunction
 from fobw.reference import residual_sample, rk4_integrate, absolute_error
+from fobw.experiments import PRESET_PROBLEMS
 from fobw.solver import (
     OscillatorProblem,
     SolutionApproximant,
     SolverError,
+    _jacobian,
     assemble,
     newton_solve,
     residual_vector,
@@ -18,6 +20,7 @@ from fobw.solver import (
 )
 
 ALPHA2 = OrderFunction.constant(2.0)
+SIN_ORDER = OrderFunction.from_callable(lambda t: 1.0 + np.sin(t), "1 + sin(t)")
 TABLE_POINTS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 SINGLE_WELL = dict(mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79, forcing="forced", init_value=1.0)
@@ -122,6 +125,88 @@ class TestNewton:
             phi=system.phi[perm],
         )
         assert np.abs(newton_solve(shuffled).U - base).max() <= 1e-12
+
+
+def central_difference_jacobian(system, U, fd_step=1e-7):
+    # oracle: the central-difference Jacobian Newton used before the exact one
+    n = U.size
+    J = np.empty((n, n))
+    for j in range(n):
+        h = fd_step * max(1.0, abs(U[j]))
+        bumped = U.copy()
+        bumped[j] = U[j] + h
+        f_plus = residual_vector(system, bumped)
+        bumped[j] = U[j] - h
+        f_minus = residual_vector(system, bumped)
+        J[:, j] = (f_plus - f_minus) / (2.0 * h)
+    return J
+
+
+class TestExactJacobian:
+    # every coefficient nonzero, so each term of the closed form is exercised
+    PROBLEM = dict(mu=0.3, a=0.7, b=-0.4, f=0.5, omega=0.79, forcing="forced",
+                   init_value=0.8, init_slope=-0.6)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("alpha", [ALPHA2, OrderFunction.constant(1.5), SIN_ORDER],
+                             ids=lambda a: a.label)
+    def test_matches_central_differences(self, k, alpha):
+        system = assemble(OscillatorProblem(alpha=alpha, **self.PROBLEM), WaveletBasisSpec(k, 4, 0.5))
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            U = rng.normal(0.0, 1.0, system.spec.sigma_tilde)
+            J = _jacobian(system, U)
+            assert np.abs(J - central_difference_jacobian(system, U)).max() <= 1e-7 * np.abs(J).max()
+
+
+class TestSingularity:
+    # example1-single; the rank floor on the QR factor separates these cases,
+    # the condition number does not
+
+    def test_structurally_singular_raises_with_report(self):
+        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        with pytest.raises(SolverError, match="singular") as info:
+            solve_problem(problem, WaveletBasisSpec(3, 3, 0.5))
+        report = info.value.report
+        assert report is not None and not report.converged
+        assert report.iterations == 0 and report.U.shape == (16,)
+        assert math.isfinite(report.final_residual_norm)
+
+    def test_ill_conditioned_still_converges(self):
+        # sigma_min / sigma_max of the first Jacobian is about 4e-18 here
+        problem = OscillatorProblem(alpha=SIN_ORDER, **SINGLE_WELL)
+        assert solve_problem(problem, WaveletBasisSpec(2, 20, 0.1)).report.converged
+
+    def test_exact_jacobian_converges_where_differences_stalled(self):
+        # a central-difference Jacobian stalls at a residual of 2.3e-10 here
+        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        assert solve_problem(problem, WaveletBasisSpec(2, 8, 0.1)).report.converged
+
+    def test_nonfinite_start_raises_with_report(self):
+        problem = OscillatorProblem(
+            mu=0.1, a=0.5, b=0.5, alpha=ALPHA2, forcing=lambda t: np.full_like(t, np.nan)
+        )
+        with pytest.raises(SolverError, match="not finite") as info:
+            newton_solve(assemble(problem, WaveletBasisSpec(1, 3, 1.0)))
+        assert info.value.report is not None and info.value.report.iterations == 0
+
+
+class TestMultistart:
+    def test_single_reachable_root(self):
+        # the criterion-05 combination: example2, alpha = 1.8, k = 1, M = 3, gamma = 0.2
+        problem = OscillatorProblem(alpha=OrderFunction.constant(1.8), **PRESET_PROBLEMS["example2"])
+        system = assemble(problem, WaveletBasisSpec(1, 3, 0.2))
+        root = newton_solve(system).U
+        rng = np.random.default_rng(0)
+        for scale in (1.0, 10.0, 100.0):
+            for _ in range(10):
+                U = rng.normal(0.0, scale, root.size)
+                for _ in range(50):
+                    F = residual_vector(system, U)
+                    if np.abs(F).max() <= 1e-12:
+                        break
+                    U = U + np.linalg.solve(_jacobian(system, U), -F)
+                assert np.abs(U - root).max() <= 1e-9
 
 
 class TestSolveProblem:
