@@ -13,6 +13,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,7 +151,14 @@ def build_order(entry) -> OrderFunction:
         return entry
     if isinstance(entry, (int, float)):
         return OrderFunction.constant(float(entry))
-    text = str(entry).strip()
+    return _order_from_text(str(entry).strip())
+
+
+@lru_cache(maxsize=256)
+def _order_from_text(text: str) -> OrderFunction:
+    # Order functions are immutable, and a run asks for each alpha entry's
+    # order several times (preset defaults, validation, the problem, the
+    # table metadata), so each text is parsed and range-checked once.
     try:
         return OrderFunction.constant(float(text))
     except ValueError:
@@ -180,7 +188,7 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     if overrides:
         cfg = replace(cfg, **_normalize_overrides(overrides))
     alpha_all_two = all(
-        build_order(a).is_constant and build_order(a).value == 2.0 for a in cfg.alpha
+        order.is_constant and order.value == 2.0 for order in map(build_order, cfg.alpha)
     )
     if not alpha_all_two and "metrics" not in overrides:
         cfg = replace(cfg, metrics=("residual",), include_published=False)

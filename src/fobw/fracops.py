@@ -9,7 +9,8 @@ On its own cell, with s the distance from the cell start,
 and beyond the cell the same term is cut by a regularized incomplete beta
 function (DLMF 8.17), because the wavelet's integral stops at the cell end.
 :func:`basis_images` evaluates these closed forms over arrays of points, with
-one order per point for variable order.  The quadrature route integrates the
+one order per point for variable order, and for several orders in one call
+that shares the powers of the points.  The quadrature route integrates the
 defining singular integral directly; it is kept as the independent oracle
 that the closed forms are tested against, not used to compute them.
 
@@ -41,6 +42,7 @@ __all__ = [
     "rl_integral_quadrature",
     "basis_images",
     "caputo_images",
+    "order_values",
     "reconstruct",
     "caputo_on_approximant",
     "weighted_inner_product",
@@ -59,13 +61,19 @@ class AccuracyError(ArithmeticError):
 class OrderFunction:
     """Differentiation order alpha(t), constrained to (1, 2] on [0, 1].
 
-    Either a constant or an arbitrary callable of t.  The range contract is
-    enforced on a 1001-point probe grid at construction.
+    Either a constant or a callable of t.  A callable is evaluated over whole
+    arrays of points; one that only takes a float is wrapped to loop over
+    the array.  The range contract is enforced on a 1001-point probe grid at
+    construction by :meth:`from_callable`.
     """
 
-    fn: Callable[[float], float] | None
+    fn: Callable | None
     value: float | None
     label: str
+
+    def __post_init__(self):
+        if self.fn is not None:
+            object.__setattr__(self, "fn", _vectorized(self.fn))
 
     @classmethod
     def constant(cls, c: float) -> "OrderFunction":
@@ -75,27 +83,31 @@ class OrderFunction:
         return cls(fn=None, value=c, label=f"{c:g}")
 
     @classmethod
-    def from_callable(cls, fn: Callable[[float], float], label: str = "alpha(t)") -> "OrderFunction":
+    def from_callable(cls, fn: Callable, label: str = "alpha(t)") -> "OrderFunction":
+        order = cls(fn=fn, value=None, label=label)
         # Probe on (0, 1]: the fractional operators are only ever evaluated at
         # t > 0, and orders like 1 + sin(t) touch 1 exactly at t = 0.
-        probe = np.linspace(0.0, 1.0, 1002)[1:]
-        vals = np.array([float(fn(t)) for t in probe])
+        vals = order(np.linspace(0.0, 1.0, 1002)[1:])
         if not np.all(np.isfinite(vals)):
             raise ValueError("order function is not finite on the probe grid")
         if vals.min() <= 1.0 or vals.max() > 2.0:
             raise ValueError(
                 f"order function leaves (1, 2] on (0, 1]: range [{vals.min():g}, {vals.max():g}]"
             )
-        return cls(fn=fn, value=None, label=label)
+        return order
 
     @property
     def is_constant(self) -> bool:
         return self.value is not None
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """alpha at a point (a float) or at an array of points (an array of its shape)."""
+        ts = np.asarray(t, dtype=float)
         if self.value is not None:
-            return self.value
-        return float(self.fn(float(t)))
+            values = np.full(ts.shape, self.value)
+        else:
+            values = np.asarray(self.fn(ts.ravel()), dtype=float).reshape(ts.shape)
+        return float(values) if ts.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +278,15 @@ def _wavelet_image_quadrature(
 def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     """Vector [I^lam of each wavelet](t), ordered like the basis vector.
 
-    ``t`` may also be a 1-D array of points, and ``lam`` an array holding one
-    order per point; the result then has one row per point.  Wavelet
-    (eta, upsilon) on the cell [lo, hi] is sum_i c_i x**p_i in the local
-    coordinate x = T*(tau - lo), T = 2**(k-1).  With s = t - lo and
+    ``t`` may also be a 1-D array of points; the result then has one row per
+    point.  ``lam`` broadcasts against the points, so it is one order, or an
+    array holding one order per point, and any leading axes of ``lam`` ask
+    for several orders at once: ``lam`` of shape (2, 1) gives the (2, n,
+    sigma_tilde) images of two constant orders at n points.  The powers of
+    the points are formed once and shared by every order.
+
+    Wavelet (eta, upsilon) on the cell [lo, hi] is sum_i c_i x**p_i in the
+    local coordinate x = T*(tau - lo), T = 2**(k-1).  With s = t - lo and
     G_i = gamma(p_i+1)/gamma(p_i+1+lam), the image of term i is
 
         0                                              for t <= lo,
@@ -277,13 +294,15 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
         c_i T**p_i G_i s**(p_i+lam) I_z(p_i+1, lam)    for t > hi,
 
     with z = (hi - lo)/s: the last line is s**(p_i+lam) B_z(p_i+1, lam) /
-    gamma(lam) written with the regularized incomplete beta function.
+    gamma(lam) written with the regularized incomplete beta function.  Order
+    0 is the identity, so its row is the basis vector, :func:`fobw_matrix`.
     """
     ts = np.asarray(t, dtype=float)
     pts = np.atleast_1d(ts)
-    lams = np.broadcast_to(np.asarray(lam, dtype=float), pts.shape)
-    if np.any(lams <= 0.0):
-        raise ValueError("integral order must be positive")
+    lams = np.asarray(lam, dtype=float)
+    lams = np.broadcast_to(lams, lams.shape[:-1] + pts.shape)
+    if np.any(lams < 0.0):
+        raise ValueError("integral order must be nonnegative")
     coeffs, exps = local_series_table(spec)
     # The terms of one wavelet cancel: for M = 5 their sum can be 1e3 times
     # smaller than the largest term, and an ill-conditioned collocation
@@ -291,31 +310,47 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     # and summed in extended precision, where the platform has it.
     wide = np.longdouble
     exps = exps.astype(wide)
-    lams = lams.astype(wide)
+    weights = coeffs.T.astype(wide)
     tw = pts.astype(wide)
     cells = spec.translations
     lo = np.arange(cells, dtype=wide) / cells
     hi = lo + wide(1.0) / cells
     s = np.maximum(tw[:, None] - lo, 0.0)[:, :, None]
-    # one row of gamma ratios serves every point when the order is constant
-    orders = lams[:1] if np.all(lams == lams[:1]) else lams
-    terms = (
-        gamma_ratio(exps + 1.0, orders[:, None])[:, None, :]
-        * (cells * s) ** exps
-        * s ** lams[:, None, None]
-    )
+    powers = (cells * s) ** exps
     row, cell = np.nonzero(tw[:, None] > hi)
-    if row.size:
-        beyond = s[row, cell]
-        terms[row, cell] *= betainc(
-            exps + 1.0,
-            lams[row][:, None],
-            (hi[cell] - lo[cell])[:, None] / beyond,
-            (tw[row] - hi[cell])[:, None] / beyond,
+    beyond = s[row, cell]
+    z = (hi[cell] - lo[cell])[:, None] / beyond
+    y = (tw[row] - hi[cell])[:, None] / beyond
+
+    images = np.empty(lams.shape + (spec.sigma_tilde,))
+    for index in np.ndindex(lams.shape[:-1]):
+        order = lams[index]
+        out = images[index]
+        zero = order == 0.0
+        if zero.any():
+            # a row of fobw_matrix depends on the size of its batch (its BLAS
+            # product rounds differently), so take the rows of the full batch
+            out[zero] = fobw_matrix(spec, pts)[zero]
+        pos = np.flatnonzero(~zero)
+        if not pos.size:
+            continue
+        lw = order[pos].astype(wide)
+        # one row of gamma ratios serves every point when the order is constant
+        rows = lw[:1] if np.all(lw == lw[:1]) else lw
+        terms = (
+            gamma_ratio(exps + 1.0, rows[:, None])[:, None, :]
+            * powers[pos]
+            * s[pos] ** lw[:, None, None]
         )
-    images = terms.reshape(-1, exps.size) @ coeffs.T.astype(wide)
-    images = images.astype(float).reshape(pts.size, spec.sigma_tilde)
-    return images[0] if ts.ndim == 0 else images
+        # beyond-cell entries of these points, and their rows among ``pos``
+        keep = ~zero[row]
+        if keep.any():
+            rank = np.cumsum(~zero) - 1
+            terms[rank[row[keep]], cell[keep]] *= betainc(
+                exps + 1.0, order[row[keep]].astype(wide)[:, None], z[keep], y[keep]
+            )
+        out[pos] = (terms.reshape(-1, exps.size) @ weights).astype(float).reshape(pos.size, -1)
+    return images[..., 0, :] if ts.ndim == 0 else images
 
 
 def caputo_images(
@@ -329,16 +364,19 @@ def caputo_images(
     ceil(alpha) = 2 exceeds its upper limit 1; at alpha(t_r) = 2 exactly the
     operator is the plain second derivative and the row is the basis vector.
     """
+    alphas = order_values(alpha, ts)
+    return alphas, basis_images(spec, 2.0 - alphas, ts)
+
+
+def order_values(alpha: OrderFunction, ts) -> np.ndarray:
+    """alpha at every point of the 1-D array ``ts``, checked to lie in (1, 2]."""
     ts = np.asarray(ts, dtype=float)
-    alphas = np.array([alpha(t) for t in ts], dtype=float)
+    alphas = alpha(ts)
     outside = ~((alphas > 1.0) & (alphas <= 2.0))
     if outside.any():
         r = int(np.argmax(outside))
         raise ValueError(f"alpha({ts[r]:g}) = {alphas[r]:g} outside (1, 2]")
-    images = fobw_matrix(spec, ts)
-    frac = alphas < 2.0
-    images[frac] = basis_images(spec, 2.0 - alphas[frac], ts[frac])
-    return alphas, images
+    return alphas
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +413,9 @@ def reconstruct(
     pts = ts.ravel()
     value0, slope0 = float(init[0]), float(init[1])
     second = fobw_matrix(spec, pts) @ U
-    first = basis_images(spec, 1.0, pts) @ U + slope0
-    value = basis_images(spec, 2.0, pts) @ U + value0 + pts * slope0
+    i1, i2 = basis_images(spec, [[1.0], [2.0]], pts)
+    first = i1 @ U + slope0
+    value = i2 @ U + value0 + pts * slope0
     return _shaped(value, ts), _shaped(first, ts), _shaped(second, ts)
 
 

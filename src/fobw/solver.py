@@ -20,10 +20,10 @@ import numpy as np
 from .basis import WaveletBasisSpec, fobw_matrix
 from .fracops import (
     OrderFunction,
+    _shaped,
     basis_images,
-    caputo_images,
     caputo_on_approximant,
-    reconstruct,
+    order_values,
 )
 from .special import chebyshev_grid
 
@@ -116,14 +116,20 @@ def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationS
             "a single collocation point cannot represent oscillation", stacklevel=2
         )
     grid = chebyshev_grid(sigma)
-    alphas, ica = caputo_images(spec, problem.alpha, grid)
+    alphas, i1, i2, ica = _images(spec, problem.alpha, grid)
     psi = fobw_matrix(spec, grid)
-    i1 = basis_images(spec, 1.0, grid)
-    i2 = basis_images(spec, 2.0, grid)
     phi = np.asarray(problem.forcing_at(grid), dtype=float)
     for arr in (grid, alphas, psi, i1, i2, ica, phi):
         arr.setflags(write=False)
     return CollocationSystem(spec, problem, grid, alphas, psi, i1, i2, ica, phi)
+
+
+def _images(spec: WaveletBasisSpec, alpha: OrderFunction, ts: np.ndarray) -> tuple:
+    """alpha at the points ``ts``, then their I^1, I^2 and Caputo image rows,
+    from one :func:`basis_images` call."""
+    alphas = order_values(alpha, ts)
+    i1, i2, ica = basis_images(spec, np.stack(np.broadcast_arrays(1.0, 2.0, 2.0 - alphas)), ts)
+    return alphas, i1, i2, ica
 
 
 def residual_vector(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
@@ -229,23 +235,40 @@ class SolutionApproximant:
 
         A point gives three floats, an array of points three arrays of its shape.
         """
-        U, init = self.coefficients, self.problem.init
-        value, slope, _ = reconstruct(U, self.spec, init, ts)
-        return value, slope, caputo_on_approximant(U, self.spec, self.problem.alpha, init, ts)
+        ts = np.asarray(ts, dtype=float)
+        pts = ts.ravel()
+        _, i1, i2, ica = _images(self.spec, self.problem.alpha, pts)
+        return (
+            self._value(i2, pts, ts),
+            self._slope(i1, ts),
+            _shaped(ica @ self.coefficients, ts),
+        )
 
     def value(self, t):
-        return reconstruct(self.coefficients, self.spec, self.problem.init, t)[0]
+        ts = np.asarray(t, dtype=float)
+        pts = ts.ravel()
+        return self._value(basis_images(self.spec, 2.0, pts), pts, ts)
 
     def derivative(self, t):
-        return reconstruct(self.coefficients, self.spec, self.problem.init, t)[1]
+        ts = np.asarray(t, dtype=float)
+        return self._slope(basis_images(self.spec, 1.0, ts.ravel()), ts)
 
     def second_derivative(self, t):
-        return reconstruct(self.coefficients, self.spec, self.problem.init, t)[2]
+        ts = np.asarray(t, dtype=float)
+        return _shaped(fobw_matrix(self.spec, ts.ravel()) @ self.coefficients, ts)
 
     def caputo(self, t):
         return caputo_on_approximant(
             self.coefficients, self.spec, self.problem.alpha, self.problem.init, t
         )
+
+    def _value(self, i2: np.ndarray, pts: np.ndarray, ts: np.ndarray):
+        # the same arithmetic as fracops.reconstruct, so the results agree bit for bit
+        p = self.problem
+        return _shaped(i2 @ self.coefficients + float(p.init_value) + pts * float(p.init_slope), ts)
+
+    def _slope(self, i1: np.ndarray, ts: np.ndarray):
+        return _shaped(i1 @ self.coefficients + float(self.problem.init_slope), ts)
 
 
 def solve_problem(

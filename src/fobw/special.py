@@ -72,15 +72,19 @@ def _floating(*values) -> list[np.ndarray]:
 def gamma_array(x) -> np.ndarray:
     """Elementwise :func:`gamma` over an array, with the same poles and reflection.
 
-    The result has the floating type of ``x`` (at least double), so an
-    ``np.longdouble`` argument is evaluated in extended precision.
+    The result has the floating type and shape of ``x`` (at least double),
+    so an ``np.longdouble`` argument is evaluated in extended precision.
     """
     (x,) = _floating(x)
     if np.any((x <= 0.0) & (x == np.floor(x))):
         raise ValueError("gamma pole in the argument array")
-    reflect = x < 0.5
-    g = _lanczos(np.where(reflect, 1.0 - x, x), np.exp)
-    return np.where(reflect, np.pi / (np.sin(np.pi * x) * g), g)
+    # the callers repeat arguments (one exponent grid for every point), so the
+    # Lanczos sum runs once per distinct value and is scattered back
+    distinct, inverse = np.unique(x, return_inverse=True)
+    reflect = distinct < 0.5
+    g = _lanczos(np.where(reflect, 1.0 - distinct, distinct), np.exp)
+    values = np.where(reflect, np.pi / (np.sin(np.pi * distinct) * g), g)
+    return values[inverse].reshape(x.shape)
 
 
 def gamma_ratio(x, d) -> np.ndarray:
@@ -92,7 +96,8 @@ def gamma_ratio(x, d) -> np.ndarray:
     x, d = np.broadcast_arrays(*_floating(x, d))
     out = np.empty(x.shape, dtype=x.dtype)
     whole = (d == np.floor(d)) & (d >= 0.0)
-    out[~whole] = gamma_array(x[~whole]) / gamma_array(x[~whole] + d[~whole])
+    if not whole.all():
+        out[~whole] = gamma_array(x[~whole]) / gamma_array(x[~whole] + d[~whole])
     if whole.any():
         xw, dw = x[whole], d[whole]
         product = np.ones_like(xw)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fobw.basis import (
     BasisIndex,
     FracMonomialSeries,
     WaveletBasisSpec,
     fobw_eval,
+    fobw_matrix,
     fobw_vector,
     local_wavelet_series,
 )
@@ -22,6 +24,7 @@ from fobw.fracops import (
     rl_integral_quadrature,
     rl_integral_series,
 )
+from fobw.expr import parse_expression
 from fobw.special import chebyshev_grid, gamma
 
 
@@ -311,3 +314,96 @@ class TestCaputo:
             caputo_on_approximant(np.zeros(4), spec, bad, (0.0, 0.0), 0.5)
         with pytest.raises(ValueError):
             caputo_on_approximant(np.zeros(3), spec, alpha, (0.0, 0.0), 0.5)
+
+
+# orders for the shared-table tests: whole orders take the finite-product and
+# finite-sum routes, the others the Lanczos and continued-fraction ones
+ORDERS = st.one_of(st.sampled_from([1.0, 2.0, 0.5]), st.floats(0.05, 2.0))
+POINTS = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=12
+)
+SPECS = st.builds(
+    WaveletBasisSpec,
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([2, 4]),
+    st.sampled_from([0.2, 0.5, 1.0]),
+)
+
+
+class TestSharedImageTable:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=SPECS, ts=POINTS, orders=st.lists(ORDERS, min_size=1, max_size=4))
+    def test_constant_orders_match_single_order_calls(self, spec, ts, orders):
+        ts = np.array(ts)
+        batch = basis_images(spec, np.array(orders)[:, None], ts)
+        assert batch.shape == (len(orders), ts.size, spec.sigma_tilde)
+        for images, lam in zip(batch, orders):
+            assert np.array_equal(images, basis_images(spec, lam, ts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=SPECS, data=st.data())
+    def test_per_point_orders_match_single_order_calls(self, spec, data):
+        ts = np.array(data.draw(POINTS))
+        per_point = st.lists(ORDERS, min_size=ts.size, max_size=ts.size)
+        lams = np.array(data.draw(st.lists(per_point, min_size=1, max_size=3)))
+        batch = basis_images(spec, lams, ts)
+        assert batch.shape == lams.shape + (spec.sigma_tilde,)
+        for images, lam in zip(batch, lams):
+            single = basis_images(spec, lam, ts)
+            assert np.array_equal(images, single)
+            for row, t, order in zip(single, ts, lam):
+                assert np.array_equal(row, basis_images(spec, order, t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=SPECS, data=st.data())
+    def test_order_zero_rows_are_basis_vectors(self, spec, data):
+        ts = np.array(data.draw(POINTS))
+        lam = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), ORDERS), min_size=ts.size, max_size=ts.size
+        )))
+        batch = basis_images(spec, np.stack([lam, np.zeros_like(lam)]), ts)
+        zero = lam == 0.0
+        assert np.array_equal(batch[1], fobw_matrix(spec, ts))
+        assert np.array_equal(batch[0][zero], fobw_matrix(spec, ts)[zero])
+        assert np.array_equal(batch[0][~zero], basis_images(spec, lam[~zero], ts[~zero]))
+
+    def test_scalar_point_with_several_orders(self):
+        spec = WaveletBasisSpec(2, 3, 0.5)
+        images = basis_images(spec, [[0.5], [1.0]], 0.7)
+        assert images.shape == (2, spec.sigma_tilde)
+        assert np.array_equal(images[1], basis_images(spec, 1.0, 0.7))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            basis_images(WaveletBasisSpec(1, 3, 0.5), -0.5, 0.5)
+
+
+class TestArrayOrders:
+    # each callable is called with a float in the pointwise oracle, the way
+    # the order used to be evaluated one point at a time
+    CALLABLES = {
+        "expression": (parse_expression("1.5 + 0.3*sin(4*t)"), OrderFunction.from_callable),
+        "scalar-only lambda": (lambda t: 1.0 + math.sin(t), OrderFunction.from_callable),
+        "constructed fn": (
+            lambda t: 1.5 + 0.25 * math.cos(3.0 * t),
+            lambda fn: OrderFunction(fn=fn, value=None, label="direct"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLABLES))
+    @settings(max_examples=40, deadline=None)
+    @given(ts=st.lists(st.floats(0.0, 1.0), max_size=30))
+    def test_array_call_matches_pointwise_calls(self, name, ts):
+        fn, make = self.CALLABLES[name]
+        alpha = make(fn)
+        ts = np.array(ts, dtype=float)
+        expected = np.array([float(fn(float(t))) for t in ts])
+        assert np.array_equal(alpha(ts), expected)
+        assert np.array_equal(alpha(ts.reshape(-1, 1)), expected.reshape(-1, 1))
+        for t, value in zip(ts[:3], expected):
+            assert alpha(float(t)) == value
+
+    def test_constant_over_an_array(self):
+        alpha = OrderFunction.constant(1.5)
+        out = alpha(np.linspace(0.0, 1.0, 4))
+        assert out.shape == (4,) and np.all(out == 1.5)

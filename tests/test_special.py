@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fobw.special import betainc, chebyshev_grid, gamma, gamma_array, gamma_ratio, gen_binomial
 
@@ -21,6 +21,25 @@ class TestGammaArray:
         x = np.array([1.5, 2.25], dtype=np.longdouble)
         assert gamma_array(x).dtype == np.longdouble
         assert gamma_array([1, 2]).dtype == np.float64
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(
+            st.floats(-4.9, 30.0).filter(lambda v: not (v <= 0.0 and v == math.floor(v))),
+            min_size=1, max_size=5,
+        ),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        wide=st.booleans(),
+    )
+    def test_repeated_entries_match_one_call_per_element(self, pool, picks, wide):
+        # the Lanczos sum runs once per distinct argument; scattering the
+        # values back must give every entry exactly its own value
+        x = np.array([pool[i % len(pool)] for i in picks], dtype=np.longdouble if wide else float)
+        out = gamma_array(x)
+        assert out.dtype == x.dtype
+        assert np.array_equal(out, [gamma_array(v) for v in x])
+        assert np.array_equal(gamma_array(x.reshape(1, -1)), out.reshape(1, -1))
 
 
 class TestGammaRatio:
