@@ -1,12 +1,12 @@
 """Fractional-order Bernstein wavelet collocation for variable-order
 Duffing-Van der Pol oscillators.
 
-The pieces compose bottom-up: scalar special functions and the Chebyshev
-grid (`special`), the wavelet basis and its monomial-series form (`basis`),
-variable-order fractional operators acting on that form (`fracops`), the
-collocation solve (`solver`), RK4 references and error metrics
-(`reference`), and config-driven experiment reproduction (`experiments`,
-`cli`).
+The pieces compose bottom-up: special functions and the Chebyshev grid
+(`special`), the wavelet basis and its table of monomial coefficients
+(`basis`), closed-form variable-order fractional images of the basis
+(`fracops`), the collocation solve and the approximant it returns
+(`solver`), RK4 references and error metrics (`reference`), and
+config-driven experiment reproduction (`experiments`, `cli`).
 
 >>> from fobw import OscillatorProblem, OrderFunction, WaveletBasisSpec, solve_problem
 >>> problem = OscillatorProblem(mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79,
@@ -19,12 +19,10 @@ collocation solve (`solver`), RK4 references and error metrics
 
 from .basis import (
     BasisIndex,
-    FracMonomialSeries,
     WaveletBasisSpec,
     bernstein_frac,
     fobw_eval,
-    fobw_vector,
-    to_monomial_series,
+    fobw_matrix,
     weight_eval,
 )
 from .expr import Expression, ExpressionError, parse_expression
@@ -38,11 +36,8 @@ from .experiments import (
 from .fracops import (
     AccuracyError,
     OrderFunction,
-    caputo_on_approximant,
     basis_images,
-    reconstruct,
     rl_integral_quadrature,
-    rl_integral_series,
     weighted_inner_product,
 )
 from .reference import (
@@ -50,7 +45,6 @@ from .reference import (
     ErrorTable,
     ReferenceTrajectory,
     absolute_error,
-    max_absolute_error,
     residual_sample,
     rk4_integrate,
 )

@@ -11,9 +11,13 @@ and the wavelet member (eta, upsilon) is a translated, dyadically scaled copy
 living on one subinterval of [0, 1], orthonormal there under the weight
 ``x**(gamma-1)`` in the local coordinate.
 
-Every basis function is also exposed as a :class:`FracMonomialSeries`, a
-finite sum of real-exponent monomials, which is the closed form under which
-the fractional integral operators act analytically.
+Expanding the binomial factor makes every wavelet a finite sum of the
+monomials ``x**(gamma*s)``, s = 0..M, in its local cell coordinate x.
+:func:`local_series_table` holds the coefficients of all M+1 wavelets of a
+family; it is the one form in which the basis is evaluated
+(:func:`fobw_matrix`) and on which the fractional integrals act in closed
+form.  :func:`bernstein_frac` and :func:`fobw_eval` evaluate the factored
+closed form instead, as an independent check of the table.
 """
 
 from __future__ import annotations
@@ -24,77 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .special import gen_binomial
-
-#: coefficients smaller than this are dropped when series are assembled
-COEFF_DROP_THRESHOLD = 1e-300
-
-
-@dataclass(frozen=True)
-class FracMonomialSeries:
-    """Finite sum ``sum_i c_i * t**p_i`` with real exponents ``p_i >= 0``.
-
-    ``support`` is the window of [0, 1] on which the series represents its
-    function; the function is zero outside.  Exponents are strictly
-    increasing and the arrays are read-only.
-    """
-
-    coefficients: np.ndarray
-    exponents: np.ndarray
-    support: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        exps = np.atleast_1d(np.asarray(self.exponents, dtype=float))
-        if coeffs.shape != exps.shape:
-            raise ValueError("coefficient and exponent arrays must align")
-        if exps.size and exps.min() < 0.0:
-            raise ValueError("exponents must be nonnegative")
-        order = np.argsort(exps, kind="stable")
-        coeffs = np.ascontiguousarray(coeffs[order])
-        exps = np.ascontiguousarray(exps[order])
-        if exps.size > 1 and np.min(np.diff(exps)) <= 0.0:
-            raise ValueError("exponents must be distinct within one series")
-        lo, hi = self.support
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError("support must be a nondegenerate subinterval of [0, 1]")
-        coeffs.setflags(write=False)
-        exps.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "support", (float(lo), float(hi)))
-
-    @classmethod
-    def from_terms(cls, terms, support=(0.0, 1.0), merge_tol=1e-12) -> "FracMonomialSeries":
-        """Build a series from (coefficient, exponent) pairs, merging exponents
-        that agree within ``merge_tol`` and dropping negligible coefficients."""
-        pairs = sorted((float(p), float(c)) for c, p in terms)
-        merged_c: list[float] = []
-        merged_p: list[float] = []
-        for p, c in pairs:
-            if merged_p and abs(p - merged_p[-1]) <= merge_tol:
-                merged_c[-1] += c
-            else:
-                merged_p.append(p)
-                merged_c.append(c)
-        keep = [(c, p) for c, p in zip(merged_c, merged_p) if abs(c) >= COEFF_DROP_THRESHOLD]
-        if not keep:
-            keep = [(0.0, 0.0)]
-        cs, ps = zip(*keep)
-        return cls(np.array(cs), np.array(ps), support)
-
-    @property
-    def num_terms(self) -> int:
-        return int(self.coefficients.size)
-
-    def evaluate(self, t: float) -> float:
-        """Value at scalar t, with ``t**0 == 1`` and ``0**p == 0`` for p > 0."""
-        return float(kernels.eval_powsum(self.coefficients, self.exponents, float(t)))
-
-    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.ascontiguousarray(ts, dtype=float)
-        return kernels.eval_powsum_batch(self.coefficients, self.exponents, ts)
 
 
 @dataclass(frozen=True)
@@ -162,46 +96,6 @@ def bernstein_frac(upsilon: int, M: int, gamma: float, t: float) -> float:
     return amp * (1.0 - t**gamma) ** (M - upsilon) * inner
 
 
-@lru_cache(maxsize=4096)
-def to_monomial_series(upsilon: int, M: int, gamma: float) -> FracMonomialSeries:
-    """Expand the polynomial into a monomial series with exponents gamma*s.
-
-    The binomial factor (1 - t**gamma)**(M - upsilon) is expanded and folded
-    into the explicit sum; all exponents are exact integer multiples of
-    gamma, so like terms are merged on the integer index.
-    """
-    if not (0 <= upsilon <= M):
-        raise ValueError("need 0 <= upsilon <= M")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    amp = math.sqrt(1.0 + 2.0 * M - 2.0 * upsilon)
-    by_index = np.zeros(M + 1)
-    for i in range(upsilon + 1):
-        sign_i = -1.0 if i % 2 else 1.0
-        core = sign_i * gen_binomial(1 + 2 * M - i, upsilon - i) * gen_binomial(upsilon, i)
-        for r in range(M - upsilon + 1):
-            sign_r = -1.0 if r % 2 else 1.0
-            by_index[upsilon - i + r] += amp * core * sign_r * gen_binomial(M - upsilon, r)
-    terms = [
-        (c, gamma * s) for s, c in enumerate(by_index) if abs(c) >= COEFF_DROP_THRESHOLD
-    ]
-    if not terms:
-        terms = [(0.0, 0.0)]
-    return FracMonomialSeries.from_terms(terms, merge_tol=1e-12 * gamma)
-
-
-@lru_cache(maxsize=1024)
-def local_wavelet_series(spec: WaveletBasisSpec, upsilon: int) -> FracMonomialSeries:
-    """Series of one wavelet in its local cell coordinate x in [0, 1].
-
-    Includes the sqrt(gamma) * 2**((k-1)/2) normalization, so evaluating it at
-    x(t) = 1 + 2**(k-1)*t - eta reproduces the wavelet value on its cell.
-    """
-    base = to_monomial_series(upsilon, spec.M, spec.gamma)
-    scale = math.sqrt(spec.gamma) * 2.0 ** ((spec.k - 1) / 2.0)
-    return FracMonomialSeries(scale * base.coefficients, base.exponents, base.support)
-
-
 def cell_bounds(spec: WaveletBasisSpec, eta: int) -> tuple[float, float]:
     """Support of the eta-th translation: [(eta-1), eta] / 2**(k-1)."""
     width = 1.0 / spec.translations
@@ -230,43 +124,63 @@ def fobw_eval(idx: BasisIndex, spec: WaveletBasisSpec, t: float) -> float:
 
 @lru_cache(maxsize=1024)
 def local_series_table(spec: WaveletBasisSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Local series of all M+1 wavelets on one shared exponent grid.
+    """Local series of all M+1 wavelets on the exponent grid gamma*(0..M).
 
-    Returns ``(coefficients, exponents)``: row upsilon of the (M+1, P)
-    coefficient matrix holds the terms of ``local_wavelet_series(spec,
-    upsilon)``, with zeros where that series has no term of the exponent.
-    Both arrays are read-only.
+    Returns ``(coefficients, exponents)``: row upsilon of the (M+1, M+1)
+    coefficient matrix holds wavelet upsilon as a sum of ``x**exponents`` in
+    its local cell coordinate x in [0, 1], so the table evaluated at
+    x(t) = 1 + 2**(k-1)*t - eta is the wavelet (eta, upsilon) on its cell.
+    The row is the integer-index expansion of the polynomial, times the
+    wavelet normalization sqrt(gamma) * 2**((k-1)/2).  Both arrays are
+    read-only.
     """
-    series = [local_wavelet_series(spec, upsilon) for upsilon in range(spec.M + 1)]
-    exps = np.array(sorted({float(p) for s in series for p in s.exponents}))
-    coeffs = np.zeros((spec.M + 1, exps.size))
-    for upsilon, s in enumerate(series):
-        coeffs[upsilon, np.searchsorted(exps, s.exponents)] = s.coefficients
+    M = spec.M
+    scale = math.sqrt(spec.gamma) * 2.0 ** ((spec.k - 1) / 2.0)
+    coeffs = np.zeros((M + 1, M + 1))
+    for upsilon in range(M + 1):
+        amp = math.sqrt(1.0 + 2.0 * M - 2.0 * upsilon)
+        row = coeffs[upsilon]
+        for i in range(upsilon + 1):
+            sign_i = -1.0 if i % 2 else 1.0
+            core = sign_i * gen_binomial(1 + 2 * M - i, upsilon - i) * gen_binomial(upsilon, i)
+            for r in range(M - upsilon + 1):
+                sign_r = -1.0 if r % 2 else 1.0
+                row[upsilon - i + r] += amp * core * sign_r * gen_binomial(M - upsilon, r)
+        row *= scale
+    exps = spec.gamma * np.arange(M + 1)
     coeffs.setflags(write=False)
     exps.setflags(write=False)
     return coeffs, exps
 
 
+def _local_values(spec: WaveletBasisSpec, x, rows=slice(None)) -> np.ndarray:
+    """Local series ``rows`` of the table (all M+1 by default) at the local
+    coordinates ``x``, one value per row along a new last axis.
+
+    ``0**0 == 1``.  Each value is an elementwise product summed along the
+    term axis, so it does not depend on the other points of the call (a BLAS
+    product rounds a row differently for a different number of rows).
+    """
+    coeffs, exps = local_series_table(spec)
+    powers = np.power(np.asarray(x, dtype=float)[..., None, None], exps)
+    return (powers * coeffs[rows]).sum(axis=-1)
+
+
 def fobw_matrix(spec: WaveletBasisSpec, ts) -> np.ndarray:
     """Basis vectors at every point of the 1-D array ``ts``, one row per point.
 
-    Each row is ordered like :func:`fobw_vector`, and cells are assigned as
-    in :func:`cell_index`.
+    Row entries are ordered (eta=1: upsilon=0..M), (eta=2: ...), and cells
+    are assigned as in :func:`cell_index`.  A row does not depend on the
+    other points of the call.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
-    coeffs, exps = local_series_table(spec)
     eta = np.clip(np.ceil(ts * spec.translations), 1, spec.translations)
     x = 1.0 + spec.translations * ts - eta
     out = np.zeros((ts.size, spec.translations, spec.M + 1))
-    out[np.arange(ts.size), eta.astype(int) - 1] = np.power(x[:, None], exps) @ coeffs.T
+    out[np.arange(ts.size), eta.astype(int) - 1] = _local_values(spec, x)
     return out.reshape(ts.size, spec.sigma_tilde)
-
-
-def fobw_vector(spec: WaveletBasisSpec, t: float) -> np.ndarray:
-    """All sigma_tilde wavelets at t, ordered (eta=1: upsilon=0..M), (eta=2: ...)."""
-    return fobw_matrix(spec, [float(t)])[0]
 
 
 def weight_eval(spec: WaveletBasisSpec, eta: int, t: float) -> float:

@@ -1,8 +1,9 @@
 """Variable-order Riemann-Liouville integrals and Caputo derivatives.
 
-Every wavelet is a finite sum of real-power monomials in its local cell
-coordinate, so its fractional integral of order ``lam`` is exact termwise.
-On its own cell, with s the distance from the cell start,
+Every wavelet is a finite sum of the monomials x**(gamma*s) in its local cell
+coordinate (:func:`fobw.basis.local_series_table`), so its fractional
+integral of order ``lam`` is exact termwise.  On its own cell, with s the
+distance from the cell start,
 
     c * s**p  ->  c * gamma(p+1)/gamma(p+1+lam) * s**(p+lam),
 
@@ -26,25 +27,21 @@ from typing import Callable
 import numpy as np
 
 from .basis import (
-    FracMonomialSeries,
     WaveletBasisSpec,
+    _local_values,
     cell_bounds,
     fobw_matrix,
     local_series_table,
-    local_wavelet_series,
 )
 from .special import betainc, gamma, gamma_ratio
 
 __all__ = [
     "AccuracyError",
     "OrderFunction",
-    "rl_integral_series",
     "rl_integral_quadrature",
     "basis_images",
     "caputo_images",
     "order_values",
-    "reconstruct",
-    "caputo_on_approximant",
     "weighted_inner_product",
 ]
 
@@ -198,23 +195,8 @@ def _vectorized(f):
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Liouville integral, both routes
+# Riemann-Liouville integral by quadrature: the oracle
 # ---------------------------------------------------------------------------
-
-def rl_integral_series(f: FracMonomialSeries, lam: float) -> FracMonomialSeries:
-    """Termwise fractional integral of a monomial series supported on [0, 1]."""
-    if lam <= 0.0:
-        raise ValueError("integral order must be positive")
-    if f.support != (0.0, 1.0):
-        raise ValueError(
-            "termwise integration needs support [0, 1]; "
-            "use rl_integral_quadrature for translated (k > 1) functions"
-        )
-    coeffs = np.array(
-        [c * gamma(p + 1.0) / gamma(p + 1.0 + lam) for c, p in zip(f.coefficients, f.exponents)]
-    )
-    return FracMonomialSeries(coeffs, f.exponents + lam, f.support)
-
 
 def rl_integral_quadrature(
     f,
@@ -256,17 +238,17 @@ def _wavelet_image_quadrature(
     lo, hi = cell_bounds(spec, eta)
     if t <= lo:
         return 0.0
-    series = local_wavelet_series(spec, upsilon)
+    wavelet = lambda x: _local_values(spec, x, [upsilon])[:, 0]
     scale = spec.translations
     if t <= hi:
         width = t - lo
-        g = lambda v: series.evaluate_many(scale * width * (1.0 - v ** (1.0 / lam)))
+        g = lambda v: wavelet(scale * width * (1.0 - v ** (1.0 / lam)))
         j = adaptive_unit_integral(g)
         return width**lam / gamma(lam + 1.0) * j
     # integrand (t - tau)**(lam-1) * wavelet(tau) over [lo, hi]; map tau = lo + (hi-lo)*u,
     # so the local coordinate is exactly u because (hi-lo)*2**(k-1) == 1
     cell = hi - lo
-    g = lambda u: (t - lo - cell * u) ** (lam - 1.0) * series.evaluate_many(u)
+    g = lambda u: (t - lo - cell * u) ** (lam - 1.0) * wavelet(u)
     j = adaptive_unit_integral(g)
     return cell / gamma(lam) * j
 
@@ -328,9 +310,7 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
         out = images[index]
         zero = order == 0.0
         if zero.any():
-            # a row of fobw_matrix depends on the size of its batch (its BLAS
-            # product rounds differently), so take the rows of the full batch
-            out[zero] = fobw_matrix(spec, pts)[zero]
+            out[zero] = fobw_matrix(spec, pts[zero])
         pos = np.flatnonzero(~zero)
         if not pos.size:
             continue
@@ -380,64 +360,6 @@ def order_values(alpha: OrderFunction, ts) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# approximant reconstruction and its Caputo image
-# ---------------------------------------------------------------------------
-
-def _coefficient_vector(U: np.ndarray, spec: WaveletBasisSpec) -> np.ndarray:
-    U = np.asarray(U, dtype=float)
-    if U.shape != (spec.sigma_tilde,):
-        raise ValueError(f"coefficient vector must have length {spec.sigma_tilde}")
-    return U
-
-
-def _shaped(values: np.ndarray, like: np.ndarray):
-    """A float for a scalar ``like``, else ``values`` in the shape of ``like``."""
-    return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
-
-
-def reconstruct(
-    U: np.ndarray,
-    spec: WaveletBasisSpec,
-    init: tuple[float, float],
-    t,
-) -> tuple:
-    """Value, first and second derivative of the approximant at t.
-
-    The coefficient vector expands the second derivative; value and slope
-    follow from the first and second antiderivative images plus the initial
-    data, which the representation satisfies exactly.  A point ``t`` gives
-    floats, an array of points gives arrays of its shape.
-    """
-    U = _coefficient_vector(U, spec)
-    ts = np.asarray(t, dtype=float)
-    pts = ts.ravel()
-    value0, slope0 = float(init[0]), float(init[1])
-    second = fobw_matrix(spec, pts) @ U
-    i1, i2 = basis_images(spec, [[1.0], [2.0]], pts)
-    first = i1 @ U + slope0
-    value = i2 @ U + value0 + pts * slope0
-    return _shaped(value, ts), _shaped(first, ts), _shaped(second, ts)
-
-
-def caputo_on_approximant(
-    U: np.ndarray,
-    spec: WaveletBasisSpec,
-    alpha: OrderFunction,
-    init: tuple[float, float],
-    t,
-):
-    """Variable-order Caputo derivative of the approximant at t.
-
-    This is U . [I^(2-alpha(t)) Psi](t), see :func:`caputo_images`.  A point
-    ``t`` gives a float, an array of points an array of its shape.
-    """
-    U = _coefficient_vector(U, spec)
-    ts = np.asarray(t, dtype=float)
-    _, images = caputo_images(spec, alpha, ts.ravel())
-    return _shaped(images @ U, ts)
-
-
-# ---------------------------------------------------------------------------
 # weighted inner product (orthonormality oracle)
 # ---------------------------------------------------------------------------
 
@@ -458,13 +380,13 @@ def weighted_inner_product(
     """
     if not (1 <= eta <= spec.translations):
         raise ValueError(f"eta={eta} outside [1, {spec.translations}]")
-    su = local_wavelet_series(spec, upsilon)
-    sv = local_wavelet_series(spec, vartheta)
+    if not (0 <= upsilon <= spec.M and 0 <= vartheta <= spec.M):
+        raise ValueError(f"upsilon and vartheta must lie in [0, {spec.M}]")
     inv = 1.0 / spec.gamma
 
     def substituted_product(u):
-        x = np.asarray(u, dtype=float) ** inv
-        return su.evaluate_many(x) * sv.evaluate_many(x)
+        values = _local_values(spec, np.asarray(u, dtype=float) ** inv, [upsilon, vartheta])
+        return values[:, 0] * values[:, 1]
 
     integral = adaptive_unit_integral(substituted_product)
     return integral / (spec.gamma * spec.translations)

@@ -1,11 +1,10 @@
-"""Numeric kernels: power sums and the RK4 reference sweep.
+"""The RK4 reference sweep, and the names the benchmark reads.
 
-Two inner loops live here: evaluating power sums ``sum_i c_i * t**p_i`` of a
-single series (the quadrature oracles and scalar series evaluation go
-through this), at one point or at an array of points on numpy's vectorized
-``pow``, and the sequential RK4 reference sweep.  The sweep is a loop over
-plain Python floats, which avoids numpy's per-scalar overhead: about 16 ms
-per 10^4 steps, the length of the h = 1e-4 reference.
+The sequential RK4 sweep of :func:`fobw.reference.rk4_integrate` is a loop
+over plain Python floats, which avoids numpy's per-scalar overhead: about
+16 ms per 10^4 steps, the length of the h = 1e-4 reference.  ``warmup()``
+and ``USING_NUMBA`` stay for the benchmark in ``perfbench/``, which calls
+and records them.
 """
 
 from __future__ import annotations
@@ -21,16 +20,6 @@ USING_NUMBA = False
 # forcing samples converted to Python floats at a time; bounds the memory the
 # conversion and the per-block state lists take on long sweeps
 _BLOCK = 256
-
-
-def eval_powsum(coeffs: np.ndarray, exps: np.ndarray, t: float) -> float:
-    """sum_i coeffs[i] * t**exps[i] for scalar t >= 0, with 0**0 == 1."""
-    return float(np.dot(coeffs, np.power(t, exps)))
-
-
-def eval_powsum_batch(coeffs: np.ndarray, exps: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Power sum at every point of ``ts``."""
-    return np.power(ts[:, None], exps[None, :]) @ coeffs
 
 
 def rk4_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half):
@@ -89,9 +78,5 @@ def rk4_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half):
 
 
 def warmup() -> None:
-    """Run every kernel once on tiny inputs, so timed runs measure steady state."""
-    c = np.array([1.0, -0.5])
-    p = np.array([0.0, 1.5])
-    eval_powsum(c, p, 0.3)
-    eval_powsum_batch(c, p, np.array([0.0, 0.5, 1.0]))
+    """Run the sweep once on tiny inputs, so timed runs measure steady state."""
     rk4_sweep(1.0, 0.0, 0.5, 0.1, 0.5, 0.5, np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0]))

@@ -20,7 +20,6 @@ __all__ = [
     "ErrorTable",
     "rk4_integrate",
     "absolute_error",
-    "max_absolute_error",
     "residual_sample",
 ]
 
@@ -157,14 +156,6 @@ def absolute_error(approx, ref, t):
     return float(err) if np.ndim(t) == 0 else err
 
 
-def max_absolute_error(approx, ref, grid) -> float:
-    """Maximum absolute error over a nonempty grid of points."""
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    return max(absolute_error(approx, ref, t) for t in grid)
-
-
 def residual_sample(approx, problem, t):
     """Magnitude of the governing equation evaluated on the approximant at t.
 
@@ -173,13 +164,5 @@ def residual_sample(approx, problem, t):
     an array of points an array.
     """
     value, slope, d_alpha = approx.evaluate(t)
-    phi = problem.forcing_at(t)
-    residual = np.abs(
-        d_alpha
-        - problem.mu * slope
-        + problem.mu * value**2 * slope
-        + problem.a * value
-        + problem.b * value**3
-        - phi
-    )
+    residual = np.abs(problem.residual(d_alpha, slope, value, problem.forcing_at(t)))
     return float(residual) if np.ndim(t) == 0 else residual

@@ -18,13 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .basis import WaveletBasisSpec, fobw_matrix
-from .fracops import (
-    OrderFunction,
-    _shaped,
-    basis_images,
-    caputo_on_approximant,
-    order_values,
-)
+from .fracops import OrderFunction, basis_images, caputo_images, order_values
 from .special import chebyshev_grid
 
 __all__ = [
@@ -84,6 +78,17 @@ class OscillatorProblem:
     def init(self) -> tuple[float, float]:
         return (self.init_value, self.init_slope)
 
+    def residual(self, d_alpha, slope, value, phi):
+        """Left-hand side minus forcing, given the Caputo image, slope, value and forcing."""
+        return (
+            d_alpha
+            - self.mu * slope
+            + self.mu * slope * value**2
+            + self.a * value
+            + self.b * value**3
+            - phi
+        )
+
 
 @dataclass(frozen=True)
 class CollocationSystem:
@@ -137,17 +142,8 @@ def residual_vector(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.shape != (system.spec.sigma_tilde,):
         raise ValueError(f"coefficient vector must have length {system.spec.sigma_tilde}")
-    p = system.problem
-    d_alpha = system.caputo_images @ U
     slope, value = _slope_value(system, U)
-    return (
-        d_alpha
-        - p.mu * slope
-        + p.mu * slope * value**2
-        + p.a * value
-        + p.b * value**3
-        - system.phi
-    )
+    return system.problem.residual(system.caputo_images @ U, slope, value, system.phi)
 
 
 def _slope_value(system: CollocationSystem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +217,11 @@ def newton_solve(
     return SolveReport(U, iterations, float(norm), bool(norm <= tol))
 
 
+def _shaped(values: np.ndarray, like: np.ndarray):
+    """A float for a scalar ``like``, else ``values`` in the shape of ``like``."""
+    return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
+
+
 @dataclass(frozen=True)
 class SolutionApproximant:
     """Converged approximant: value, derivatives and Caputo image on [0, 1]."""
@@ -258,12 +259,12 @@ class SolutionApproximant:
         return _shaped(fobw_matrix(self.spec, ts.ravel()) @ self.coefficients, ts)
 
     def caputo(self, t):
-        return caputo_on_approximant(
-            self.coefficients, self.spec, self.problem.alpha, self.problem.init, t
-        )
+        """Variable-order Caputo derivative, U . [I^(2-alpha(t)) Psi](t)."""
+        ts = np.asarray(t, dtype=float)
+        _, images = caputo_images(self.spec, self.problem.alpha, ts.ravel())
+        return _shaped(images @ self.coefficients, ts)
 
     def _value(self, i2: np.ndarray, pts: np.ndarray, ts: np.ndarray):
-        # the same arithmetic as fracops.reconstruct, so the results agree bit for bit
         p = self.problem
         return _shaped(i2 @ self.coefficients + float(p.init_value) + pts * float(p.init_slope), ts)
 

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fobw.basis import (
     BasisIndex,
-    FracMonomialSeries,
     WaveletBasisSpec,
+    _local_values,
     bernstein_frac,
     cell_index,
     fobw_eval,
-    fobw_vector,
-    local_wavelet_series,
-    to_monomial_series,
+    fobw_matrix,
+    local_series_table,
     weight_eval,
 )
 from fobw.fracops import adaptive_unit_integral, weighted_inner_product
@@ -35,6 +35,15 @@ def classical_wavelet(eta, ups, k, M, t):
     return 2 ** ((k - 1) / 2) * amp * (1 - x) ** (M - ups) * total
 
 
+def series_value(ups, M, g, t):
+    """Polynomial ``ups`` of the (M, g) family at t, from the series table.
+
+    At k = 1 the local coordinate is t and the table carries the wavelet
+    normalization sqrt(g), which is divided out here.
+    """
+    return float(_local_values(WaveletBasisSpec(1, M, g), t)[ups]) / math.sqrt(g)
+
+
 class TestBernsteinFrac:
     def test_first_member_at_zero(self):
         assert bernstein_frac(0, 3, 1.0, 0.0) == pytest.approx(math.sqrt(7), rel=1e-14)
@@ -44,9 +53,8 @@ class TestBernsteinFrac:
 
     def test_agrees_with_series(self):
         # the expanded series is the second code path for the same function
-        series = to_monomial_series(1, 2, 0.5)
         t = 0.25
-        assert bernstein_frac(1, 2, 0.5, t) == pytest.approx(series.evaluate(t), abs=1e-13)
+        assert bernstein_frac(1, 2, 0.5, t) == pytest.approx(series_value(1, 2, 0.5, t), abs=1e-13)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -59,23 +67,23 @@ class TestBernsteinFrac:
 
 class TestMonomialSeries:
     def test_linear_case(self):
-        series = to_monomial_series(0, 1, 1.0)
-        assert list(series.exponents) == [0.0, 1.0]
+        coeffs, exps = local_series_table(WaveletBasisSpec(1, 1, 1.0))
+        assert list(exps) == [0.0, 1.0]
         root3 = math.sqrt(3)
-        assert series.coefficients[0] == pytest.approx(root3, rel=1e-14)
-        assert series.coefficients[1] == pytest.approx(-root3, rel=1e-14)
+        assert coeffs[0, 0] == pytest.approx(root3, rel=1e-14)
+        assert coeffs[0, 1] == pytest.approx(-root3, rel=1e-14)
 
     def test_half_exponent_case(self):
-        series = to_monomial_series(0, 2, 0.5)
+        coeffs, exps = local_series_table(WaveletBasisSpec(1, 2, 0.5))
         root5 = math.sqrt(5)
-        assert list(series.exponents) == [0.0, 0.5, 1.0]
-        assert np.allclose(series.coefficients, [root5, -2 * root5, root5], rtol=1e-14)
+        assert list(exps) == [0.0, 0.5, 1.0]
+        # the table rows carry the wavelet normalization sqrt(gamma)
+        assert np.allclose(coeffs[0] / math.sqrt(0.5), [root5, -2 * root5, root5], rtol=1e-14)
 
     def test_matches_closed_form_at_random_points(self):
         rng = np.random.default_rng(5)
-        series = to_monomial_series(2, 3, 1.0)
         for t in rng.uniform(0.0, 1.0, 10):
-            assert series.evaluate(t) == pytest.approx(
+            assert series_value(2, 3, 1.0, t) == pytest.approx(
                 bernstein_frac(2, 3, 1.0, t), abs=1e-13
             )
 
@@ -88,22 +96,18 @@ class TestMonomialSeries:
             g = float(rng.uniform(0.1, 1.5))
             t = float(rng.uniform(0.0, 1.0))
             direct = bernstein_frac(ups, M, g, t)
-            via_series = to_monomial_series(ups, M, g).evaluate(t)
+            via_series = series_value(ups, M, g, t)
             assert via_series == pytest.approx(direct, rel=1e-12, abs=1e-12)
             cases += 1
 
     def test_zero_power_convention(self):
-        series = FracMonomialSeries(np.array([2.0, 3.0]), np.array([0.0, 0.7]))
-        assert series.evaluate(0.0) == 2.0
-
-    def test_duplicate_exponents_rejected(self):
-        with pytest.raises(ValueError):
-            FracMonomialSeries(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-
-    def test_from_terms_merges(self):
-        series = FracMonomialSeries.from_terms([(1.0, 0.5), (2.0, 0.5), (1.0, 0.0)])
-        assert list(series.exponents) == [0.0, 0.5]
-        assert list(series.coefficients) == [1.0, 3.0]
+        # 0**0 == 1 and 0**p == 0 for p > 0: at t = 0 every wavelet of the
+        # first cell is its constant coefficient, exactly
+        spec = WaveletBasisSpec(2, 3, 0.7)
+        coeffs, _ = local_series_table(spec)
+        vec = fobw_matrix(spec, [0.0])[0]
+        assert np.array_equal(vec[:4], coeffs[:, 0])
+        assert np.all(vec[4:] == 0.0)
 
 
 class TestWaveletEval:
@@ -152,7 +156,7 @@ class TestWaveletEval:
 class TestWaveletVector:
     def test_values_at_zero(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        vec = fobw_vector(spec, 0.0)
+        vec = fobw_matrix(spec, [0.0])[0]
         assert vec.shape == (4,)
         assert vec[0] == pytest.approx(math.sqrt(7), rel=1e-14)
         for ups in range(1, 4):
@@ -160,7 +164,7 @@ class TestWaveletVector:
 
     def test_inactive_cell_is_zero(self):
         spec = WaveletBasisSpec(2, 1, 1.0)
-        vec = fobw_vector(spec, 0.75)
+        vec = fobw_matrix(spec, [0.75])[0]
         assert np.all(vec[:2] == 0.0)
         assert np.any(vec[2:] != 0.0)
 
@@ -170,7 +174,7 @@ class TestWaveletVector:
         rng = np.random.default_rng(9)
         spec = WaveletBasisSpec(2, 2, 0.5)
         for t in rng.uniform(0.0, 1.0, 20):
-            vec = fobw_vector(spec, float(t))
+            vec = fobw_matrix(spec, [t])[0]
             flat = [
                 fobw_eval(BasisIndex(eta, ups), spec, float(t))
                 for eta in range(1, 3)
@@ -184,6 +188,22 @@ class TestWaveletVector:
         assert cell_index(spec, 0.5) == 1
         assert cell_index(spec, 0.5 + 1e-12) == 2
         assert cell_index(spec, 1.0) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.builds(
+            WaveletBasisSpec,
+            st.sampled_from([1, 2, 3]),
+            st.integers(0, 12),
+            st.sampled_from([0.2, 0.5, 1.0, 2.0]),
+        ),
+        ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    def test_rows_do_not_depend_on_the_batch(self, spec, ts, data):
+        ts = np.array(ts)
+        i = data.draw(st.integers(0, ts.size - 1))
+        assert np.array_equal(fobw_matrix(spec, ts)[i], fobw_matrix(spec, ts[i : i + 1])[0])
 
 
 class TestWeight:
@@ -229,6 +249,11 @@ class TestOrthonormality:
                         expected, abs=1e-8
                     )
 
+    @pytest.mark.parametrize("eta, u, v", [(3, 0, 0), (1, 4, 0), (1, 0, -1)])
+    def test_rejects_indices_outside_the_family(self, eta, u, v):
+        with pytest.raises(ValueError):
+            weighted_inner_product(WaveletBasisSpec(2, 3, 0.5), eta, u, v)
+
 
 class TestCoefficientDecay:
     def test_sin_2t_coefficients(self):
@@ -236,8 +261,7 @@ class TestCoefficientDecay:
         spec = WaveletBasisSpec(1, 5, 1.0)
         coeffs = []
         for ups in range(6):
-            series = local_wavelet_series(spec, ups)
-            integrand = lambda u: np.sin(2.0 * u) * series.evaluate_many(u)
+            integrand = lambda u: np.sin(2.0 * u) * _local_values(spec, u)[:, ups]
             coeffs.append(abs(adaptive_unit_integral(integrand)))
         # non-increasing beyond index 2
         for i in range(2, 5):
@@ -256,8 +280,7 @@ class TestCoefficientDecay:
         spec = WaveletBasisSpec(1, 5, g)
         inv = 1.0 / g
         for ups in range(6):
-            series = local_wavelet_series(spec, ups)
-            integrand = lambda u: np.sin(2.0 * u**inv) * series.evaluate_many(u**inv)
+            integrand = lambda u: np.sin(2.0 * u**inv) * _local_values(spec, u**inv)[:, ups]
             coeff = abs(adaptive_unit_integral(integrand) / g)
             bound = (
                 math.sqrt(g)
@@ -278,22 +301,17 @@ class TestTruncationError:
 
         def weighted_l2_error(M):
             spec = WaveletBasisSpec(1, M, g)
-            coeffs = [
+            coeffs = np.array([
                 adaptive_unit_integral(
-                    lambda u, L=local_wavelet_series(spec, ups): f(u**inv)
-                    * L.evaluate_many(u**inv)
+                    lambda u, ups=ups: f(u**inv) * _local_values(spec, u**inv)[:, ups]
                 )
                 / g
                 for ups in range(M + 1)
-            ]
+            ])
 
             def squared_gap(u):
                 x = np.asarray(u) ** inv
-                approx = sum(
-                    c * local_wavelet_series(spec, i).evaluate_many(x)
-                    for i, c in enumerate(coeffs)
-                )
-                return (f(x) - approx) ** 2
+                return (f(x) - _local_values(spec, x) @ coeffs) ** 2
 
             return math.sqrt(abs(adaptive_unit_integral(squared_gap) / g))
 

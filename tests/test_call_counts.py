@@ -109,11 +109,13 @@ def test_one_point_methods_build_only_their_matrix(counted, method, image_calls,
     assert all(np.ndim(lam) <= 1 for _, lam, _ in images.args)
 
 
-def test_reconstruct_makes_one_image_call(counted):
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_caputo_makes_one_image_call(counted, name):
     images = counted(fracops, "basis_images")
-    spec = WaveletBasisSpec(2, 3, 0.5)
-    fracops.reconstruct(np.ones(spec.sigma_tilde), spec, (1.0, 0.0), np.linspace(0.1, 1.0, 10))
+    matrices = counted(fracops, "fobw_matrix")
+    _approximant(ORDERS[name]).caputo(np.linspace(0.1, 1.0, 10))
     assert images.calls == 1
+    assert matrices.calls == (1 if name == "two" else 0)
 
 
 def test_whole_offsets_skip_the_lanczos_sum(counted):

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from fobw.basis import (
     BasisIndex,
-    FracMonomialSeries,
     WaveletBasisSpec,
+    _local_values,
     fobw_eval,
     fobw_matrix,
-    fobw_vector,
-    local_wavelet_series,
+    local_series_table,
 )
 from fobw.fracops import (
     AccuracyError,
@@ -19,13 +18,24 @@ from fobw.fracops import (
     _wavelet_image_quadrature,
     adaptive_unit_integral,
     basis_images,
-    caputo_on_approximant,
-    reconstruct,
     rl_integral_quadrature,
-    rl_integral_series,
 )
 from fobw.expr import parse_expression
+from fobw.solver import OscillatorProblem, SolutionApproximant
 from fobw.special import chebyshev_grid, gamma
+
+
+def wavelet_at(spec, ups):
+    """Wavelet ``ups`` of a k = 1 family as a function of t, from the series table."""
+    return lambda x: _local_values(spec, x)[..., ups]
+
+
+def approximant(spec, U, init=(0.0, 0.0), alpha=OrderFunction.constant(2.0)):
+    """Approximant with coefficients ``U`` for y'' = 0 (no solve)."""
+    problem = OscillatorProblem(
+        mu=0.0, a=0.0, b=0.0, alpha=alpha, init_value=init[0], init_slope=init[1]
+    )
+    return SolutionApproximant(problem, spec, np.asarray(U, dtype=float), None)
 
 
 class TestOrderFunction:
@@ -53,41 +63,45 @@ class TestOrderFunction:
 
 
 class TestSeriesIntegral:
+    # The single wavelet of the k = 1, M = 0, gamma = 1 family is the
+    # constant 1, and the M = 1 family spans t: (psi_1 + psi_0/sqrt(3))/2 = t.
+
     def test_integrate_constant(self):
-        out = rl_integral_series(FracMonomialSeries([1.0], [0.0]), 1.0)
-        assert list(out.exponents) == [1.0]
-        assert out.coefficients[0] == pytest.approx(1.0, rel=1e-14)
+        spec = WaveletBasisSpec(1, 0, 1.0)
+        assert np.array_equal(local_series_table(spec)[0], [[1.0]])
+        ts = np.array([0.2, 0.5, 1.0])
+        assert np.allclose(basis_images(spec, 1.0, ts)[:, 0], ts, rtol=1e-14, atol=0)
 
     def test_integrate_linear(self):
-        out = rl_integral_series(FracMonomialSeries([1.0], [1.0]), 1.0)
-        assert list(out.exponents) == [2.0]
-        assert out.coefficients[0] == pytest.approx(0.5, rel=1e-14)
+        spec = WaveletBasisSpec(1, 1, 1.0)
+        combo = np.array([1.0 / (2.0 * math.sqrt(3.0)), 0.5])
+        ts = np.array([0.2, 0.5, 1.0])
+        assert np.allclose(fobw_matrix(spec, ts) @ combo, ts, rtol=1e-14, atol=0)
+        assert np.allclose(basis_images(spec, 1.0, ts) @ combo, ts**2 / 2, rtol=1e-13, atol=0)
 
     def test_half_order(self):
-        out = rl_integral_series(FracMonomialSeries([1.0], [0.0]), 0.5)
-        assert list(out.exponents) == [0.5]
-        # 1/gamma(1.5)
-        assert out.coefficients[0] == pytest.approx(1.1283791670955126, rel=1e-13)
-        # cross-check against the quadrature route
+        spec = WaveletBasisSpec(1, 0, 1.0)
         for t in (0.25, 0.5, 1.0):
+            image = basis_images(spec, 0.5, t)[0]
+            # 1/gamma(1.5) * sqrt(t)
+            assert image == pytest.approx(1.1283791670955126 * math.sqrt(t), rel=1e-13)
+            # cross-check against the quadrature route
             q = rl_integral_quadrature(lambda x: np.ones_like(x), 0.5, t)
-            assert out.evaluate(t) == pytest.approx(q, abs=1e-10)
+            assert image == pytest.approx(q, abs=1e-10)
 
     def test_semigroup_property(self):
-        series = local_wavelet_series(WaveletBasisSpec(1, 4, 0.5), 2)
-        twice = rl_integral_series(rl_integral_series(series, 1.0), 1.0)
-        direct = rl_integral_series(series, 2.0)
-        assert np.allclose(twice.exponents, direct.exponents, rtol=0, atol=0)
-        assert np.allclose(twice.coefficients, direct.coefficients, rtol=1e-14)
-
-    def test_partial_support_rejected(self):
-        series = FracMonomialSeries([1.0], [0.5], support=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            rl_integral_series(series, 1.0)
+        # I^2 of a wavelet is the plain integral of its I^1
+        spec = WaveletBasisSpec(1, 4, 0.5)
+        once = lambda x: basis_images(spec, 1.0, x)[:, 2]
+        for t in (0.3, 0.7, 1.0):
+            twice = rl_integral_quadrature(once, 1.0, t)
+            assert basis_images(spec, 2.0, t)[2] == pytest.approx(twice, abs=1e-12)
 
     def test_nonpositive_order_rejected(self):
         with pytest.raises(ValueError):
-            rl_integral_series(FracMonomialSeries([1.0], [0.0]), 0.0)
+            basis_images(WaveletBasisSpec(1, 3, 0.5), -0.5, 0.5)
+        with pytest.raises(ValueError):
+            rl_integral_quadrature(lambda x: x, 0.0, 0.5)
 
 
 class TestQuadratureIntegral:
@@ -133,21 +147,25 @@ class TestAnalyticQuadratureAgreement:
         rng = np.random.default_rng(17)
         spec = WaveletBasisSpec(1, 3, g)
         for ups in (0, 3):
-            series = local_wavelet_series(spec, ups)
-            image = rl_integral_series(series, lam)
             for t in rng.uniform(0.05, 1.0, 5):
-                q = rl_integral_quadrature(series.evaluate_many, lam, float(t))
-                assert q == pytest.approx(image.evaluate(float(t)), abs=1e-10)
+                q = rl_integral_quadrature(wavelet_at(spec, ups), lam, float(t))
+                assert q == pytest.approx(basis_images(spec, lam, float(t))[ups], abs=1e-10)
 
 
 class TestMultiCellImages:
     def test_matches_series_route_on_single_cell(self):
+        # on one cell the image is the termwise rule, written out here in floats
         spec = WaveletBasisSpec(1, 3, 0.5)
+        coeffs, exps = local_series_table(spec)
+        lam = 0.7
         for t in (0.2, 0.7):
-            imgs = basis_images(spec, 0.7, t)
+            imgs = basis_images(spec, lam, t)
             for ups in range(4):
-                series = rl_integral_series(local_wavelet_series(spec, ups), 0.7)
-                assert imgs[ups] == pytest.approx(series.evaluate(t), abs=1e-12)
+                termwise = sum(
+                    c * gamma(p + 1.0) / gamma(p + 1.0 + lam) * t ** (p + lam)
+                    for c, p in zip(coeffs[ups], exps)
+                )
+                assert imgs[ups] == pytest.approx(termwise, abs=1e-12)
 
     def test_translated_cell_against_direct_quadrature(self):
         # oracle: raw singular integral of the wavelet, integrated per piece
@@ -228,32 +246,29 @@ class TestClosedFormImages:
 class TestReconstruct:
     def test_zero_coefficients(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        U = np.zeros(4)
-        value, slope, second = reconstruct(U, spec, (2.5, -1.0), 0.4)
+        approx = approximant(spec, np.zeros(4), (2.5, -1.0))
+        value, slope, _ = approx.evaluate(0.4)
         assert value == pytest.approx(2.5 + 0.4 * -1.0, abs=1e-15)
-        assert slope == -1.0
-        assert second == 0.0
+        assert approx.value(0.4) == value
+        assert slope == approx.derivative(0.4) == -1.0
+        assert approx.second_derivative(0.4) == 0.0
 
     def test_first_basis_coefficient(self):
         # I^2 of sqrt(3)(1 - t) is sqrt(3)(t^2/2 - t^3/6)
         spec = WaveletBasisSpec(1, 1, 1.0)
-        U = np.array([1.0, 0.0])
+        approx = approximant(spec, [1.0, 0.0])
         for t in (0.3, 0.8, 1.0):
-            value, _, _ = reconstruct(U, spec, (0.0, 0.0), t)
-            assert value == pytest.approx(math.sqrt(3) * (t**2 / 2 - t**3 / 6), rel=1e-13)
-        value_at_one, _, _ = reconstruct(U, spec, (0.0, 0.0), 1.0)
-        assert value_at_one == pytest.approx(math.sqrt(3) / 3, rel=1e-13)
+            assert approx.value(t) == pytest.approx(math.sqrt(3) * (t**2 / 2 - t**3 / 6), rel=1e-13)
+        assert approx.value(1.0) == pytest.approx(math.sqrt(3) / 3, rel=1e-13)
 
     def test_derivative_consistency(self):
         rng = np.random.default_rng(23)
         spec = WaveletBasisSpec(1, 4, 0.5)
-        U = rng.normal(0.0, 1.0, 5)
+        approx = approximant(spec, rng.normal(0.0, 1.0, 5), (1.0, 0.5))
         h = 1e-6
         for t in (0.2, 0.5, 0.8):
-            plus, _, _ = reconstruct(U, spec, (1.0, 0.5), t + h)
-            minus, _, _ = reconstruct(U, spec, (1.0, 0.5), t - h)
-            _, slope, _ = reconstruct(U, spec, (1.0, 0.5), t)
-            assert (plus - minus) / (2 * h) == pytest.approx(slope, abs=1e-7)
+            plus, minus = approx.value(t + h), approx.value(t - h)
+            assert (plus - minus) / (2 * h) == pytest.approx(approx.derivative(t), abs=1e-7)
 
     def test_antiderivative_identity_is_bit_exact(self):
         # the value path reuses the cached images, so recomputing the linear
@@ -262,58 +277,52 @@ class TestReconstruct:
         rng = np.random.default_rng(2)
         U = rng.normal(0.0, 1.0, 6)
         t = 0.37
-        value, _, _ = reconstruct(U, spec, (1.0, 2.0), t)
-        assert value == float(U @ basis_images(spec, 2.0, t)) + 1.0 + t * 2.0
+        approx = approximant(spec, U, (1.0, 2.0))
+        expected = float(U @ basis_images(spec, 2.0, t)) + 1.0 + t * 2.0
+        assert approx.value(t) == approx.evaluate(t)[0] == expected
 
 
 class TestCaputo:
     def test_zero_coefficients_any_order(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        alpha = OrderFunction.constant(1.5)
-        assert caputo_on_approximant(np.zeros(4), spec, alpha, (3.0, 0.0), 0.5) == 0.0
+        approx = approximant(spec, np.zeros(4), (3.0, 0.0), OrderFunction.constant(1.5))
+        assert approx.caputo(0.5) == 0.0
 
     def test_integer_branch(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        alpha = OrderFunction.constant(2.0)
-        U = np.array([1.0, 0.0, 0.0, 0.0])
+        approx = approximant(spec, [1.0, 0.0, 0.0, 0.0])
         for t in (0.2, 0.6):
             expected = fobw_eval(BasisIndex(1, 0), spec, t)
-            assert caputo_on_approximant(U, spec, alpha, (0.0, 0.0), t) == pytest.approx(
-                expected, rel=1e-14
-            )
+            assert approx.caputo(t) == pytest.approx(expected, rel=1e-14)
 
     def test_half_derivative_of_t_squared(self):
         # fit the constant second derivative of t^2 in the basis, then check
         # the analytic Caputo image gamma(3)/gamma(1.5) * sqrt(t)
         spec = WaveletBasisSpec(1, 5, 1.0)
-        grid = chebyshev_grid(30)
-        psi = np.array([fobw_vector(spec, t) for t in grid])
+        psi = fobw_matrix(spec, chebyshev_grid(30))
         U, *_ = np.linalg.lstsq(psi, np.full(30, 2.0), rcond=None)
-        alpha = OrderFunction.constant(1.5)
+        approx = approximant(spec, U, alpha=OrderFunction.constant(1.5))
         scale = gamma(3.0) / gamma(1.5)
         assert scale == pytest.approx(2.2567583341910253, rel=1e-13)
         for t in (0.2, 0.5, 0.9):
-            val = caputo_on_approximant(U, spec, alpha, (0.0, 0.0), t)
-            assert val == pytest.approx(scale * math.sqrt(t), abs=1e-6)
+            assert approx.caputo(t) == pytest.approx(scale * math.sqrt(t), abs=1e-6)
 
     def test_order_continuity_toward_two(self):
         rng = np.random.default_rng(8)
         spec = WaveletBasisSpec(1, 4, 1.0)
         U = rng.uniform(-1.0, 1.0, 5)
-        alpha = OrderFunction.constant(2.0 - 1e-6)
+        approx = approximant(spec, U, alpha=OrderFunction.constant(2.0 - 1e-6))
         for t in (0.3, 0.6, 0.9):
-            nearly = caputo_on_approximant(U, spec, alpha, (0.0, 0.0), t)
-            exact = float(U @ fobw_vector(spec, t))
-            assert nearly == pytest.approx(exact, abs=1e-3)
+            exact = float(U @ fobw_matrix(spec, [t])[0])
+            assert approx.caputo(t) == pytest.approx(exact, abs=1e-3)
 
     def test_order_outside_range_rejected(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        alpha = OrderFunction.constant(1.5)
         bad = OrderFunction(fn=lambda t: 2.5, value=None, label="bad")
         with pytest.raises(ValueError):
-            caputo_on_approximant(np.zeros(4), spec, bad, (0.0, 0.0), 0.5)
+            approximant(spec, np.zeros(4), alpha=bad).caputo(0.5)
         with pytest.raises(ValueError):
-            caputo_on_approximant(np.zeros(3), spec, alpha, (0.0, 0.0), 0.5)
+            approximant(spec, np.zeros(3), alpha=OrderFunction.constant(1.5)).caputo(0.5)
 
 
 # orders for the shared-table tests: whole orders take the finite-product and

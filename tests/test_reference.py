@@ -9,7 +9,6 @@ from fobw.reference import (
     BlowupError,
     ErrorTable,
     absolute_error,
-    max_absolute_error,
     residual_sample,
     rk4_integrate,
 )
@@ -78,19 +77,16 @@ class TestAbsoluteError:
             assert absolute_error(f, g, t) == absolute_error(g, f, t)
 
     def test_max_over_grid(self):
-        table = {0.25: (1.0, 1.0), 0.75: (2.0, 2.5)}
-        f = lambda t: table[t][0]
-        g = lambda t: table[t][1]
-        assert max_absolute_error(f, g, [0.25, 0.75]) == pytest.approx(0.5)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            max_absolute_error(lambda t: 1.0, lambda t: 1.0, [])
+        f = lambda t: np.where(t < 0.5, 1.0, 2.0)
+        g = lambda t: np.where(t < 0.5, 1.0, 2.5)
+        errors = absolute_error(f, g, np.array([0.25, 0.75]))
+        assert errors.shape == (2,)
+        assert errors.max() == pytest.approx(0.5)
 
     def test_manufactured_case(self):
         approx = solve_problem(harmonic_problem(), WaveletBasisSpec(1, 5, 1.0))
         grid = np.linspace(0.0, 1.0, 101)
-        assert max_absolute_error(approx, math.cos, grid) <= 1e-8
+        assert absolute_error(approx, np.cos, grid).max() <= 1e-8
 
 
 class TestResidualSample:
