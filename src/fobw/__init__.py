@@ -46,6 +46,7 @@ from .reference import (
     ReferenceTrajectory,
     absolute_error,
     residual_sample,
+    residual_samples,
     rk4_integrate,
 )
 from .solver import (
@@ -55,6 +56,7 @@ from .solver import (
     SolveReport,
     SolverError,
     assemble,
+    evaluate_approximants,
     newton_solve,
     residual_vector,
     solve_problem,

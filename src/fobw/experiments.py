@@ -21,7 +21,7 @@ from .basis import WaveletBasisSpec
 from .expr import parse_expression
 from .fracops import OrderFunction
 from .published import COMPARISON_COLUMNS, TABLE_POINTS
-from .reference import ErrorTable, absolute_error, residual_sample, rk4_integrate
+from .reference import ErrorTable, absolute_error, residual_sample, residual_samples, rk4_integrate
 from .solver import OscillatorProblem, SolverError, solve_problem
 
 log = logging.getLogger("fobw")
@@ -338,13 +338,14 @@ def emit_plot_data(labeled_approximants, density: int = 401, path: str | None = 
     """Dense residual curves as CSV, one column per labeled approximant.
 
     The grid is ``density`` uniform points on (0, 1]; the Caputo operator is
-    defined for t > 0, so 0 itself is excluded.
+    defined for t > 0, so 0 itself is excluded.  The columns on one basis
+    share its image tables (:func:`residual_samples`).
     """
     if density < 2:
         raise ValueError("density must be at least 2")
     grid = np.linspace(0.0, 1.0, density + 1)[1:]
     labels = [label for label, _ in labeled_approximants]
-    curves = [residual_sample(approx, approx.problem, grid) for _, approx in labeled_approximants]
+    curves = residual_samples([approx for _, approx in labeled_approximants], grid)
     lines = ["t," + ",".join(labels)]
     for i, t in enumerate(grid):
         lines.append(",".join([f"{t:.8g}"] + [f"{c[i]:.5e}" for c in curves]))

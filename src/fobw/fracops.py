@@ -230,27 +230,28 @@ def _wavelet_image_quadrature(
     """I^lam of wavelet (eta, upsilon) at t by quadrature: the test oracle of
     :func:`basis_images`.
 
-    The wavelet lives on one cell.  When t sits inside that cell the kernel
-    singularity is removed by the same substitution as above, shifted to the
-    cell start; when t lies beyond the cell the integrand is smooth over the
-    full cell and is integrated directly.
+    The kernel (t - tau)**(lam-1) is singular at tau = t, or nearly so at the
+    cell end when t lies just past it, so both cases substitute it away:
+    inside the cell as above, shifted to the cell start; beyond it with
+    r = (t - tau)**lam, as (t - tau)**(lam-1) dtau = -dr/lam.
     """
     lo, hi = cell_bounds(spec, eta)
     if t <= lo:
         return 0.0
     wavelet = lambda x: _local_values(spec, x, [upsilon])[:, 0]
     scale = spec.translations
+    inv = 1.0 / lam
     if t <= hi:
         width = t - lo
-        g = lambda v: wavelet(scale * width * (1.0 - v ** (1.0 / lam)))
+        g = lambda v: wavelet(scale * width * (1.0 - v**inv))
         j = adaptive_unit_integral(g)
         return width**lam / gamma(lam + 1.0) * j
-    # integrand (t - tau)**(lam-1) * wavelet(tau) over [lo, hi]; map tau = lo + (hi-lo)*u,
-    # so the local coordinate is exactly u because (hi-lo)*2**(k-1) == 1
-    cell = hi - lo
-    g = lambda u: (t - lo - cell * u) ** (lam - 1.0) * wavelet(u)
+    # the local coordinate scale*(tau - lo) loses its last digits to
+    # cancellation near tau = lo, so it is clipped to the cell
+    near, far = (t - hi) ** lam, (t - lo) ** lam
+    g = lambda v: wavelet(np.clip(scale * (t - lo - (near + (far - near) * v) ** inv), 0.0, 1.0))
     j = adaptive_unit_integral(g)
-    return cell / gamma(lam) * j
+    return (far - near) / gamma(lam + 1.0) * j
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +265,10 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     point.  ``lam`` broadcasts against the points, so it is one order, or an
     array holding one order per point, and any leading axes of ``lam`` ask
     for several orders at once: ``lam`` of shape (2, 1) gives the (2, n,
-    sigma_tilde) images of two constant orders at n points.  The powers of
-    the points are formed once and shared by every order.
+    sigma_tilde) images of two constant orders at n points.  All orders are
+    one pass of array work: shared powers of the points, one
+    :func:`gamma_ratio` call, one extended-precision contraction.  Each entry
+    is computed elementwise, so it does not depend on the rest of the call.
 
     Wavelet (eta, upsilon) on the cell [lo, hi] is sum_i c_i x**p_i in the
     local coordinate x = T*(tau - lo), T = 2**(k-1).  With s = t - lo and
@@ -298,38 +301,49 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     lo = np.arange(cells, dtype=wide) / cells
     hi = lo + wide(1.0) / cells
     s = np.maximum(tw[:, None] - lo, 0.0)[:, :, None]
-    powers = (cells * s) ** exps
-    row, cell = np.nonzero(tw[:, None] > hi)
-    beyond = s[row, cell]
-    z = (hi[cell] - lo[cell])[:, None] / beyond
-    y = (tw[row] - hi[cell])[:, None] / beyond
 
-    images = np.empty(lams.shape + (spec.sigma_tilde,))
-    for index in np.ndindex(lams.shape[:-1]):
-        order = lams[index]
-        out = images[index]
-        zero = order == 0.0
-        if zero.any():
-            out[zero] = fobw_matrix(spec, pts[zero])
-        pos = np.flatnonzero(~zero)
-        if not pos.size:
-            continue
-        lw = order[pos].astype(wide)
-        # one row of gamma ratios serves every point when the order is constant
-        rows = lw[:1] if np.all(lw == lw[:1]) else lw
-        terms = (
-            gamma_ratio(exps + 1.0, rows[:, None])[:, None, :]
-            * powers[pos]
-            * s[pos] ** lw[:, None, None]
-        )
-        # beyond-cell entries of these points, and their rows among ``pos``
-        keep = ~zero[row]
-        if keep.any():
-            rank = np.cumsum(~zero) - 1
-            terms[rank[row[keep]], cell[keep]] *= betainc(
-                exps + 1.0, order[row[keep]].astype(wide)[:, None], z[keep], y[keep]
-            )
-        out[pos] = (terms.reshape(-1, exps.size) @ weights).astype(float).reshape(pos.size, -1)
+    # (order, point) entries; order 0 is the identity, the basis vector
+    orders = lams.reshape(int(np.prod(lams.shape[:-1])), pts.size)
+    zero = orders == 0.0
+    some_zero = zero.any()
+    if some_zero:
+        entries = np.nonzero(~zero)
+        at = entries[1]
+    else:
+        # every entry: plain slices, so the point arrays broadcast uncopied
+        entries = at = slice(None)
+    lw = orders[entries].astype(wide)
+    # cells that end before the entry's point cut its terms by the incomplete
+    # beta, formed before the terms so the two largest transients do not add up
+    point = np.broadcast_to(np.arange(pts.size), orders.shape)[entries]
+    cut = np.nonzero(tw[point, None] > hi)
+    cut_factors = 1.0
+    if cut[-1].size:
+        entry, cell = cut[:-1], cut[-1]
+        row = point[entry]
+        beyond = s[row, cell]
+        z = (hi[cell] - lo[cell])[:, None] / beyond
+        y = (tw[row] - hi[cell])[:, None] / beyond
+        cut_factors = betainc(exps + 1.0, lw[entry][:, None], z, y)
+
+    distinct, inverse = np.unique(lw, return_inverse=True)
+    inverse = inverse.reshape(lw.shape)
+    if np.all(inverse == inverse[..., :1]):
+        # constant orders: one row of ratios per order, broadcast over points
+        inverse = inverse[..., :1]
+    powers = (cells * s) ** exps
+    terms = gamma_ratio(exps + 1.0, distinct[:, None])[inverse][..., None, :] * powers[at]
+    terms *= s[at] ** lw[..., None, None]
+    terms[cut] *= cut_factors
+    sums = terms.reshape(-1, exps.size) @ weights
+    del terms  # the largest array of the call
+
+    sigma = spec.sigma_tilde
+    images = np.empty(orders.shape + (sigma,))
+    images[entries] = sums.reshape(lw.shape + (sigma,))
+    if some_zero:
+        images[zero] = fobw_matrix(spec, pts[np.nonzero(zero)[1]])
+    images = images.reshape(lams.shape + (sigma,))
     return images[..., 0, :] if ts.ndim == 0 else images
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .solver import evaluate_approximants
 
 __all__ = [
     "BlowupError",
@@ -21,6 +22,7 @@ __all__ = [
     "rk4_integrate",
     "absolute_error",
     "residual_sample",
+    "residual_samples",
 ]
 
 
@@ -163,6 +165,16 @@ def residual_sample(approx, problem, t):
     :class:`fobw.solver.SolutionApproximant`.  A point ``t`` gives a float,
     an array of points an array.
     """
-    value, slope, d_alpha = approx.evaluate(t)
-    residual = np.abs(problem.residual(d_alpha, slope, value, problem.forcing_at(t)))
+    residual = _residual(problem, t, *approx.evaluate(t))
     return float(residual) if np.ndim(t) == 0 else residual
+
+
+def residual_samples(approximants, t) -> list[np.ndarray]:
+    """``residual_sample(a, a.problem, t)`` of every approximant at the array
+    ``t``, evaluated together by :func:`fobw.solver.evaluate_approximants`."""
+    evaluations = evaluate_approximants(approximants, t)
+    return [_residual(a.problem, t, *ev) for a, ev in zip(approximants, evaluations)]
+
+
+def _residual(problem, t, value, slope, d_alpha):
+    return np.abs(problem.residual(d_alpha, slope, value, problem.forcing_at(t)))

@@ -27,6 +27,7 @@ __all__ = [
     "SolveReport",
     "SolutionApproximant",
     "SolverError",
+    "evaluate_approximants",
     "assemble",
     "residual_vector",
     "newton_solve",
@@ -121,7 +122,7 @@ def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationS
             "a single collocation point cannot represent oscillation", stacklevel=2
         )
     grid = chebyshev_grid(sigma)
-    alphas, i1, i2, ica = _images(spec, problem.alpha, grid)
+    (alphas,), i1, i2, (ica,) = _images(spec, [problem.alpha], grid)
     psi = fobw_matrix(spec, grid)
     phi = np.asarray(problem.forcing_at(grid), dtype=float)
     for arr in (grid, alphas, psi, i1, i2, ica, phi):
@@ -129,12 +130,14 @@ def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationS
     return CollocationSystem(spec, problem, grid, alphas, psi, i1, i2, ica, phi)
 
 
-def _images(spec: WaveletBasisSpec, alpha: OrderFunction, ts: np.ndarray) -> tuple:
-    """alpha at the points ``ts``, then their I^1, I^2 and Caputo image rows,
-    from one :func:`basis_images` call."""
-    alphas = order_values(alpha, ts)
-    i1, i2, ica = basis_images(spec, np.stack(np.broadcast_arrays(1.0, 2.0, 2.0 - alphas)), ts)
-    return alphas, i1, i2, ica
+def _images(spec: WaveletBasisSpec, orders: list[OrderFunction], ts: np.ndarray) -> tuple:
+    """Each order function at the points ``ts``, the I^1 and I^2 rows there,
+    and one table of Caputo image rows per order function, all from one
+    :func:`basis_images` call."""
+    alphas = [order_values(alpha, ts) for alpha in orders]
+    lams = np.broadcast_arrays(1.0, 2.0, *(2.0 - a for a in alphas))
+    i1, i2, *caputo = basis_images(spec, np.stack(lams), ts)
+    return alphas, i1, i2, caputo
 
 
 def residual_vector(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
@@ -234,16 +237,10 @@ class SolutionApproximant:
     def evaluate(self, ts) -> tuple:
         """Value, slope and Caputo image at ``ts``, from one set of image matrices.
 
-        A point gives three floats, an array of points three arrays of its shape.
+        A point gives three floats, an array of points three arrays of its
+        shape.  This is the one-approximant case of :func:`evaluate_approximants`.
         """
-        ts = np.asarray(ts, dtype=float)
-        pts = ts.ravel()
-        _, i1, i2, ica = _images(self.spec, self.problem.alpha, pts)
-        return (
-            self._value(i2, pts, ts),
-            self._slope(i1, ts),
-            _shaped(ica @ self.coefficients, ts),
-        )
+        return evaluate_approximants([self], ts)[0]
 
     def value(self, t):
         ts = np.asarray(t, dtype=float)
@@ -270,6 +267,30 @@ class SolutionApproximant:
 
     def _slope(self, i1: np.ndarray, ts: np.ndarray):
         return _shaped(i1 @ self.coefficients + float(self.problem.init_slope), ts)
+
+
+def evaluate_approximants(approximants, ts) -> list[tuple]:
+    """:meth:`SolutionApproximant.evaluate` of every approximant at the same ``ts``.
+
+    Each basis makes one :func:`basis_images` call: its I^1 and I^2 rows
+    once, plus one Caputo order per approximant on it.  Image entries are
+    computed elementwise, so every triple is bit-identical to a lone call's.
+    """
+    ts = np.asarray(ts, dtype=float)
+    pts = ts.ravel()
+    by_spec: dict[WaveletBasisSpec, list] = {}
+    for j, approx in enumerate(approximants):
+        by_spec.setdefault(approx.spec, []).append((j, approx))
+    evaluations = [None] * len(approximants)
+    for spec, members in by_spec.items():
+        _, i1, i2, caputo = _images(spec, [a.problem.alpha for _, a in members], pts)
+        for (j, approx), ica in zip(members, caputo):
+            evaluations[j] = (
+                approx._value(i2, pts, ts),
+                approx._slope(i1, ts),
+                _shaped(ica @ approx.coefficients, ts),
+            )
+    return evaluations
 
 
 def solve_problem(

@@ -115,9 +115,10 @@ _BETA_CF_MAX_ITER = 500
 def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The continued fraction 1/(1+ d1/(1+ d2/(1+ ...))) of DLMF 8.17.22.
 
-    Modified Lentz evaluation.  Each entry stops updating once its own last
-    factor is within tolerance of 1, so an entry's value does not depend on
-    the other entries of the batch.
+    Modified Lentz evaluation over 1-D arrays.  An entry whose own last
+    factor is within tolerance of 1 is written out and dropped from the
+    arrays, so each iteration only pays for the entries still converging;
+    every step is elementwise, so an entry does not depend on the batch.
     """
     tiny = 1e-300
     tol = 4.0 * np.finfo(x.dtype).eps
@@ -128,7 +129,8 @@ def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     c = np.ones_like(x)
     d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
+    out = np.empty_like(x)
+    live = np.arange(x.size)  # the place in ``out`` of each entry still iterating
     for m in range(1, _BETA_CF_MAX_ITER + 1):
         even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
         d = 1.0 / guard(1.0 + even * d)
@@ -138,10 +140,13 @@ def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         d = 1.0 / guard(1.0 + odd * d)
         c = guard(1.0 + odd / c)
         last = d * c
-        h = np.where(active, h * step * last, h)
-        active &= np.abs(last - 1.0) > tol
-        if not active.any():
-            return h
+        h = h * step * last
+        going = np.abs(last - 1.0) > tol
+        if not going.all():
+            out[live[~going]] = h[~going]
+            live, a, b, x, c, d, h = (v[going] for v in (live, a, b, x, c, d, h))
+            if not live.size:
+                return out
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
@@ -153,8 +158,10 @@ def betainc(a, b, x, y=None) -> np.ndarray:
     finite sum I_x(a, n) = x**a * sum_{j<n} (a)_j / j! * (1-x)**j.  Other
     entries use the continued fraction of DLMF 8.17.22, through the symmetry
     I_x(a, b) = 1 - I_(1-x)(b, a) when x > (a+1)/(a+b+2), where the fraction
-    would converge slowly.  The result has the floating type of the
-    arguments (at least double).
+    would converge slowly.  All of those entries share one evaluation of the
+    fraction, and each stops iterating at its own convergence.  Every entry
+    is computed elementwise, so it equals a one-entry call bit for bit.  The
+    result has the floating type of the arguments (at least double).
     """
     a, b, x = np.broadcast_arrays(*_floating(a, b, x))
     y = 1.0 - x if y is None else np.broadcast_to(np.asarray(y, dtype=x.dtype), x.shape)

@@ -10,7 +10,7 @@ import pytest
 
 from fobw import fracops, solver, special
 from fobw.basis import WaveletBasisSpec
-from fobw.experiments import PRESET_PROBLEMS
+from fobw.experiments import PRESET_PROBLEMS, emit_plot_data
 from fobw.expr import parse_expression
 from fobw.fracops import OrderFunction
 from fobw.solver import OscillatorProblem, SolutionApproximant, assemble
@@ -45,8 +45,8 @@ def counted(monkeypatch):
 VARIABLE = "1.5 + 0.3*sin(4*t)"
 
 
-def _approximant(alpha, k=2):
-    spec = WaveletBasisSpec(k, 4, 0.5)
+def _approximant(alpha, k=2, M=4):
+    spec = WaveletBasisSpec(k, M, 0.5)
     problem = OscillatorProblem(alpha=alpha, **PRESET_PROBLEMS["example1-single"])
     U = np.random.default_rng(k).normal(0.0, 1.0, spec.sigma_tilde)
     return SolutionApproximant(problem, spec, U, None)
@@ -116,6 +116,34 @@ def test_caputo_makes_one_image_call(counted, name):
     _approximant(ORDERS[name]).caputo(np.linspace(0.1, 1.0, 10))
     assert images.calls == 1
     assert matrices.calls == (1 if name == "two" else 0)
+
+
+def test_plot_data_makes_one_image_call_per_basis(counted):
+    images = counted(solver, "basis_images")
+    labeled = [
+        (f"{k} {M} {name}", _approximant(ORDERS[name], k, M))
+        for k, M in ((1, 3), (2, 3), (1, 4))
+        for name in sorted(ORDERS)
+    ]
+    emit_plot_data(labeled, density=40)
+    # three bases, three alpha columns each
+    assert images.calls == 3
+    # I^1, I^2 and one Caputo order per column
+    assert all(np.shape(lam)[0] == 2 + len(ORDERS) for _, lam, _ in images.args)
+
+
+@pytest.mark.parametrize("points", [1, 7, 401])
+def test_one_image_call_makes_at_most_one_gamma_ratio_call(counted, points):
+    ratios = counted(fracops, "gamma_ratio")
+    ts = np.linspace(0.0, 1.0, points + 1)[1:]
+    variable = ORDERS["variable"](ts)
+    lams = np.stack(np.broadcast_arrays(1.0, 2.0, 0.0, 0.3, 0.7, 1.1, 2.0 - variable))
+    spec = WaveletBasisSpec(2, 4, 0.5)
+    fracops.basis_images(spec, lams, ts)
+    assert ratios.calls == 1
+    ratios.calls = 0
+    fracops.basis_images(spec, 0.0, ts)
+    assert ratios.calls <= 1
 
 
 def test_whole_offsets_skip_the_lanczos_sum(counted):

@@ -14,7 +14,7 @@ from fobw.experiments import (
     render_csv,
     run_experiment,
 )
-from fobw.reference import ErrorTable
+from fobw.reference import ErrorTable, residual_sample, residual_samples
 
 
 class TestConfig:
@@ -247,3 +247,24 @@ class TestPlotData:
         text = emit_plot_data(labeled, density=11)
         header = text.split("\n", 1)[0]
         assert header.count(",") == 4
+
+    def test_batched_columns_equal_their_own_residual_samples(self):
+        # constant, variable and integer order on k = 1 and k = 2 bases: the
+        # columns of one basis are evaluated in one image call, and each must
+        # come out exactly as if evaluated on its own
+        cfg = preset_config(
+            "example1-single", alpha=("1.5", "1 + sin(t)", "2"),
+            basis=((1, 3, 0.2), (2, 3, 0.2), (1, 5, 0.5)),
+        )
+        labeled = []
+        _, ok = run_experiment(cfg, approximants=labeled)
+        assert ok and len(labeled) == 9
+        approximants = [approx for _, approx in labeled]
+        grid = np.linspace(0.0, 1.0, 402)[1:]
+        for curve, approx in zip(residual_samples(approximants, grid), approximants):
+            assert np.array_equal(curve, residual_sample(approx, approx.problem, grid))
+        lines = ["t," + ",".join(label for label, _ in labeled)]
+        single = [residual_sample(approx, approx.problem, grid) for approx in approximants]
+        for i, t in enumerate(grid):
+            lines.append(",".join([f"{t:.8g}"] + [f"{c[i]:.5e}" for c in single]))
+        assert emit_plot_data(labeled) == "\n".join(lines) + "\n"

@@ -376,6 +376,24 @@ class TestSharedImageTable:
         assert np.array_equal(batch[0][zero], fobw_matrix(spec, ts)[zero])
         assert np.array_equal(batch[0][~zero], basis_images(spec, lam[~zero], ts[~zero]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec=SPECS, data=st.data())
+    def test_mixed_stack_matches_single_order_calls(self, spec, data):
+        # one call holding constant rows, a zero row, a per-point row and a
+        # per-point row with zeros in it, in any order, the way the plot
+        # columns of one basis are evaluated together
+        ts = np.array(data.draw(POINTS))
+        per_point = st.lists(ORDERS, min_size=ts.size, max_size=ts.size)
+        with_zeros = st.lists(st.one_of(st.just(0.0), ORDERS), min_size=ts.size, max_size=ts.size)
+        rows = [np.full(ts.size, c) for c in data.draw(st.lists(ORDERS, min_size=1, max_size=3))]
+        rows += [np.zeros(ts.size), np.array(data.draw(per_point)), np.array(data.draw(with_zeros))]
+        lams = np.stack(data.draw(st.permutations(rows)))
+        batch = basis_images(spec, lams, ts)
+        assert batch.shape == lams.shape + (spec.sigma_tilde,)
+        for images, lam in zip(batch, lams):
+            single = lam[0] if np.all(lam == lam[0]) else lam
+            assert np.array_equal(images, basis_images(spec, single, ts))
+
     def test_scalar_point_with_several_orders(self):
         spec = WaveletBasisSpec(2, 3, 0.5)
         images = basis_images(spec, [[0.5], [1.0]], 0.7)

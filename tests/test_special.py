@@ -76,6 +76,30 @@ class TestBetainc:
         y = 1e-12
         assert betainc(1.0, 0.5, 1.0 - y, y) == pytest.approx(1.0 - math.sqrt(y), rel=1e-15)
 
+    # one entry: a, b (fractional or whole), and x, where None puts x at the
+    # symmetry switch (a+1)/(a+b+2), the slowest point of the fraction
+    ENTRY = st.tuples(
+        st.floats(0.05, 60.0),
+        st.one_of(st.floats(0.05, 60.0), st.sampled_from([1.0, 2.0, 3.0])),
+        st.one_of(st.none(), st.floats(0.0, 1.0), st.floats(0.0, 1e-3)),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(entries=st.lists(ENTRY, min_size=1, max_size=30), wide=st.booleans())
+    def test_batch_entries_match_one_entry_calls(self, entries, wide):
+        # the continued fraction drops each entry from the batch once it
+        # converges, so fast and slow entries mixed in one call must still
+        # get exactly their own values
+        dtype = np.longdouble if wide else float
+        a = np.array([e[0] for e in entries], dtype=dtype)
+        b = np.array([e[1] for e in entries], dtype=dtype)
+        x = np.array([(e[0] + 1.0) / (e[0] + e[1] + 2.0) if e[2] is None else e[2]
+                      for e in entries], dtype=dtype)
+        batch = betainc(a, b, x)
+        assert batch.dtype == dtype
+        for i in range(len(entries)):
+            assert np.array_equal(batch[i:i + 1], betainc(a[i:i + 1], b[i:i + 1], x[i:i + 1]))
+
     @pytest.mark.parametrize("args", [(0.0, 1.0, 0.5), (1.0, -0.5, 0.5), (1.0, 1.0, 1.5)])
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
