@@ -56,11 +56,11 @@ from .solver import (
     SolveReport,
     SolverError,
     assemble,
-    evaluate_approximants,
+    collocation_systems,
     newton_solve,
     residual_vector,
     solve_problem,
 )
-from .special import chebyshev_grid, gamma, gen_binomial
+from .special import chebyshev_grid
 
 __version__ = "0.1.0"

@@ -23,10 +23,9 @@ from .fracops import (
     rl_integral_quadrature,
     weighted_inner_product,
 )
+from .published import TABLE_POINTS
 from .reference import absolute_error, residual_sample, rk4_integrate
 from .solver import OscillatorProblem, SolverError, solve_problem
-
-TABLE_POINTS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 # Published residual magnitudes for the single-well case, alpha = 1.5,
 # gamma = 0.2, M = 5, at the five table points; the criterion allows 10x.

@@ -28,8 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import gen_binomial
-
 
 @dataclass(frozen=True)
 class WaveletBasisSpec:
@@ -89,8 +87,8 @@ def bernstein_frac(upsilon: int, M: int, gamma: float, t: float) -> float:
         sign = -1.0 if i % 2 else 1.0
         inner += (
             sign
-            * gen_binomial(1 + 2 * M - i, upsilon - i)
-            * gen_binomial(upsilon, i)
+            * math.comb(1 + 2 * M - i, upsilon - i)
+            * math.comb(upsilon, i)
             * t ** (gamma * (upsilon - i))
         )
     return amp * (1.0 - t**gamma) ** (M - upsilon) * inner
@@ -142,10 +140,10 @@ def local_series_table(spec: WaveletBasisSpec) -> tuple[np.ndarray, np.ndarray]:
         row = coeffs[upsilon]
         for i in range(upsilon + 1):
             sign_i = -1.0 if i % 2 else 1.0
-            core = sign_i * gen_binomial(1 + 2 * M - i, upsilon - i) * gen_binomial(upsilon, i)
+            core = sign_i * math.comb(1 + 2 * M - i, upsilon - i) * math.comb(upsilon, i)
             for r in range(M - upsilon + 1):
                 sign_r = -1.0 if r % 2 else 1.0
-                row[upsilon - i + r] += amp * core * sign_r * gen_binomial(M - upsilon, r)
+                row[upsilon - i + r] += amp * core * sign_r * math.comb(M - upsilon, r)
         row *= scale
     exps = spec.gamma * np.arange(M + 1)
     coeffs.setflags(write=False)

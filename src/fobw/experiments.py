@@ -21,7 +21,7 @@ from .basis import WaveletBasisSpec
 from .expr import parse_expression
 from .fracops import OrderFunction
 from .published import COMPARISON_COLUMNS, TABLE_POINTS
-from .reference import ErrorTable, absolute_error, residual_sample, residual_samples, rk4_integrate
+from .reference import ErrorTable, absolute_error, residual_samples, rk4_integrate
 from .solver import OscillatorProblem, SolverError, solve_problem
 
 log = logging.getLogger("fobw")
@@ -77,24 +77,7 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(raw)
-        if "alpha" in data and not isinstance(data["alpha"], (list, tuple)):
-            data["alpha"] = (data["alpha"],)
-        if "alpha" in data:
-            data["alpha"] = tuple(data["alpha"])
-        if "basis" in data:
-            basis = []
-            for entry in data["basis"]:
-                if isinstance(entry, dict):
-                    basis.append((int(entry.get("k", 1)), int(entry["M"]), float(entry["gamma"])))
-                else:
-                    k, M, g = entry
-                    basis.append((int(k), int(M), float(g)))
-            data["basis"] = tuple(basis)
-        for key in ("output_grid", "metrics"):
-            if key in data:
-                data[key] = tuple(data[key])
-        cfg = cls(**data)
+        cfg = cls(**_normalized(raw))
         cfg.validate()
         return cfg
 
@@ -186,7 +169,7 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
         include_published=True,
     )
     if overrides:
-        cfg = replace(cfg, **_normalize_overrides(overrides))
+        cfg = replace(cfg, **_normalized(overrides))
     alpha_all_two = all(
         order.is_constant and order.value == 2.0 for order in map(build_order, cfg.alpha)
     )
@@ -196,15 +179,24 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     return cfg
 
 
-def _normalize_overrides(overrides: dict) -> dict:
-    out = dict(overrides)
-    if "alpha" in out and not isinstance(out["alpha"], (list, tuple)):
-        out["alpha"] = (out["alpha"],)
+def _normalized(fields: dict) -> dict:
+    """Config fields with the sequence fields as tuples: a lone ``alpha``
+    becomes a one-entry tuple, and each ``basis`` entry, a ``[k, M, gamma]``
+    sequence or a ``{"k", "M", "gamma"}`` mapping (k defaults to 1), an
+    ``(int, int, float)`` triple."""
+    out = dict(fields)
     if "alpha" in out:
-        out["alpha"] = tuple(out["alpha"])
-    for key in ("basis", "output_grid", "metrics"):
+        alpha = out["alpha"]
+        out["alpha"] = tuple(alpha) if isinstance(alpha, (list, tuple)) else (alpha,)
+    if "basis" in out:
+        triples = [
+            (e.get("k", 1), e["M"], e["gamma"]) if isinstance(e, dict) else e
+            for e in out["basis"]
+        ]
+        out["basis"] = tuple((int(k), int(M), float(g)) for k, M, g in triples)
+    for key in ("output_grid", "metrics"):
         if key in out:
-            out[key] = tuple(tuple(e) if isinstance(e, (list, tuple)) else e for e in out[key])
+            out[key] = tuple(out[key])
     return out
 
 
@@ -225,13 +217,15 @@ def run_experiment(
     Returns the table and a success flag; a non-converged solve leaves a NaN
     sentinel column and flips the flag.  When ``approximants`` is a list,
     every converged solve is appended to it as ``(plot label, approximant)``,
-    ready for :func:`emit_plot_data`.
+    ready for :func:`emit_plot_data`.  The residual columns of all solves are
+    sampled together, one :func:`residual_samples` call per run.
     """
     cfg.validate()
     grid = tuple(cfg.output_grid)
     points = np.array(grid)
     columns: dict[str, tuple] = {}
     failed: list[str] = []
+    residual_columns: list[tuple] = []  # (label, approximant), sampled after the loop
     multi_alpha = len(cfg.alpha) > 1
 
     reference = None
@@ -269,8 +263,12 @@ def run_experiment(
                     mae = float(absolute_error(approx, reference, points).max())
                     vals = tuple(mae for _ in grid)
                 else:
-                    vals = tuple(residual_sample(approx, problem, points))
+                    vals = None  # holds the column's place until it is sampled
+                    residual_columns.append((labels[metric], approx))
                 columns[labels[metric]] = vals
+    samples = residual_samples([approx for _, approx in residual_columns], points)
+    for (label, _), vals in zip(residual_columns, samples):
+        columns[label] = tuple(vals)
 
     if cfg.include_published and cfg.preset in COMPARISON_COLUMNS and grid == TABLE_POINTS:
         for method, vals in COMPARISON_COLUMNS[cfg.preset].items():

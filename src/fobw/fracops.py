@@ -21,6 +21,7 @@ order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +34,7 @@ from .basis import (
     fobw_matrix,
     local_series_table,
 )
-from .special import betainc, gamma, gamma_ratio
+from .special import betainc, gamma_ratio
 
 __all__ = [
     "AccuracyError",
@@ -221,7 +222,7 @@ def rl_integral_quadrature(
     inv = 1.0 / lam
     g = lambda v: fv(t * (1.0 - v**inv))
     j = adaptive_unit_integral(g, abs_tol=abs_tol, rel_tol=rel_tol)
-    return t**lam / gamma(lam + 1.0) * j
+    return t**lam / math.gamma(lam + 1.0) * j
 
 
 def _wavelet_image_quadrature(
@@ -245,13 +246,13 @@ def _wavelet_image_quadrature(
         width = t - lo
         g = lambda v: wavelet(scale * width * (1.0 - v**inv))
         j = adaptive_unit_integral(g)
-        return width**lam / gamma(lam + 1.0) * j
+        return width**lam / math.gamma(lam + 1.0) * j
     # the local coordinate scale*(tau - lo) loses its last digits to
     # cancellation near tau = lo, so it is clipped to the cell
     near, far = (t - hi) ** lam, (t - lo) ** lam
     g = lambda v: wavelet(np.clip(scale * (t - lo - (near + (far - near) * v) ** inv), 0.0, 1.0))
     j = adaptive_unit_integral(g)
-    return (far - near) / gamma(lam + 1.0) * j
+    return (far - near) / math.gamma(lam + 1.0) * j
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,7 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     """Vector [I^lam of each wavelet](t), ordered like the basis vector.
 
     ``t`` may also be a 1-D array of points; the result then has one row per
-    point.  ``lam`` broadcasts against the points, so it is one order, or an
+    point.  Every point must lie in [0, 1].  ``lam`` broadcasts against the points, so it is one order, or an
     array holding one order per point, and any leading axes of ``lam`` ask
     for several orders at once: ``lam`` of shape (2, 1) gives the (2, n,
     sigma_tilde) images of two constant orders at n points.  All orders are
@@ -284,6 +285,8 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     """
     ts = np.asarray(t, dtype=float)
     pts = np.atleast_1d(ts)
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
+        raise ValueError("t must lie in [0, 1]")
     lams = np.asarray(lam, dtype=float)
     lams = np.broadcast_to(lams, lams.shape[:-1] + pts.shape)
     if np.any(lams < 0.0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .solver import evaluate_approximants
+from .solver import collocation_systems, residual_vector
 
 __all__ = [
     "BlowupError",
@@ -140,20 +140,14 @@ def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
     return ReferenceTrajectory(step, times, ys, vs, accels)
 
 
-def _as_evaluable(obj):
-    if hasattr(obj, "value"):
-        return obj.value
-    return obj
-
-
 def absolute_error(approx, ref, t):
     """|approx(t) - ref(t)|; either side may be an approximant or a plain callable.
 
     An array ``t`` gives an array, when both sides accept arrays.
     """
     err = np.abs(
-        np.asarray(_as_evaluable(approx)(t), dtype=float)
-        - np.asarray(_as_evaluable(ref)(t), dtype=float)
+        np.asarray(getattr(approx, "value", approx)(t), dtype=float)
+        - np.asarray(getattr(ref, "value", ref)(t), dtype=float)
     )
     return float(err) if np.ndim(t) == 0 else err
 
@@ -161,20 +155,30 @@ def absolute_error(approx, ref, t):
 def residual_sample(approx, problem, t):
     """Magnitude of the governing equation evaluated on the approximant at t.
 
-    ``approx`` provides ``evaluate``, like
-    :class:`fobw.solver.SolutionApproximant`.  A point ``t`` gives a float,
-    an array of points an array.
+    ``approx`` has the ``spec`` and ``coefficients`` of a
+    :class:`fobw.solver.SolutionApproximant`; its residual is that of the
+    collocation system of ``problem`` at the points ``t``.  A point ``t``
+    gives a float, an array of points an array.
     """
-    residual = _residual(problem, t, *approx.evaluate(t))
-    return float(residual) if np.ndim(t) == 0 else residual
+    ts = np.asarray(t, dtype=float)
+    (system,) = collocation_systems([problem], approx.spec, ts.ravel())
+    residual = np.abs(residual_vector(system, approx.coefficients))
+    return float(residual[0]) if ts.ndim == 0 else residual.reshape(ts.shape)
 
 
 def residual_samples(approximants, t) -> list[np.ndarray]:
     """``residual_sample(a, a.problem, t)`` of every approximant at the array
-    ``t``, evaluated together by :func:`fobw.solver.evaluate_approximants`."""
-    evaluations = evaluate_approximants(approximants, t)
-    return [_residual(a.problem, t, *ev) for a, ev in zip(approximants, evaluations)]
-
-
-def _residual(problem, t, value, slope, d_alpha):
-    return np.abs(problem.residual(d_alpha, slope, value, problem.forcing_at(t)))
+    ``t``.  The approximants on one basis share one
+    :func:`fobw.solver.collocation_systems` call, and each sample is
+    bit-identical to a lone call's."""
+    ts = np.asarray(t, dtype=float)
+    by_spec: dict = {}
+    for j, approx in enumerate(approximants):
+        by_spec.setdefault(approx.spec, []).append(j)
+    samples = [None] * len(approximants)
+    for spec, members in by_spec.items():
+        problems = [approximants[j].problem for j in members]
+        for j, system in zip(members, collocation_systems(problems, spec, ts.ravel())):
+            residual = residual_vector(system, approximants[j].coefficients)
+            samples[j] = np.abs(residual).reshape(ts.shape)
+    return samples

@@ -27,7 +27,7 @@ __all__ = [
     "SolveReport",
     "SolutionApproximant",
     "SolverError",
-    "evaluate_approximants",
+    "collocation_systems",
     "assemble",
     "residual_vector",
     "newton_solve",
@@ -93,16 +93,16 @@ class OscillatorProblem:
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """Grid plus the per-row basis-image caches the residual needs."""
+    """The equation's basis-image rows at a set of points: the collocation
+    system at the Chebyshev grid, an approximant's dense residual elsewhere."""
 
     spec: WaveletBasisSpec
     problem: OscillatorProblem
     grid: np.ndarray
     alphas: np.ndarray          # alpha(t_r) per row
-    psi: np.ndarray             # row r: basis vector at t_r
     i1: np.ndarray              # row r: first antiderivative images at t_r
     i2: np.ndarray              # row r: second antiderivative images at t_r
-    caputo_images: np.ndarray   # row r: I^(2-alpha(t_r)) images (psi row when alpha == 2)
+    caputo_images: np.ndarray   # row r: I^(2-alpha(t_r)) images (basis vector when alpha == 2)
     phi: np.ndarray             # forcing at the grid
 
 
@@ -114,30 +114,33 @@ class SolveReport:
     converged: bool
 
 
+def collocation_systems(problems, spec: WaveletBasisSpec, ts) -> list[CollocationSystem]:
+    """One system per problem at the points of the 1-D array ``ts``, all on
+    ``spec``, from one :func:`basis_images` call: the I^1 and I^2 rows once,
+    plus one Caputo order per problem.  Image entries are computed
+    elementwise, so each system is bit-identical to a lone call's."""
+    ts = np.asarray(ts, dtype=float)
+    alphas = [order_values(p.alpha, ts) for p in problems]
+    lams = np.broadcast_arrays(1.0, 2.0, *(2.0 - a for a in alphas))
+    i1, i2, *caputo = basis_images(spec, np.stack(lams), ts)
+    phis = [np.asarray(p.forcing_at(ts), dtype=float) for p in problems]
+    for arr in (i1, i2, *alphas, *caputo, *phis):
+        arr.setflags(write=False)
+    return [
+        CollocationSystem(spec, p, ts, a, i1, i2, ica, phi)
+        for p, a, ica, phi in zip(problems, alphas, caputo, phis)
+    ]
+
+
 def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationSystem:
-    """Build the collocation system: grid and all four basis-image families."""
+    """The collocation system: ``problem``'s image rows at the Chebyshev grid."""
     sigma = spec.sigma_tilde
     if sigma == 1:
         warnings.warn(
             "a single collocation point cannot represent oscillation", stacklevel=2
         )
-    grid = chebyshev_grid(sigma)
-    (alphas,), i1, i2, (ica,) = _images(spec, [problem.alpha], grid)
-    psi = fobw_matrix(spec, grid)
-    phi = np.asarray(problem.forcing_at(grid), dtype=float)
-    for arr in (grid, alphas, psi, i1, i2, ica, phi):
-        arr.setflags(write=False)
-    return CollocationSystem(spec, problem, grid, alphas, psi, i1, i2, ica, phi)
-
-
-def _images(spec: WaveletBasisSpec, orders: list[OrderFunction], ts: np.ndarray) -> tuple:
-    """Each order function at the points ``ts``, the I^1 and I^2 rows there,
-    and one table of Caputo image rows per order function, all from one
-    :func:`basis_images` call."""
-    alphas = [order_values(alpha, ts) for alpha in orders]
-    lams = np.broadcast_arrays(1.0, 2.0, *(2.0 - a for a in alphas))
-    i1, i2, *caputo = basis_images(spec, np.stack(lams), ts)
-    return alphas, i1, i2, caputo
+    (system,) = collocation_systems([problem], spec, chebyshev_grid(sigma))
+    return system
 
 
 def residual_vector(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
@@ -151,7 +154,17 @@ def residual_vector(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
 
 def _slope_value(system: CollocationSystem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = system.problem
-    return system.i1 @ U + p.init_slope, system.i2 @ U + p.init_value + system.grid * p.init_slope
+    return _slope_from(p, system.i1, U), _value_from(p, system.grid, system.i2, U)
+
+
+def _slope_from(p: OscillatorProblem, i1: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """y' = U . I^1 Psi + y1 from the I^1 rows."""
+    return i1 @ U + p.init_slope
+
+
+def _value_from(p: OscillatorProblem, ts: np.ndarray, i2: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """y = U . I^2 Psi + y0 + t y1 from the I^2 rows at the points ``ts``."""
+    return i2 @ U + p.init_value + ts * p.init_slope
 
 
 def _jacobian(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
@@ -235,21 +248,27 @@ class SolutionApproximant:
     report: SolveReport
 
     def evaluate(self, ts) -> tuple:
-        """Value, slope and Caputo image at ``ts``, from one set of image matrices.
+        """Value, slope and Caputo image at ``ts``, from one set of image rows.
 
         A point gives three floats, an array of points three arrays of its
-        shape.  This is the one-approximant case of :func:`evaluate_approximants`.
+        shape.
         """
-        return evaluate_approximants([self], ts)[0]
+        ts = np.asarray(ts, dtype=float)
+        (system,) = collocation_systems([self.problem], self.spec, ts.ravel())
+        slope, value = _slope_value(system, self.coefficients)
+        caputo = system.caputo_images @ self.coefficients
+        return tuple(_shaped(v, ts) for v in (value, slope, caputo))
 
     def value(self, t):
         ts = np.asarray(t, dtype=float)
         pts = ts.ravel()
-        return self._value(basis_images(self.spec, 2.0, pts), pts, ts)
+        i2 = basis_images(self.spec, 2.0, pts)
+        return _shaped(_value_from(self.problem, pts, i2, self.coefficients), ts)
 
     def derivative(self, t):
         ts = np.asarray(t, dtype=float)
-        return self._slope(basis_images(self.spec, 1.0, ts.ravel()), ts)
+        i1 = basis_images(self.spec, 1.0, ts.ravel())
+        return _shaped(_slope_from(self.problem, i1, self.coefficients), ts)
 
     def second_derivative(self, t):
         ts = np.asarray(t, dtype=float)
@@ -260,37 +279,6 @@ class SolutionApproximant:
         ts = np.asarray(t, dtype=float)
         _, images = caputo_images(self.spec, self.problem.alpha, ts.ravel())
         return _shaped(images @ self.coefficients, ts)
-
-    def _value(self, i2: np.ndarray, pts: np.ndarray, ts: np.ndarray):
-        p = self.problem
-        return _shaped(i2 @ self.coefficients + float(p.init_value) + pts * float(p.init_slope), ts)
-
-    def _slope(self, i1: np.ndarray, ts: np.ndarray):
-        return _shaped(i1 @ self.coefficients + float(self.problem.init_slope), ts)
-
-
-def evaluate_approximants(approximants, ts) -> list[tuple]:
-    """:meth:`SolutionApproximant.evaluate` of every approximant at the same ``ts``.
-
-    Each basis makes one :func:`basis_images` call: its I^1 and I^2 rows
-    once, plus one Caputo order per approximant on it.  Image entries are
-    computed elementwise, so every triple is bit-identical to a lone call's.
-    """
-    ts = np.asarray(ts, dtype=float)
-    pts = ts.ravel()
-    by_spec: dict[WaveletBasisSpec, list] = {}
-    for j, approx in enumerate(approximants):
-        by_spec.setdefault(approx.spec, []).append((j, approx))
-    evaluations = [None] * len(approximants)
-    for spec, members in by_spec.items():
-        _, i1, i2, caputo = _images(spec, [a.problem.alpha for _, a in members], pts)
-        for (j, approx), ica in zip(members, caputo):
-            evaluations[j] = (
-                approx._value(i2, pts, ts),
-                approx._slope(i1, ts),
-                _shaped(ica @ approx.coefficients, ts),
-            )
-    return evaluations
 
 
 def solve_problem(

@@ -1,13 +1,11 @@
 """Special functions and the collocation grid.
 
-Everything downstream (basis construction, fractional integrals, the
-collocation system) funnels its gamma-function, incomplete-beta and binomial
-needs through this module, so the accuracy contract here is deliberately
-tight: ``gamma`` is good to better than 1e-13 relative on [0.1, 50], the
-range actually exercised by the wavelet exponents.  ``gamma_array``,
-``gamma_ratio`` and ``betainc`` are the elementwise forms the batched
-fractional integrals use.
-"""
+The batched fractional integrals take their gamma-function and
+incomplete-beta values from this module: ``gamma_array``, ``gamma_ratio``
+and ``betainc`` work elementwise over arrays, in extended precision when
+given ``np.longdouble``.  ``gamma_array`` is good to better than 1e-13
+relative on [0.1, 50], the range actually exercised by the wavelet
+exponents.  Scalar gamma values and binomials come from :mod:`math`."""
 
 from __future__ import annotations
 
@@ -32,34 +30,14 @@ _LANCZOS_COEFFS = (
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
-def _lanczos(x, exp):
-    """Lanczos approximation of gamma(x) for x >= 0.5: on a float with
-    ``math.exp``, on an array with ``np.exp``."""
+def _lanczos(x):
+    """Lanczos approximation of gamma(x) over an array, x >= 0.5."""
     z = x - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc = acc + _LANCZOS_COEFFS[i] / (z + i)
     t = z + 7.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * exp(-t) * acc
-
-
-def gamma(x: float) -> float:
-    """Gamma function via the Lanczos approximation.
-
-    Raises ValueError at the poles (x = 0, -1, -2, ...).  Negative
-    non-integer arguments go through the reflection formula.
-    """
-    x = float(x)
-    if _is_nonpositive_integer(x):
-        raise ValueError(f"gamma pole at x={x}")
-    if x < 0.5:
-        # reflection: gamma(x) * gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    return _lanczos(x, math.exp)
+    return _SQRT_TWO_PI * t ** (z + 0.5) * np.exp(-t) * acc
 
 
 def _floating(*values) -> list[np.ndarray]:
@@ -70,7 +48,10 @@ def _floating(*values) -> list[np.ndarray]:
 
 
 def gamma_array(x) -> np.ndarray:
-    """Elementwise :func:`gamma` over an array, with the same poles and reflection.
+    """Gamma function elementwise over an array, by the Lanczos approximation.
+
+    Raises ValueError at the poles (x = 0, -1, -2, ...); arguments below 1/2
+    go through the reflection formula.
 
     The result has the floating type and shape of ``x`` (at least double),
     so an ``np.longdouble`` argument is evaluated in extended precision.
@@ -82,7 +63,7 @@ def gamma_array(x) -> np.ndarray:
     # Lanczos sum runs once per distinct value and is scattered back
     distinct, inverse = np.unique(x, return_inverse=True)
     reflect = distinct < 0.5
-    g = _lanczos(np.where(reflect, 1.0 - distinct, distinct), np.exp)
+    g = _lanczos(np.where(reflect, 1.0 - distinct, distinct))
     values = np.where(reflect, np.pi / (np.sin(np.pi * distinct) * g), g)
     return values[inverse].reshape(x.shape)
 
@@ -193,32 +174,6 @@ def betainc(a, b, x, y=None) -> np.ndarray:
         part = front * _beta_cf(p, q, u)
         out[~finite] = np.where(swap[~finite], 1.0 - part, part)
     return out
-
-
-def gen_binomial(a1: float, a2: int) -> float:
-    """Generalized binomial coefficient a1 over a2, a2 a nonnegative integer.
-
-    Defined as gamma(1+a1) / (gamma(1+a2) * gamma(1+a1-a2)).  A pole in the
-    denominator with a finite numerator is the k-out-of-fewer case and
-    returns the limit value 0; a pole in the numerator has no finite limit
-    against a finite denominator and raises.
-    """
-    a2 = int(a2)
-    if a2 < 0:
-        raise ValueError("lower index must be a nonnegative integer")
-    if float(a1).is_integer() and a1 >= 0:
-        # exact for integer arguments; the gamma-ratio value would carry a
-        # few ulp of noise that compounds in the alternating basis sums
-        return float(math.comb(int(a1), a2)) if a1 >= a2 else 0.0
-    num_arg = 1.0 + a1
-    den_arg = 1.0 + a1 - a2
-    num_pole = _is_nonpositive_integer(num_arg)
-    den_pole = _is_nonpositive_integer(den_arg)
-    if den_pole and not num_pole:
-        return 0.0
-    if num_pole:
-        raise ValueError(f"gamma pole in numerator for binomial ({a1}, {a2})")
-    return gamma(num_arg) / (gamma(1.0 + a2) * gamma(den_arg))
 
 
 def chebyshev_grid(sigma_tilde: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from fobw.basis import (
     weight_eval,
 )
 from fobw.fracops import adaptive_unit_integral, weighted_inner_product
-from fobw.special import gen_binomial
 
 
 def classical_wavelet(eta, ups, k, M, t):
@@ -271,7 +270,7 @@ class TestCoefficientDecay:
             bound = (
                 2.0 ** (5 - ups)
                 * math.sqrt(11 - 2 * ups)
-                * gen_binomial(11 + ups, ups)
+                * math.comb(11 + ups, ups)
             )
             assert coeffs[ups] <= bound
 
@@ -286,7 +285,7 @@ class TestCoefficientDecay:
                 math.sqrt(g)
                 * 2.0 ** (5 - ups)
                 * math.sqrt(11 - 2 * ups)
-                * gen_binomial(11 + ups, ups)
+                * math.comb(11 + ups, ups)
             )
             assert coeff <= bound
 

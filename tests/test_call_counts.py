@@ -10,7 +10,7 @@ import pytest
 
 from fobw import fracops, solver, special
 from fobw.basis import WaveletBasisSpec
-from fobw.experiments import PRESET_PROBLEMS, emit_plot_data
+from fobw.experiments import PRESET_PROBLEMS, emit_plot_data, preset_config, run_experiment
 from fobw.expr import parse_expression
 from fobw.fracops import OrderFunction
 from fobw.solver import OscillatorProblem, SolutionApproximant, assemble
@@ -130,6 +130,22 @@ def test_plot_data_makes_one_image_call_per_basis(counted):
     assert images.calls == 3
     # I^1, I^2 and one Caputo order per column
     assert all(np.shape(lam)[0] == 2 + len(ORDERS) for _, lam, _ in images.args)
+
+
+def test_residual_table_makes_one_image_call_per_basis(counted):
+    images = counted(solver, "basis_images")
+    cfg = preset_config(
+        "example1-single", alpha=("1.5", VARIABLE, "2"), basis=((1, 3, 0.5), (2, 3, 0.5)),
+    )
+    table, ok = run_experiment(cfg)
+    assert ok and cfg.metrics == ("residual",) and len(table.columns) == 6
+    # the six solves assemble at their Chebyshev grids; the table's residual
+    # columns are sampled at its grid, one call per basis
+    points = np.array(table.grid)
+    at_table = [lam for _, lam, ts in images.args if np.array_equal(ts, points)]
+    assert images.calls == 6 + 2
+    # I^1, I^2 and one Caputo order per alpha column
+    assert [np.shape(lam)[0] for lam in at_table] == [2 + 3, 2 + 3]
 
 
 @pytest.mark.parametrize("points", [1, 7, 401])

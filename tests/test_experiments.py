@@ -257,9 +257,15 @@ class TestPlotData:
             basis=((1, 3, 0.2), (2, 3, 0.2), (1, 5, 0.5)),
         )
         labeled = []
-        _, ok = run_experiment(cfg, approximants=labeled)
+        table, ok = run_experiment(cfg, approximants=labeled)
         assert ok and len(labeled) == 9
         approximants = [approx for _, approx in labeled]
+        # the table's residual columns are sampled together as well
+        points = np.array(table.grid)
+        assert list(table.columns) == [label for label, _ in labeled]
+        for label, approx in labeled:
+            expected = tuple(residual_sample(approx, approx.problem, points))
+            assert table.columns[label] == expected
         grid = np.linspace(0.0, 1.0, 402)[1:]
         for curve, approx in zip(residual_samples(approximants, grid), approximants):
             assert np.array_equal(curve, residual_sample(approx, approx.problem, grid))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fobw.basis import WaveletBasisSpec
+from fobw.basis import WaveletBasisSpec, fobw_matrix
 from fobw.fracops import OrderFunction
 from fobw.reference import residual_sample, rk4_integrate, absolute_error
 from fobw.experiments import PRESET_PROBLEMS
@@ -36,13 +36,14 @@ def manufactured_cos_problem():
 class TestAssemble:
     def test_shapes(self):
         system = assemble(manufactured_cos_problem(), WaveletBasisSpec(1, 3, 1.0))
-        assert system.grid.shape == (4,)
-        for mat in (system.psi, system.i1, system.i2, system.caputo_images):
+        assert system.grid.shape == system.alphas.shape == system.phi.shape == (4,)
+        for mat in (system.i1, system.i2, system.caputo_images):
             assert mat.shape == (4, 4)
 
     def test_integer_order_uses_basis_rows(self):
-        system = assemble(manufactured_cos_problem(), WaveletBasisSpec(1, 3, 1.0))
-        assert np.array_equal(system.caputo_images, system.psi)
+        for spec in (WaveletBasisSpec(1, 3, 1.0), WaveletBasisSpec(2, 3, 0.5)):
+            system = assemble(manufactured_cos_problem(), spec)
+            assert np.array_equal(system.caputo_images, fobw_matrix(spec, system.grid))
 
     def test_variable_order_rows_increase(self):
         alpha = OrderFunction.from_callable(lambda t: 1.0 + math.sin(t), "1 + sin(t)")
@@ -118,7 +119,6 @@ class TestNewton:
             system,
             grid=system.grid[perm],
             alphas=system.alphas[perm],
-            psi=system.psi[perm],
             i1=system.i1[perm],
             i2=system.i2[perm],
             caputo_images=system.caputo_images[perm],
@@ -283,6 +283,17 @@ class TestEvaluate:
             assert isinstance(out, np.ndarray) and out.shape == ts.shape
         assert all(isinstance(v, float) for v in approx.evaluate(0.5))
         assert all(v.shape == ts.shape for v in approx.evaluate(ts))
+
+    @pytest.mark.parametrize("t", [1.5, -0.2, np.array([0.5, 1.0 + 1e-12]), math.nan])
+    def test_points_outside_the_unit_interval_raise(self, t):
+        # the images check their points in basis_images, the basis vectors in fobw_matrix
+        approx = self._approximant(2, self.ORDERS[1])
+        for evaluate in (
+            approx.value, approx.derivative, approx.second_derivative, approx.caputo,
+            approx.evaluate, lambda ts: residual_sample(approx, approx.problem, ts),
+        ):
+            with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+                evaluate(t)
 
 
 class TestRefinementMonotonicity:
