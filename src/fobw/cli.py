@@ -42,6 +42,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _plot_points(text: str) -> int:
+    points = int(text)
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {points}")
+    return points
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fobw",
@@ -70,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--out", default=None, help="output path (default: stdout)")
     p_preset.add_argument("--format", choices=("csv", "json"), default="csv")
     p_preset.add_argument("--plot-data", default=None, help="write dense residual curves here")
-    p_preset.add_argument("--plot-points", type=int, default=401)
+    p_preset.add_argument("--plot-points", type=_plot_points, default=401)
     p_preset.add_argument(
         "--no-published", action="store_true", help="omit the published comparison columns"
     )
@@ -82,12 +89,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(table, ok: bool, fmt: str, out: str | None) -> int:
-    text = emit_table(table, fmt, out)
+def _emit(table, ok: bool, fmt: str, out: str | None, plot=None) -> int:
+    """Write the table and, if ``plot`` is given, ``emit_plot_data(*plot)``; exit
+    code 2 if a file cannot be written, else 1 if a column failed, else 0."""
+    try:
+        text = emit_table(table, fmt, out)
+        if plot is not None:
+            emit_plot_data(*plot)
+    except OSError as exc:
+        log.error("%s", exc)
+        return 2
     if out is None:
         sys.stdout.write(text)
     else:
         log.info("wrote %s", out)
+    if plot is not None:
+        log.info("wrote %s", plot[2])
     return 0 if ok else 1
 
 
@@ -113,11 +130,9 @@ def _cmd_preset(args) -> int:
     overrides = {}
     if args.alpha is not None:
         overrides["alpha"] = tuple(part.strip() for part in args.alpha.split(",") if part.strip())
-    gammas = args.gamma if args.gamma is not None else None
-    ms = args.M if args.M is not None else None
-    if gammas is not None or ms is not None or args.k != 1:
-        gammas = gammas if gammas is not None else [1.0]
-        ms = ms if ms is not None else [5]
+    if args.gamma is not None or args.M is not None or args.k != 1:
+        gammas = args.gamma if args.gamma is not None else [1.0]
+        ms = args.M if args.M is not None else [5]
         overrides["basis"] = tuple((args.k, m, g) for g in gammas for m in ms)
     if args.metric is not None:
         overrides["metrics"] = (args.metric,)
@@ -132,11 +147,8 @@ def _cmd_preset(args) -> int:
         return 2
     labeled = [] if args.plot_data is not None else None
     table, ok = run_experiment(cfg, approximants=labeled)
-    code = _emit(table, ok, args.format, args.out)
-    if labeled is not None:
-        emit_plot_data(labeled, density=args.plot_points, path=args.plot_data)
-        log.info("wrote %s", args.plot_data)
-    return code
+    plot = None if labeled is None else (labeled, args.plot_points, args.plot_data)
+    return _emit(table, ok, args.format, args.out, plot)
 
 
 def _cmd_verify(args) -> int:

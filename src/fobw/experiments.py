@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +51,12 @@ PRESET_PROBLEMS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when it is built (by ``replace`` too): a lone
+    ``alpha`` becomes a one-entry tuple, each ``basis`` entry (``[k, M, gamma]``
+    or a ``{"k", "M", "gamma"}`` mapping, k defaulting to 1) an
+    ``(int, int, float)`` triple, ``orders`` holds each alpha entry's order
+    function and ``forcing_term`` the forcing as the solver takes it."""
+
     mu: float = 0.0
     a: float = 0.0
     b: float = 0.0
@@ -70,18 +75,23 @@ class ExperimentConfig:
     out: str | None = None
     preset: str | None = None
     include_published: bool = False
+    orders: tuple = field(init=False, repr=False, compare=False)
+    forcing_term: object = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**_normalized(raw))
-        cfg.validate()
-        return cfg
+    def __post_init__(self):
+        triples = [
+            (e.get("k", 1), e["M"], e["gamma"]) if isinstance(e, dict) else e
+            for e in self.basis
+        ]
+        normalized = dict(
+            alpha=_entries(self.alpha),
+            basis=tuple((int(k), int(M), float(g)) for k, M, g in triples),
+            output_grid=tuple(self.output_grid),
+            metrics=tuple(self.metrics),
+        )
+        for name, value in normalized.items():
+            object.__setattr__(self, name, value)
 
-    def validate(self) -> None:
         for metric in self.metrics:
             if metric not in VALID_METRICS:
                 raise ValueError(f"unknown metric {metric!r}; valid: {VALID_METRICS}")
@@ -95,11 +105,10 @@ class ExperimentConfig:
             not (0.0 < t <= 1.0) for t in self.output_grid
         ):
             raise ValueError("output grid points must lie in (0, 1]")
-        orders = [build_order(a) for a in self.alpha]
+        orders = tuple(build_order(a) for a in self.alpha)
         for spec_args in self.basis:
             WaveletBasisSpec(*spec_args)
-        needs_ref = any(m in ("AE", "MAE") for m in self.metrics)
-        if needs_ref:
+        if any(m in ("AE", "MAE") for m in self.metrics):
             if self.reference != "rk4":
                 raise ValueError("AE/MAE metrics need the rk4 reference")
             for order in orders:
@@ -108,22 +117,29 @@ class ExperimentConfig:
                         "AE/MAE metrics compare against the integer-order reference; "
                         "they require alpha identically 2"
                     )
-        if self.forcing not in ("forced", "force_free"):
-            forcing = parse_expression(self.forcing)
+        forcing = self.forcing
+        if forcing not in ("forced", "force_free"):
+            forcing = parse_expression(forcing)
             values = forcing(np.linspace(0.0, 1.0, 1001))
             if not np.all(np.isfinite(values)):
                 raise ValueError(
                     f"forcing expression {self.forcing!r} is not finite everywhere on [0, 1]"
                 )
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "forcing_term", forcing)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        unknown = set(raw) - {f.name for f in fields(cls) if f.init}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**raw)
 
     def build_problem(self, alpha_entry) -> OscillatorProblem:
-        order = build_order(alpha_entry)
-        forcing = self.forcing
-        if forcing not in ("forced", "force_free"):
-            forcing = parse_expression(forcing)
+        """The oscillator problem at an alpha entry or an order function."""
         return OscillatorProblem(
             mu=self.mu, a=self.a, b=self.b, f=self.f, omega=self.omega,
-            forcing=forcing, alpha=order,
+            forcing=self.forcing_term, alpha=build_order(alpha_entry),
             init_value=self.init_value, init_slope=self.init_slope,
         )
 
@@ -134,20 +150,26 @@ def build_order(entry) -> OrderFunction:
         return entry
     if isinstance(entry, (int, float)):
         return OrderFunction.constant(float(entry))
-    return _order_from_text(str(entry).strip())
-
-
-@lru_cache(maxsize=256)
-def _order_from_text(text: str) -> OrderFunction:
-    # Order functions are immutable, and a run asks for each alpha entry's
-    # order several times (preset defaults, validation, the problem, the
-    # table metadata), so each text is parsed and range-checked once.
+    text = str(entry).strip()
     try:
         return OrderFunction.constant(float(text))
     except ValueError:
         pass
-    expression = parse_expression(text)
-    return OrderFunction.from_callable(expression, label=text)
+    return OrderFunction.from_callable(parse_expression(text), label=text)
+
+
+def _entries(alpha) -> tuple:
+    """The alpha field as a tuple of entries; a lone entry is a one-entry tuple."""
+    return tuple(alpha) if isinstance(alpha, (list, tuple)) else (alpha,)
+
+
+def _is_two(entry) -> bool:
+    """Whether :func:`build_order` makes ``entry`` (a number, a string or an
+    order function) the constant order 2, decided without parsing an expression."""
+    try:
+        return float(getattr(entry, "value", entry)) == 2.0
+    except (TypeError, ValueError):
+        return False
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -159,45 +181,18 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     """
     if name not in PRESET_PROBLEMS:
         raise ValueError(f"unknown preset {name!r}; valid: {sorted(PRESET_PROBLEMS)}")
-    base = dict(PRESET_PROBLEMS[name])
-    cfg = ExperimentConfig(
-        **base,
+    settings = dict(
+        PRESET_PROBLEMS[name],
         alpha=(2.0,),
         basis=((1, 5, 0.5), (1, 5, 0.9), (1, 5, 1.0)),
         metrics=("AE",),
         preset=name,
         include_published=True,
     )
-    if overrides:
-        cfg = replace(cfg, **_normalized(overrides))
-    alpha_all_two = all(
-        order.is_constant and order.value == 2.0 for order in map(build_order, cfg.alpha)
-    )
-    if not alpha_all_two and "metrics" not in overrides:
-        cfg = replace(cfg, metrics=("residual",), include_published=False)
-    cfg.validate()
-    return cfg
-
-
-def _normalized(fields: dict) -> dict:
-    """Config fields with the sequence fields as tuples: a lone ``alpha``
-    becomes a one-entry tuple, and each ``basis`` entry, a ``[k, M, gamma]``
-    sequence or a ``{"k", "M", "gamma"}`` mapping (k defaults to 1), an
-    ``(int, int, float)`` triple."""
-    out = dict(fields)
-    if "alpha" in out:
-        alpha = out["alpha"]
-        out["alpha"] = tuple(alpha) if isinstance(alpha, (list, tuple)) else (alpha,)
-    if "basis" in out:
-        triples = [
-            (e.get("k", 1), e["M"], e["gamma"]) if isinstance(e, dict) else e
-            for e in out["basis"]
-        ]
-        out["basis"] = tuple((int(k), int(M), float(g)) for k, M, g in triples)
-    for key in ("output_grid", "metrics"):
-        if key in out:
-            out[key] = tuple(out[key])
-    return out
+    settings.update(overrides)
+    if "metrics" not in overrides and not all(map(_is_two, _entries(settings["alpha"]))):
+        settings.update(metrics=("residual",), include_published=False)
+    return ExperimentConfig(**settings)
 
 
 def _column_label(metric: str, k: int, M: int, g: float, alpha_label: str, multi_alpha: bool) -> str:
@@ -220,22 +215,20 @@ def run_experiment(
     ready for :func:`emit_plot_data`.  The residual columns of all solves are
     sampled together, one :func:`residual_samples` call per run.
     """
-    cfg.validate()
-    grid = tuple(cfg.output_grid)
+    grid = cfg.output_grid
     points = np.array(grid)
     columns: dict[str, tuple] = {}
     failed: list[str] = []
     residual_columns: list[tuple] = []  # (label, approximant), sampled after the loop
-    multi_alpha = len(cfg.alpha) > 1
+    multi_alpha = len(cfg.orders) > 1
 
+    problems = [cfg.build_problem(order) for order in cfg.orders]
     reference = None
-    for alpha_entry in cfg.alpha:
-        problem = cfg.build_problem(alpha_entry)
+    if problems and any(m in ("AE", "MAE") for m in cfg.metrics):
+        # AE/MAE require alpha identically 2, so every problem shares this reference
+        reference = rk4_integrate(problems[0], cfg.reference_step)
+    for problem in problems:
         alpha_label = problem.alpha.label
-        if cfg.reference == "rk4" and reference is None and any(
-            m in ("AE", "MAE") for m in cfg.metrics
-        ):
-            reference = rk4_integrate(problem, cfg.reference_step)
         for k, M, g in cfg.basis:
             spec = WaveletBasisSpec(k, M, g)
             labels = {
@@ -276,7 +269,7 @@ def run_experiment(
 
     meta = {
         "preset": cfg.preset,
-        "alpha": [build_order(a).label for a in cfg.alpha],
+        "alpha": [order.label for order in cfg.orders],
         "metrics": list(cfg.metrics),
         "failed_columns": failed,
     }
@@ -323,13 +316,7 @@ def emit_table(table: ErrorTable, format: str, path: str | None) -> str:
         text = render_json(table)
     else:
         raise ValueError("format must be 'csv' or 'json'")
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"could not write table to {path}: {exc}") from exc
-    return text
+    return _write(text, path, "table")
 
 
 def emit_plot_data(labeled_approximants, density: int = 401, path: str | None = None) -> str:
@@ -347,8 +334,16 @@ def emit_plot_data(labeled_approximants, density: int = 401, path: str | None = 
     lines = ["t," + ",".join(labels)]
     for i, t in enumerate(grid):
         lines.append(",".join([f"{t:.8g}"] + [f"{c[i]:.5e}" for c in curves]))
-    text = "\n".join(lines) + "\n"
+    return _write("\n".join(lines) + "\n", path, "plot data")
+
+
+def _write(text: str, path: str | None, what: str) -> str:
+    """``text``, first written to ``path`` unless it is None; an OSError
+    names what could not be written and where."""
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"could not write {what} to {path}: {exc}") from exc
     return text

@@ -41,7 +41,6 @@ __all__ = [
     "OrderFunction",
     "rl_integral_quadrature",
     "basis_images",
-    "caputo_images",
     "order_values",
     "weighted_inner_product",
 ]
@@ -348,21 +347,6 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
         images[zero] = fobw_matrix(spec, pts[np.nonzero(zero)[1]])
     images = images.reshape(lams.shape + (sigma,))
     return images[..., 0, :] if ts.ndim == 0 else images
-
-
-def caputo_images(
-    spec: WaveletBasisSpec, alpha: OrderFunction, ts
-) -> tuple[np.ndarray, np.ndarray]:
-    """alpha at every point of the 1-D array ``ts``, and the Caputo image rows.
-
-    Row r is [I^(2-alpha(t_r)) Psi](t_r), the Caputo derivative of order
-    alpha(t_r) of each basis function's second antiderivative.  For alpha in
-    (1, 2) the initial value correction sum is empty, because its lower limit
-    ceil(alpha) = 2 exceeds its upper limit 1; at alpha(t_r) = 2 exactly the
-    operator is the plain second derivative and the row is the basis vector.
-    """
-    alphas = order_values(alpha, ts)
-    return alphas, basis_images(spec, 2.0 - alphas, ts)
 
 
 def order_values(alpha: OrderFunction, ts) -> np.ndarray:

@@ -1,9 +1,13 @@
 import json
+import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fobw
 from fobw.cli import main
 
 
@@ -95,6 +99,45 @@ class TestPresetCommand:
         assert lines[2].startswith("0.75,")
 
 
+class TestCommandErrors:
+    def test_plot_points_below_two_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        import fobw.experiments
+
+        def refuse(problem, spec):
+            raise AssertionError("no solve may run")
+
+        monkeypatch.setattr(fobw.experiments, "solve_problem", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2",
+                  "--M", "3", "--plot-data", str(tmp_path / "c.csv"), "--plot-points", "1"])
+        assert exit_info.value.code == 2
+        assert "--plot-points: must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["--out", "--plot-data"])
+    def test_unwritable_output_path_is_one_error_line(self, tmp_path, caplog, target):
+        missing = str(tmp_path / "missing-dir" / "file.csv")
+        paths = {"--out": str(tmp_path / "t.csv"), "--plot-data": str(tmp_path / "p.csv")}
+        paths[target] = missing
+        argv = ["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2", "--M", "3",
+                "--plot-points", "11"]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        _assert_one_error_naming(caplog, missing, argv)
+
+    def test_solve_unwritable_out_path(self, tmp_path, caplog):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, "basis": [[1, 3, 1.0]]}))
+        missing = str(tmp_path / "missing-dir" / "t.csv")
+        _assert_one_error_naming(caplog, missing, ["solve", "--config", str(path), "--out", missing])
+
+
+def _assert_one_error_naming(caplog, path, argv):
+    with caplog.at_level(logging.ERROR, logger="fobw"):
+        assert main(argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and path in errors[0]
+
+
 class TestSolveCommand:
     def test_config_file(self, tmp_path, capsys):
         cfg = {
@@ -143,11 +186,15 @@ class TestVerifyCommand:
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
+    # the child imports the same fobw as this test, installed or not
+    pythonpath = [str(Path(fobw.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     proc = subprocess.run(
         [sys.executable, "-m", "fobw", "preset", "example1-single", "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=180,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("t,")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,12 +81,75 @@ class TestConfig:
         problem = cfg.build_problem(2.0)
         assert problem.forcing_at(0.0) == pytest.approx(0.5)
 
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            ExperimentConfig(metrics=("RMSE",))
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match="alpha identically 2"):
+            replace(preset_config("example1-single"), alpha=("1.5",))
+
+    def test_direct_construction_normalizes_basis(self):
+        cfg = ExperimentConfig(basis=[[1, 3, 1], {"M": "5", "gamma": 0.5}], alpha="1.5",
+                               metrics=["residual"])
+        assert cfg.basis == ((1, 3, 1.0), (1, 5, 0.5))
+        assert [type(v) for v in cfg.basis[0]] == [int, int, float]
+        assert cfg.alpha == ("1.5",) and cfg.metrics == ("residual",)
+
     def test_build_order_variants(self):
         assert build_order(2.0).is_constant
         assert build_order("1.5").value == 1.5
         variable = build_order("1 + sin(t)")
         assert not variable.is_constant
         assert variable(0.5) == pytest.approx(1.0 + math.sin(0.5))
+
+
+class TestResolvedOnce:
+    """A config builds each alpha entry's order and its forcing once, when it
+    is built, and a run reads them from the config."""
+
+    def test_solve_parses_the_forcing_once(self, tmp_path, monkeypatch, capsys):
+        import fobw.experiments
+        from fobw.cli import main
+
+        forcing = "0.5 * cos(0.79 * t)"
+        texts = []
+        parse = fobw.experiments.parse_expression
+
+        def counted(text):
+            texts.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(fobw.experiments, "parse_expression", counted)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "a": 1.0, "forcing": forcing, "init_value": 1.0,
+            "alpha": [1.5, "1 + sin(t)", 2.0], "basis": [[1, 3, 0.5]],
+            "metrics": ["residual"], "reference": "none",
+        }))
+        assert main(["solve", "--config", str(path)]) == 0
+        assert texts.count(forcing) == 1
+        assert texts.count("1 + sin(t)") == 1
+
+    def test_each_preset_run_builds_each_expression_order_once(self, monkeypatch, capsys):
+        from fobw.cli import main
+        from fobw.fracops import OrderFunction
+
+        labels = []
+        build = OrderFunction.from_callable
+
+        def counted(fn, label="alpha(t)"):
+            labels.append(label)
+            return build(fn, label)
+
+        monkeypatch.setattr(OrderFunction, "from_callable", staticmethod(counted))
+        argv = ["preset", "example1-single", "--alpha", "1.5,1 + sin(t),1.2 + 0.5*t",
+                "--gamma", "0.5", "--M", "3"]
+        # twice in one process: no cache may stand in for building once per run
+        for _ in range(2):
+            labels.clear()
+            assert main(argv) == 0
+            assert sorted(labels) == ["1 + sin(t)", "1.2 + 0.5*t"]
 
 
 class TestRunExperiment:
