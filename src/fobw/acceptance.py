@@ -10,19 +10,15 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import WaveletBasisSpec, _local_values
 from .experiments import PRESET_PROBLEMS, build_order
-from .fracops import (
-    OrderFunction,
-    basis_images,
-    rl_integral_quadrature,
-    weighted_inner_product,
-)
+from .fracops import OrderFunction, basis_images
+from .oracles import rl_integral_quadrature, weighted_inner_product
 from .published import TABLE_POINTS
 from .reference import absolute_error, residual_sample, rk4_integrate
 from .solver import OscillatorProblem, SolverError, solve_problem
@@ -35,8 +31,7 @@ EXAMPLE1_PRESETS = ("example1-single", "example1-double", "example1-hump")
 ALL_PRESETS = EXAMPLE1_PRESETS + ("example2",)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     ident: str
     description: str
     passed: bool

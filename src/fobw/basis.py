@@ -16,8 +16,9 @@ monomials ``x**(gamma*s)``, s = 0..M, in its local cell coordinate x.
 :func:`local_series_table` holds the coefficients of all M+1 wavelets of a
 family; it is the one form in which the basis is evaluated
 (:func:`fobw_matrix`) and on which the fractional integrals act in closed
-form.  :func:`bernstein_frac` and :func:`fobw_eval` evaluate the factored
-closed form instead, as an independent check of the table.
+form.  :func:`fobw.oracles.bernstein_frac` and :func:`fobw.oracles.fobw_eval`
+evaluate the factored closed form instead, as an independent check of the
+table.
 """
 
 from __future__ import annotations
@@ -58,42 +59,6 @@ class WaveletBasisSpec:
         return self.translations * (self.M + 1)
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Position of one wavelet: translation eta in [1, 2**(k-1)], order upsilon in [0, M]."""
-
-    eta: int
-    upsilon: int
-
-
-def _validate_index(idx: BasisIndex, spec: WaveletBasisSpec) -> None:
-    if not (1 <= idx.eta <= spec.translations):
-        raise ValueError(f"eta={idx.eta} outside [1, {spec.translations}]")
-    if not (0 <= idx.upsilon <= spec.M):
-        raise ValueError(f"upsilon={idx.upsilon} outside [0, {spec.M}]")
-
-
-def bernstein_frac(upsilon: int, M: int, gamma: float, t: float) -> float:
-    """Closed-form evaluation of the fractional Bernstein polynomial on [0, 1]."""
-    if not (0 <= upsilon <= M):
-        raise ValueError("need 0 <= upsilon <= M")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    amp = math.sqrt(1.0 + 2.0 * M - 2.0 * upsilon)
-    inner = 0.0
-    for i in range(upsilon + 1):
-        sign = -1.0 if i % 2 else 1.0
-        inner += (
-            sign
-            * math.comb(1 + 2 * M - i, upsilon - i)
-            * math.comb(upsilon, i)
-            * t ** (gamma * (upsilon - i))
-        )
-    return amp * (1.0 - t**gamma) ** (M - upsilon) * inner
-
-
 def cell_bounds(spec: WaveletBasisSpec, eta: int) -> tuple[float, float]:
     """Support of the eta-th translation: [(eta-1), eta] / 2**(k-1)."""
     width = 1.0 / spec.translations
@@ -106,18 +71,6 @@ def cell_index(spec: WaveletBasisSpec, t: float) -> int:
     if t <= 0.0:
         return 1
     return min(int(math.ceil(t * spec.translations)), spec.translations)
-
-
-def fobw_eval(idx: BasisIndex, spec: WaveletBasisSpec, t: float) -> float:
-    """Wavelet (eta, upsilon) at t; zero outside its cell."""
-    _validate_index(idx, spec)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    if cell_index(spec, t) != idx.eta:
-        return 0.0
-    x = 1.0 + spec.translations * t - idx.eta
-    scale = math.sqrt(spec.gamma) * 2.0 ** ((spec.k - 1) / 2.0)
-    return scale * bernstein_frac(idx.upsilon, spec.M, spec.gamma, x)
 
 
 @lru_cache(maxsize=1024)
@@ -179,19 +132,3 @@ def fobw_matrix(spec: WaveletBasisSpec, ts) -> np.ndarray:
     out = np.zeros((ts.size, spec.translations, spec.M + 1))
     out[np.arange(ts.size), eta.astype(int) - 1] = _local_values(spec, x)
     return out.reshape(ts.size, spec.sigma_tilde)
-
-
-def weight_eval(spec: WaveletBasisSpec, eta: int, t: float) -> float:
-    """Orthogonality weight of the eta-th cell, (1 + 2**(k-1)*t - eta)**(gamma-1)."""
-    if not (1 <= eta <= spec.translations):
-        raise ValueError(f"eta={eta} outside [1, {spec.translations}]")
-    if spec.gamma == 1.0:
-        return 1.0
-    x = 1.0 + spec.translations * t - eta
-    if x < 0.0 or x > 1.0:
-        raise ValueError("t outside the eta-th subinterval")
-    if x == 0.0:
-        if spec.gamma < 1.0:
-            raise ValueError("weight is singular at the left cell endpoint for gamma < 1")
-        return 0.0
-    return x ** (spec.gamma - 1.0)

@@ -11,7 +11,6 @@ field names.  FOBW_LOG sets the log level (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -109,6 +108,8 @@ def _emit(table, ok: bool, fmt: str, out: str | None, plot=None) -> int:
 
 
 def _cmd_solve(args) -> int:
+    import json
+
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

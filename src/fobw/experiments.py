@@ -9,7 +9,6 @@ files.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
@@ -79,13 +78,9 @@ class ExperimentConfig:
     forcing_term: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        triples = [
-            (e.get("k", 1), e["M"], e["gamma"]) if isinstance(e, dict) else e
-            for e in self.basis
-        ]
         normalized = dict(
             alpha=_entries(self.alpha),
-            basis=tuple((int(k), int(M), float(g)) for k, M, g in triples),
+            basis=tuple(_basis_triple(entry) for entry in self.basis),
             output_grid=tuple(self.output_grid),
             metrics=tuple(self.metrics),
         )
@@ -108,6 +103,13 @@ class ExperimentConfig:
         orders = tuple(build_order(a) for a in self.alpha)
         for spec_args in self.basis:
             WaveletBasisSpec(*spec_args)
+        labels = set()
+        for order in orders:
+            for k, M, g in self.basis:
+                label = _combination_label(k, M, g, order.label, len(orders) > 1)
+                if label in labels:
+                    raise ValueError(f"duplicate (basis, alpha) combination: {label!r}")
+                labels.add(label)
         if any(m in ("AE", "MAE") for m in self.metrics):
             if self.reference != "rk4":
                 raise ValueError("AE/MAE metrics need the rk4 reference")
@@ -158,9 +160,27 @@ def build_order(entry) -> OrderFunction:
     return OrderFunction.from_callable(parse_expression(text), label=text)
 
 
+def _basis_triple(entry) -> tuple[int, int, float]:
+    """A basis entry, ``[k, M, gamma]`` or a mapping with ``"M"``, ``"gamma"``
+    and optionally ``"k"`` (default 1), as an ``(int, int, float)`` triple."""
+    values = entry
+    if isinstance(entry, dict):
+        missing = [key for key in ("M", "gamma") if key not in entry]
+        if missing:
+            raise ValueError(f"basis entry {entry!r} lacks {' and '.join(map(repr, missing))}")
+        values = (entry.get("k", 1), entry["M"], entry["gamma"])
+    try:
+        k, M, g = values
+        return int(k), int(M), float(g)
+    except (TypeError, ValueError):
+        raise ValueError(f"basis entry {entry!r} is not three numbers [k, M, gamma]") from None
+
+
 def _entries(alpha) -> tuple:
-    """The alpha field as a tuple of entries; a lone entry is a one-entry tuple."""
-    return tuple(alpha) if isinstance(alpha, (list, tuple)) else (alpha,)
+    """The alpha field as a tuple of entries; a lone entry is a one-entry tuple.
+    Only a plain list or tuple holds entries: a record such as an
+    :class:`~fobw.expr.Expression` is a tuple too, but one entry."""
+    return tuple(alpha) if type(alpha) in (list, tuple) else (alpha,)
 
 
 def _is_two(entry) -> bool:
@@ -195,13 +215,17 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**settings)
 
 
-def _column_label(metric: str, k: int, M: int, g: float, alpha_label: str, multi_alpha: bool) -> str:
-    parts = [metric, f"gamma={g:g}", f"M={M}"]
+def _combination_label(k: int, M: int, g: float, alpha_label: str, multi_alpha: bool) -> str:
+    parts = [f"gamma={g:g}", f"M={M}"]
     if k != 1:
-        parts.insert(1, f"k={k}")
+        parts.insert(0, f"k={k}")
     if multi_alpha:
         parts.append(f"alpha={alpha_label}")
     return " ".join(parts)
+
+
+def _column_label(metric: str, k: int, M: int, g: float, alpha_label: str, multi_alpha: bool) -> str:
+    return f"{metric} {_combination_label(k, M, g, alpha_label, multi_alpha)}"
 
 
 def run_experiment(
@@ -235,9 +259,6 @@ def run_experiment(
                 metric: _column_label(metric, k, M, g, alpha_label, multi_alpha)
                 for metric in cfg.metrics
             }
-            clash = [lbl for lbl in labels.values() if lbl in columns]
-            if clash:
-                raise ValueError(f"duplicate (basis, alpha) combination: {clash[0]!r}")
             try:
                 approx = solve_problem(problem, spec)
             except SolverError as exc:
@@ -291,6 +312,8 @@ def render_csv(table: ErrorTable) -> str:
 
 
 def render_json(table: ErrorTable) -> str:
+    import json
+
     payload = {
         "grid": list(table.grid),
         "columns": {label: list(vals) for label, vals in table.columns.items()},
@@ -300,6 +323,8 @@ def render_json(table: ErrorTable) -> str:
 
 
 def parse_table_json(text: str) -> ErrorTable:
+    import json
+
     payload = json.loads(text)
     return ErrorTable(
         tuple(payload["grid"]),

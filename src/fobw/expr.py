@@ -15,8 +15,7 @@ expression applies elementwise to arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -29,30 +28,25 @@ class ExpressionError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class TimeVar:
+class TimeVar(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     arg: "Node"
 
@@ -220,8 +214,7 @@ def _print_node(node: Node) -> str:
     return f"({_print_node(node.left)} {node.op} {_print_node(node.right)})"
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(NamedTuple):
     """Parsed expression over the time variable t."""
 
     root: Node

@@ -11,9 +11,10 @@ and beyond the cell the same term is cut by a regularized incomplete beta
 function (DLMF 8.17), because the wavelet's integral stops at the cell end.
 :func:`basis_images` evaluates these closed forms over arrays of points, with
 one order per point for variable order, and for several orders in one call
-that shares the powers of the points.  The quadrature route integrates the
-defining singular integral directly; it is kept as the independent oracle
-that the closed forms are tested against, not used to compute them.
+that shares the powers of the points.  The quadrature route in
+:mod:`fobw.oracles` integrates the defining singular integral directly; it
+is the independent oracle that the closed forms are tested against, not used
+to compute them.
 
 Variable order is frozen pointwise: at an evaluation point t the operator of
 order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
@@ -21,37 +22,19 @@ order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import (
-    WaveletBasisSpec,
-    _local_values,
-    cell_bounds,
-    fobw_matrix,
-    local_series_table,
-)
+from .basis import WaveletBasisSpec, fobw_matrix, local_series_table
 from .special import betainc, gamma_ratio
 
 __all__ = [
-    "AccuracyError",
     "OrderFunction",
-    "rl_integral_quadrature",
     "basis_images",
     "order_values",
-    "weighted_inner_product",
 ]
-
-
-class AccuracyError(ArithmeticError):
-    """Quadrature failed to converge; carries the best estimate reached."""
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
 
 
 @dataclass(frozen=True)
@@ -107,77 +90,6 @@ class OrderFunction:
         return float(values) if ts.ndim == 0 else values
 
 
-# ---------------------------------------------------------------------------
-# quadrature engine
-# ---------------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_NODES.setflags(write=False)
-_GL_WEIGHTS.setflags(write=False)
-
-# Polynomial grading order of the integration variable at both endpoints.
-# Integrands carry algebraic endpoint behavior like (1-v)**gamma from
-# fractional basis exponents; plain composite Gauss-Legendre stalls on those,
-# while the graded variable restores fast convergence.
-_GRADING_ORDER = 8
-
-_MAX_PANELS_PER_CHUNK = 1 << 14
-
-
-def _graded(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    wm = w**_GRADING_ORDER
-    om = (1.0 - w) ** _GRADING_ORDER
-    denom = wm + om
-    v = wm / denom
-    dv = (
-        _GRADING_ORDER
-        * w ** (_GRADING_ORDER - 1)
-        * (1.0 - w) ** (_GRADING_ORDER - 1)
-        / denom**2
-    )
-    return v, dv
-
-
-def _panel_block_sum(g, lo_edges: np.ndarray, half_width: float) -> float:
-    mids = lo_edges + half_width
-    w = (mids[:, None] + half_width * _GL_NODES[None, :]).ravel()
-    v, dv = _graded(w)
-    vals = np.asarray(g(v), dtype=float) * dv
-    return float(half_width * np.sum(vals.reshape(-1, 64) @ _GL_WEIGHTS))
-
-
-def _level_estimate(g, panels: int) -> float:
-    width = 1.0 / panels
-    total = 0.0
-    for start in range(0, panels, _MAX_PANELS_PER_CHUNK):
-        stop = min(start + _MAX_PANELS_PER_CHUNK, panels)
-        edges = np.arange(start, stop, dtype=float) * width
-        total += _panel_block_sum(g, edges, 0.5 * width)
-    return total
-
-
-def adaptive_unit_integral(
-    g,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-    max_levels: int = 20,
-) -> float:
-    """Integral of vectorized ``g`` over [0, 1].
-
-    Composite 64-node Gauss-Legendre in an endpoint-graded variable; panels
-    are bisected globally until two successive estimates agree to tolerance.
-    """
-    prev = _level_estimate(g, 1)
-    for level in range(1, max_levels + 1):
-        cur = _level_estimate(g, 2**level)
-        if abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise AccuracyError(
-        f"quadrature did not converge within {max_levels} bisection levels", prev
-    )
-
-
 def _vectorized(f):
     probe = np.array([0.25, 0.75])
     try:
@@ -193,70 +105,6 @@ def _vectorized(f):
 
     return wrapped
 
-
-# ---------------------------------------------------------------------------
-# Riemann-Liouville integral by quadrature: the oracle
-# ---------------------------------------------------------------------------
-
-def rl_integral_quadrature(
-    f,
-    lam: float,
-    t: float,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-) -> float:
-    """Fractional integral of order lam of an evaluable f at t, by quadrature.
-
-    The kernel singularity at the upper limit is removed by substituting
-    tau = t * (1 - v**(1/lam)):
-
-        I[f](t) = t**lam / gamma(lam+1) * integral_0^1 f(t*(1 - v**(1/lam))) dv
-    """
-    if lam <= 0.0:
-        raise ValueError("integral order must be positive")
-    t = float(t)
-    if not (0.0 < t <= 1.0):
-        raise ValueError("t must lie in (0, 1]")
-    fv = _vectorized(f)
-    inv = 1.0 / lam
-    g = lambda v: fv(t * (1.0 - v**inv))
-    j = adaptive_unit_integral(g, abs_tol=abs_tol, rel_tol=rel_tol)
-    return t**lam / math.gamma(lam + 1.0) * j
-
-
-def _wavelet_image_quadrature(
-    spec: WaveletBasisSpec, eta: int, upsilon: int, lam: float, t: float
-) -> float:
-    """I^lam of wavelet (eta, upsilon) at t by quadrature: the test oracle of
-    :func:`basis_images`.
-
-    The kernel (t - tau)**(lam-1) is singular at tau = t, or nearly so at the
-    cell end when t lies just past it, so both cases substitute it away:
-    inside the cell as above, shifted to the cell start; beyond it with
-    r = (t - tau)**lam, as (t - tau)**(lam-1) dtau = -dr/lam.
-    """
-    lo, hi = cell_bounds(spec, eta)
-    if t <= lo:
-        return 0.0
-    wavelet = lambda x: _local_values(spec, x, [upsilon])[:, 0]
-    scale = spec.translations
-    inv = 1.0 / lam
-    if t <= hi:
-        width = t - lo
-        g = lambda v: wavelet(scale * width * (1.0 - v**inv))
-        j = adaptive_unit_integral(g)
-        return width**lam / math.gamma(lam + 1.0) * j
-    # the local coordinate scale*(tau - lo) loses its last digits to
-    # cancellation near tau = lo, so it is clipped to the cell
-    near, far = (t - hi) ** lam, (t - lo) ** lam
-    g = lambda v: wavelet(np.clip(scale * (t - lo - (near + (far - near) * v) ** inv), 0.0, 1.0))
-    j = adaptive_unit_integral(g)
-    return (far - near) / math.gamma(lam + 1.0) * j
-
-
-# ---------------------------------------------------------------------------
-# closed-form basis images
-# ---------------------------------------------------------------------------
 
 def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     """Vector [I^lam of each wavelet](t), ordered like the basis vector.
@@ -358,36 +206,3 @@ def order_values(alpha: OrderFunction, ts) -> np.ndarray:
         r = int(np.argmax(outside))
         raise ValueError(f"alpha({ts[r]:g}) = {alphas[r]:g} outside (1, 2]")
     return alphas
-
-
-# ---------------------------------------------------------------------------
-# weighted inner product (orthonormality oracle)
-# ---------------------------------------------------------------------------
-
-def weighted_inner_product(
-    spec: WaveletBasisSpec, eta: int, upsilon: int, vartheta: int
-) -> float:
-    """Integral of wavelet(eta,upsilon) * wavelet(eta,vartheta) * cell weight over [0, 1].
-
-    In the local coordinate the weight is x**(gamma-1), the same endpoint
-    singularity the fractional-integral kernel has, and the same substitution
-    removes it: x = u**(1/gamma) gives
-
-        integral x**(gamma-1) q(x) dx = (1/gamma) * integral q(u**(1/gamma)) du.
-
-    The substitution is composed analytically so the small coordinate is
-    computed directly (1 - (1 - u**(1/gamma)) would lose all relative
-    precision near u = 0 and fractional powers amplify that noise).
-    """
-    if not (1 <= eta <= spec.translations):
-        raise ValueError(f"eta={eta} outside [1, {spec.translations}]")
-    if not (0 <= upsilon <= spec.M and 0 <= vartheta <= spec.M):
-        raise ValueError(f"upsilon and vartheta must lie in [0, {spec.M}]")
-    inv = 1.0 / spec.gamma
-
-    def substituted_product(u):
-        values = _local_values(spec, np.asarray(u, dtype=float) ** inv, [upsilon, vartheta])
-        return values[:, 0] * values[:, 1]
-
-    integral = adaptive_unit_integral(substituted_product)
-    return integral / (spec.gamma * spec.translations)

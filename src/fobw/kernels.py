@@ -2,7 +2,8 @@
 
 The sequential RK4 sweep of :func:`fobw.reference.rk4_integrate` is a loop
 over plain Python floats, which avoids numpy's per-scalar overhead: about
-16 ms per 10^4 steps, the length of the h = 1e-4 reference.  ``warmup()``
+15 ms per 10^4 steps (the length of the h = 1e-4 reference) on an Intel
+Xeon core with Python 3.11.  ``warmup()``
 and ``USING_NUMBA`` stay for the benchmark in ``perfbench/``, which calls
 and records them.
 """

@@ -9,6 +9,7 @@ equation evaluated on the approximant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ class BlowupError(RuntimeError):
         self.last_good_t = last_good_t
 
 
-@dataclass(frozen=True)
-class ReferenceTrajectory:
+class ReferenceTrajectory(NamedTuple):
     """Uniform-step trajectory on [0, 1] with cubic-Hermite dense output."""
 
     step: float

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -92,8 +92,7 @@ class OscillatorProblem:
         )
 
 
-@dataclass(frozen=True)
-class CollocationSystem:
+class CollocationSystem(NamedTuple):
     """The equation's basis-image rows at a set of points: the collocation
     system at the Chebyshev grid, an approximant's dense residual elsewhere."""
 
@@ -107,8 +106,7 @@ class CollocationSystem:
     phi: np.ndarray             # forcing at the grid
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     U: np.ndarray
     iterations: int
     final_residual_norm: float
@@ -239,8 +237,7 @@ def _shaped(values: np.ndarray, like: np.ndarray):
     return float(values[0]) if like.ndim == 0 else values.reshape(like.shape)
 
 
-@dataclass(frozen=True)
-class SolutionApproximant:
+class SolutionApproximant(NamedTuple):
     """Converged approximant: value, derivatives and Caputo image on [0, 1]."""
 
     problem: OscillatorProblem

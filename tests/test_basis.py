@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fobw.basis import (
-    BasisIndex,
     WaveletBasisSpec,
     _local_values,
-    bernstein_frac,
     cell_index,
-    fobw_eval,
     fobw_matrix,
     local_series_table,
-    weight_eval,
 )
-from fobw.fracops import adaptive_unit_integral, weighted_inner_product
+from fobw.oracles import (
+    BasisIndex,
+    adaptive_unit_integral,
+    bernstein_frac,
+    fobw_eval,
+    weight_eval,
+    weighted_inner_product,
+)
 
 
 def classical_wavelet(eta, ups, k, M, t):

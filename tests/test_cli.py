@@ -130,12 +130,29 @@ class TestCommandErrors:
         missing = str(tmp_path / "missing-dir" / "t.csv")
         _assert_one_error_naming(caplog, missing, ["solve", "--config", str(path), "--out", missing])
 
+    def test_duplicate_alpha_labels_are_one_error_line(self, caplog):
+        _assert_one_error_naming(
+            caplog, "duplicate (basis, alpha) combination",
+            ["preset", "example1-single", "--alpha", "2,2.0"],
+        )
 
-def _assert_one_error_naming(caplog, path, argv):
+    @pytest.mark.parametrize(
+        "entry, lacks", [({"k": 1, "gamma": 0.5}, "lacks 'M'"), ([1, 3], "is not three numbers")]
+    )
+    def test_malformed_basis_entry_is_one_error_line(self, tmp_path, caplog, entry, lacks):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"basis": [entry], "metrics": ["residual"],
+                                    "reference": "none"}))
+        _assert_one_error_naming(caplog, f"basis entry {entry!r} {lacks}",
+                                 ["solve", "--config", str(path)])
+
+
+def _assert_one_error_naming(caplog, name, argv):
+    """``main(argv)`` exits 2 with one error line, and that line holds ``name``."""
     with caplog.at_level(logging.ERROR, logger="fobw"):
         assert main(argv) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and path in errors[0]
+    assert len(errors) == 1 and name in errors[0]
 
 
 class TestSolveCommand:

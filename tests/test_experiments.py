@@ -238,15 +238,13 @@ class TestRunExperiment:
         assert all(approx.report.converged for _, approx in approximants)
 
     def test_duplicate_combination_rejected(self):
-        cfg = ExperimentConfig.from_dict(
-            {
-                "mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
-                "alpha": [2.0], "basis": [[1, 5, 1.0], [1, 5, 1.0]],
-                "metrics": ["residual"], "reference": "none",
-            }
-        )
+        raw = {
+            "mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
+            "alpha": [2.0], "basis": [[1, 5, 1.0], [1, 5, 1.0]],
+            "metrics": ["residual"], "reference": "none",
+        }
         with pytest.raises(ValueError, match="duplicate"):
-            run_experiment(cfg)
+            ExperimentConfig.from_dict(raw)
 
 
 class TestEmission:

@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fobw.basis import (
-    BasisIndex,
-    WaveletBasisSpec,
-    _local_values,
-    fobw_eval,
-    fobw_matrix,
-    local_series_table,
-)
-from fobw.fracops import (
+from fobw.basis import WaveletBasisSpec, _local_values, fobw_matrix, local_series_table
+from fobw.fracops import OrderFunction, basis_images
+from fobw.oracles import (
     AccuracyError,
-    OrderFunction,
+    BasisIndex,
     _wavelet_image_quadrature,
     adaptive_unit_integral,
-    basis_images,
+    fobw_eval,
     rl_integral_quadrature,
 )
 from fobw.expr import parse_expression

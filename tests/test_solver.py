@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,8 +114,7 @@ class TestNewton:
         base = newton_solve(system).U
         rng = np.random.default_rng(1)
         perm = rng.permutation(6)
-        shuffled = replace(
-            system,
+        shuffled = system._replace(
             grid=system.grid[perm],
             alphas=system.alphas[perm],
             i1=system.i1[perm],
