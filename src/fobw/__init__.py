@@ -34,7 +34,6 @@ from .reference import (
     ErrorTable,
     ReferenceTrajectory,
     absolute_error,
-    residual_sample,
     residual_samples,
     rk4_integrate,
 )

@@ -20,7 +20,7 @@ from .experiments import PRESET_PROBLEMS, build_order
 from .fracops import OrderFunction, basis_images
 from .oracles import rl_integral_quadrature, weighted_inner_product
 from .published import TABLE_POINTS
-from .reference import absolute_error, residual_sample, rk4_integrate
+from .reference import absolute_error, residual_samples, rk4_integrate
 from .solver import OscillatorProblem, SolverError, solve_problem
 
 # Published residual magnitudes for the single-well case, alpha = 1.5,
@@ -55,8 +55,7 @@ def _rk4(preset: str, h: float):
 
 def _max_residual_at_points(preset: str, alpha, M: int, g: float) -> float:
     approx = _solved(preset, alpha, 1, M, g)
-    problem = approx.problem
-    return float(residual_sample(approx, problem, np.array(TABLE_POINTS)).max())
+    return float(residual_samples([approx], np.array(TABLE_POINTS))[0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +97,9 @@ def criterion_03():
 def criterion_04():
     """Single-well, alpha=1.5, gamma=0.2, M=5: residual within 10x of published."""
     approx = _solved("example1-single", 1.5, 1, 5, 0.2)
-    problem = approx.problem
     rows = []
     passed = True
-    residuals = residual_sample(approx, problem, np.array(TABLE_POINTS)).tolist()
+    residuals = residual_samples([approx], np.array(TABLE_POINTS))[0].tolist()
     for t, r, printed in zip(TABLE_POINTS, residuals, SINGLE_WELL_A15_G02_RESIDUALS):
         ok = r <= 10.0 * printed
         passed &= ok

@@ -51,10 +51,11 @@ PRESET_PROBLEMS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, checked when it is built (by ``replace`` too): a lone
-    ``alpha`` becomes a one-entry tuple, each ``basis`` entry (``[k, M, gamma]``
-    or a ``{"k", "M", "gamma"}`` mapping, k defaulting to 1) an
-    ``(int, int, float)`` triple, ``orders`` holds each alpha entry's order
-    function and ``forcing_term`` the forcing as the solver takes it."""
+    ``alpha`` or ``basis`` entry becomes a one-entry tuple, each ``basis``
+    entry (``[k, M, gamma]`` or a ``{"k", "M", "gamma"}`` mapping, k
+    defaulting to 1, k and M whole) an ``(int, int, float)`` triple,
+    ``orders`` holds each alpha entry's order function and ``forcing_term``
+    the forcing as the solver takes it."""
 
     mu: float = 0.0
     a: float = 0.0
@@ -80,7 +81,7 @@ class ExperimentConfig:
     def __post_init__(self):
         normalized = dict(
             alpha=_entries(self.alpha),
-            basis=tuple(_basis_triple(entry) for entry in self.basis),
+            basis=tuple(_basis_triple(entry) for entry in _entries(self.basis)),
             output_grid=tuple(self.output_grid),
             metrics=tuple(self.metrics),
         )
@@ -96,6 +97,10 @@ class ExperimentConfig:
             raise ValueError("format must be 'csv' or 'json'")
         if not self.basis:
             raise ValueError("at least one basis (k, M, gamma) is required")
+        if not self.alpha:
+            raise ValueError("at least one alpha entry is required")
+        if not self.metrics:
+            raise ValueError("at least one metric is required")
         if not self.output_grid or any(
             not (0.0 < t <= 1.0) for t in self.output_grid
         ):
@@ -162,7 +167,8 @@ def build_order(entry) -> OrderFunction:
 
 def _basis_triple(entry) -> tuple[int, int, float]:
     """A basis entry, ``[k, M, gamma]`` or a mapping with ``"M"``, ``"gamma"``
-    and optionally ``"k"`` (default 1), as an ``(int, int, float)`` triple."""
+    and optionally ``"k"`` (default 1), as an ``(int, int, float)`` triple;
+    ``k`` and ``M`` must be whole numbers."""
     values = entry
     if isinstance(entry, dict):
         missing = [key for key in ("M", "gamma") if key not in entry]
@@ -170,17 +176,19 @@ def _basis_triple(entry) -> tuple[int, int, float]:
             raise ValueError(f"basis entry {entry!r} lacks {' and '.join(map(repr, missing))}")
         values = (entry.get("k", 1), entry["M"], entry["gamma"])
     try:
-        k, M, g = values
-        return int(k), int(M), float(g)
+        k, M, g = (float(v) for v in values)
     except (TypeError, ValueError):
         raise ValueError(f"basis entry {entry!r} is not three numbers [k, M, gamma]") from None
+    if not (k.is_integer() and M.is_integer()):
+        raise ValueError(f"basis entry {entry!r} has a k or M that is not a whole number")
+    return int(k), int(M), g
 
 
-def _entries(alpha) -> tuple:
-    """The alpha field as a tuple of entries; a lone entry is a one-entry tuple.
-    Only a plain list or tuple holds entries: a record such as an
-    :class:`~fobw.expr.Expression` is a tuple too, but one entry."""
-    return tuple(alpha) if type(alpha) in (list, tuple) else (alpha,)
+def _entries(value) -> tuple:
+    """The alpha or basis field as a tuple of entries; a lone entry is a
+    one-entry tuple.  Only a plain list or tuple holds entries: a record
+    such as an :class:`~fobw.expr.Expression` is a tuple too, but one entry."""
+    return tuple(value) if type(value) in (list, tuple) else (value,)
 
 
 def _is_two(entry) -> bool:

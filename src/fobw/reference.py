@@ -22,7 +22,6 @@ __all__ = [
     "ErrorTable",
     "rk4_integrate",
     "absolute_error",
-    "residual_sample",
     "residual_samples",
 ]
 
@@ -152,23 +151,12 @@ def absolute_error(approx, ref, t):
     return float(err) if np.ndim(t) == 0 else err
 
 
-def residual_sample(approx, problem, t):
-    """Magnitude of the governing equation evaluated on the approximant at t.
-
-    ``approx`` has the ``spec`` and ``coefficients`` of a
-    :class:`fobw.solver.SolutionApproximant`; its residual is that of the
-    collocation system of ``problem`` at the points ``t``.  A point ``t``
-    gives a float, an array of points an array.
-    """
-    ts = np.asarray(t, dtype=float)
-    (system,) = collocation_systems([problem], approx.spec, ts.ravel())
-    residual = np.abs(residual_vector(system, approx.coefficients))
-    return float(residual[0]) if ts.ndim == 0 else residual.reshape(ts.shape)
-
-
 def residual_samples(approximants, t) -> list[np.ndarray]:
-    """``residual_sample(a, a.problem, t)`` of every approximant at the array
-    ``t``.  The approximants on one basis share one
+    """Magnitude of the governing equation evaluated on each approximant at
+    the points ``t``, as an array of ``t``'s shape.
+
+    An approximant's residual is that of the collocation system of its
+    ``problem`` at ``t``.  The approximants on one basis share one
     :func:`fobw.solver.collocation_systems` call, and each sample is
     bit-identical to a lone call's."""
     ts = np.asarray(t, dtype=float)

@@ -4,8 +4,10 @@ The unknown is the coefficient vector of the second derivative's wavelet
 expansion.  Collocating the oscillator equation at the Chebyshev points turns
 it into a square nonlinear algebraic system; value, slope and the
 variable-order Caputo image at each point are linear in the coefficients
-through cached basis-image matrices, so a residual evaluation is a handful of
-matrix-vector products, and the residual's Jacobian is exact in closed form.
+through the basis-image rows that a :class:`CollocationSystem` holds, so a
+residual evaluation is a handful of matrix-vector products, and the
+residual's Jacobian is exact in closed form.  A solved approximant is
+evaluated through the same rows.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .basis import WaveletBasisSpec, fobw_matrix
-from . import fracops
+from .basis import WaveletBasisSpec
 from .fracops import OrderFunction, basis_images, order_values
 from .special import chebyshev_grid
 
@@ -75,10 +76,6 @@ class OscillatorProblem:
         if self.forcing == "force_free":
             return np.zeros_like(np.asarray(t, dtype=float))
         return self.forcing(t)
-
-    @property
-    def init(self) -> tuple[float, float]:
-        return (self.init_value, self.init_slope)
 
     def residual(self, d_alpha, slope, value, phi):
         """Left-hand side minus forcing, given the Caputo image, slope, value and forcing."""
@@ -152,13 +149,9 @@ def residual_vector(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
 
 
 def _slope_value(system: CollocationSystem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y' = U . I^1 Psi + y1 and y from the system's I^1 and I^2 rows."""
     p = system.problem
-    return _slope_from(p, system.i1, U), _value_from(p, system.grid, system.i2, U)
-
-
-def _slope_from(p: OscillatorProblem, i1: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """y' = U . I^1 Psi + y1 from the I^1 rows."""
-    return i1 @ U + p.init_slope
+    return system.i1 @ U + p.init_slope, _value_from(p, system.grid, system.i2, U)
 
 
 def _value_from(p: OscillatorProblem, ts: np.ndarray, i2: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -238,7 +231,12 @@ def _shaped(values: np.ndarray, like: np.ndarray):
 
 
 class SolutionApproximant(NamedTuple):
-    """Converged approximant: value, derivatives and Caputo image on [0, 1]."""
+    """Converged approximant on [0, 1].
+
+    :meth:`evaluate` gives value, slope and Caputo image, :meth:`value` the
+    value alone.  The second derivative is ``fobw_matrix(spec, ts) @
+    coefficients``.
+    """
 
     problem: OscillatorProblem
     spec: WaveletBasisSpec
@@ -246,10 +244,12 @@ class SolutionApproximant(NamedTuple):
     report: SolveReport
 
     def evaluate(self, ts) -> tuple:
-        """Value, slope and Caputo image at ``ts``, from one set of image rows.
+        """Value, slope and variable-order Caputo image at ``ts``, from one
+        set of image rows.
 
-        A point gives three floats, an array of points three arrays of its
-        shape.
+        The Caputo image is U . [I^(2-alpha(t)) Psi](t); for alpha in (1, 2)
+        its initial value correction sum is empty.  A point gives three
+        floats, an array of points three arrays of its shape.
         """
         ts = np.asarray(ts, dtype=float)
         (system,) = collocation_systems([self.problem], self.spec, ts.ravel())
@@ -258,28 +258,11 @@ class SolutionApproximant(NamedTuple):
         return tuple(_shaped(v, ts) for v in (value, slope, caputo))
 
     def value(self, t):
+        """y(t) from the I^2 rows alone, the one image order it needs."""
         ts = np.asarray(t, dtype=float)
         pts = ts.ravel()
         i2 = basis_images(self.spec, 2.0, pts)
         return _shaped(_value_from(self.problem, pts, i2, self.coefficients), ts)
-
-    def derivative(self, t):
-        ts = np.asarray(t, dtype=float)
-        i1 = basis_images(self.spec, 1.0, ts.ravel())
-        return _shaped(_slope_from(self.problem, i1, self.coefficients), ts)
-
-    def second_derivative(self, t):
-        ts = np.asarray(t, dtype=float)
-        return _shaped(fobw_matrix(self.spec, ts.ravel()) @ self.coefficients, ts)
-
-    def caputo(self, t):
-        """Variable-order Caputo derivative, U . [I^(2-alpha(t)) Psi](t); for
-        alpha in (1, 2) its initial value correction sum is empty."""
-        ts = np.asarray(t, dtype=float)
-        pts = ts.ravel()
-        lam = 2.0 - order_values(self.problem.alpha, pts)
-        # looked up on fracops, where tests/test_call_counts.py counts this call
-        return _shaped(fracops.basis_images(self.spec, lam, pts) @ self.coefficients, ts)
 
 
 def solve_problem(

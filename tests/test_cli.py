@@ -137,14 +137,30 @@ class TestCommandErrors:
         )
 
     @pytest.mark.parametrize(
-        "entry, lacks", [({"k": 1, "gamma": 0.5}, "lacks 'M'"), ([1, 3], "is not three numbers")]
+        "entry, lacks",
+        [
+            ({"k": 1, "gamma": 0.5}, "lacks 'M'"),
+            ([1, 3], "is not three numbers"),
+            ([1, 3.7, 0.5], "has a k or M that is not a whole number"),
+            (5, "is not three numbers"),
+        ],
     )
     def test_malformed_basis_entry_is_one_error_line(self, tmp_path, caplog, entry, lacks):
+        # a lone entry stands for a list of one, so 5 is written as "basis": 5
+        basis = entry if isinstance(entry, int) else [entry]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"basis": [entry], "metrics": ["residual"],
+        path.write_text(json.dumps({"basis": basis, "metrics": ["residual"],
                                     "reference": "none"}))
         _assert_one_error_naming(caplog, f"basis entry {entry!r} {lacks}",
                                  ["solve", "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "key, message", [("metrics", "at least one metric"), ("alpha", "at least one alpha entry")]
+    )
+    def test_empty_column_list_is_one_error_line(self, tmp_path, caplog, key, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: []}))
+        _assert_one_error_naming(caplog, message, ["solve", "--config", str(path)])
 
 
 def _assert_one_error_naming(caplog, name, argv):

@@ -15,7 +15,7 @@ from fobw.experiments import (
     render_csv,
     run_experiment,
 )
-from fobw.reference import ErrorTable, residual_sample, residual_samples
+from fobw.reference import ErrorTable, residual_samples
 
 
 class TestConfig:
@@ -326,13 +326,13 @@ class TestPlotData:
         points = np.array(table.grid)
         assert list(table.columns) == [label for label, _ in labeled]
         for label, approx in labeled:
-            expected = tuple(residual_sample(approx, approx.problem, points))
+            expected = tuple(residual_samples([approx], points)[0])
             assert table.columns[label] == expected
         grid = np.linspace(0.0, 1.0, 402)[1:]
         for curve, approx in zip(residual_samples(approximants, grid), approximants):
-            assert np.array_equal(curve, residual_sample(approx, approx.problem, grid))
+            assert np.array_equal(curve, residual_samples([approx], grid)[0])
         lines = ["t," + ",".join(label for label, _ in labeled)]
-        single = [residual_sample(approx, approx.problem, grid) for approx in approximants]
+        single = [residual_samples([approx], grid)[0] for approx in approximants]
         for i, t in enumerate(grid):
             lines.append(",".join([f"{t:.8g}"] + [f"{c[i]:.5e}" for c in single]))
         assert emit_plot_data(labeled) == "\n".join(lines) + "\n"

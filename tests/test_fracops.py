@@ -244,8 +244,8 @@ class TestReconstruct:
         value, slope, _ = approx.evaluate(0.4)
         assert value == pytest.approx(2.5 + 0.4 * -1.0, abs=1e-15)
         assert approx.value(0.4) == value
-        assert slope == approx.derivative(0.4) == -1.0
-        assert approx.second_derivative(0.4) == 0.0
+        assert slope == -1.0
+        assert (fobw_matrix(spec, [0.4]) @ approx.coefficients)[0] == 0.0
 
     def test_first_basis_coefficient(self):
         # I^2 of sqrt(3)(1 - t) is sqrt(3)(t^2/2 - t^3/6)
@@ -262,11 +262,11 @@ class TestReconstruct:
         h = 1e-6
         for t in (0.2, 0.5, 0.8):
             plus, minus = approx.value(t + h), approx.value(t - h)
-            assert (plus - minus) / (2 * h) == pytest.approx(approx.derivative(t), abs=1e-7)
+            assert (plus - minus) / (2 * h) == pytest.approx(approx.evaluate(t)[1], abs=1e-7)
 
     def test_antiderivative_identity_is_bit_exact(self):
-        # the value path reuses the cached images, so recomputing the linear
-        # combination reproduces it bit for bit
+        # the value path is the I^2 image row times U plus the initial line,
+        # so recomputing that linear combination reproduces it bit for bit
         spec = WaveletBasisSpec(1, 5, 0.2)
         rng = np.random.default_rng(2)
         U = rng.normal(0.0, 1.0, 6)
@@ -280,14 +280,14 @@ class TestCaputo:
     def test_zero_coefficients_any_order(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
         approx = approximant(spec, np.zeros(4), (3.0, 0.0), OrderFunction.constant(1.5))
-        assert approx.caputo(0.5) == 0.0
+        assert approx.evaluate(0.5)[2] == 0.0
 
     def test_integer_branch(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
         approx = approximant(spec, [1.0, 0.0, 0.0, 0.0])
         for t in (0.2, 0.6):
             expected = fobw_eval(BasisIndex(1, 0), spec, t)
-            assert approx.caputo(t) == pytest.approx(expected, rel=1e-14)
+            assert approx.evaluate(t)[2] == pytest.approx(expected, rel=1e-14)
 
     def test_half_derivative_of_t_squared(self):
         # fit the constant second derivative of t^2 in the basis, then check
@@ -299,7 +299,7 @@ class TestCaputo:
         scale = math.gamma(3.0) / math.gamma(1.5)
         assert scale == pytest.approx(2.2567583341910253, rel=1e-13)
         for t in (0.2, 0.5, 0.9):
-            assert approx.caputo(t) == pytest.approx(scale * math.sqrt(t), abs=1e-6)
+            assert approx.evaluate(t)[2] == pytest.approx(scale * math.sqrt(t), abs=1e-6)
 
     def test_order_continuity_toward_two(self):
         rng = np.random.default_rng(8)
@@ -308,15 +308,15 @@ class TestCaputo:
         approx = approximant(spec, U, alpha=OrderFunction.constant(2.0 - 1e-6))
         for t in (0.3, 0.6, 0.9):
             exact = float(U @ fobw_matrix(spec, [t])[0])
-            assert approx.caputo(t) == pytest.approx(exact, abs=1e-3)
+            assert approx.evaluate(t)[2] == pytest.approx(exact, abs=1e-3)
 
     def test_order_outside_range_rejected(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
         bad = OrderFunction(fn=lambda t: 2.5, value=None, label="bad")
         with pytest.raises(ValueError):
-            approximant(spec, np.zeros(4), alpha=bad).caputo(0.5)
+            approximant(spec, np.zeros(4), alpha=bad).evaluate(0.5)
         with pytest.raises(ValueError):
-            approximant(spec, np.zeros(3), alpha=OrderFunction.constant(1.5)).caputo(0.5)
+            approximant(spec, np.zeros(3), alpha=OrderFunction.constant(1.5)).evaluate(0.5)
 
 
 # orders for the shared-table tests: whole orders take the finite-product and

@@ -9,7 +9,7 @@ from fobw.reference import (
     BlowupError,
     ErrorTable,
     absolute_error,
-    residual_sample,
+    residual_samples,
     rk4_integrate,
 )
 from fobw.solver import OscillatorProblem, SolutionApproximant, solve_problem
@@ -103,14 +103,14 @@ class TestResidualSample:
             )
             approx = solve_problem(problem, spec)
             t = float(rng.uniform(0.05, 1.0))
-            assert residual_sample(approx, problem, t) <= 1e-13
+            assert residual_samples([approx], t)[0] <= 1e-13
 
     def test_constant_state_residual(self):
         problem = OscillatorProblem(mu=0.0, a=0.5, b=0.5, alpha=ALPHA2, init_value=1.0)
         spec = WaveletBasisSpec(1, 3, 1.0)
         approx = SolutionApproximant(problem, spec, np.zeros(4), None)
         for t in (0.2, 0.5, 0.9):
-            assert residual_sample(approx, problem, t) == pytest.approx(1.0, abs=1e-14)
+            assert residual_samples([approx], t)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_fractional_magnitude(self):
         problem = OscillatorProblem(
@@ -118,7 +118,7 @@ class TestResidualSample:
             alpha=OrderFunction.constant(1.5), init_value=1.0,
         )
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 0.2))
-        assert residual_sample(approx, problem, 0.9) <= 1.9e-4
+        assert residual_samples([approx], 0.9)[0] <= 1.9e-4
 
 
 class TestErrorTable:

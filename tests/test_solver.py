@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import fobw
 from fobw.basis import WaveletBasisSpec, fobw_matrix
-from fobw.fracops import OrderFunction
-from fobw.reference import residual_sample, rk4_integrate, absolute_error
+from fobw.fracops import OrderFunction, basis_images
+from fobw.reference import residual_samples, rk4_integrate, absolute_error
 from fobw.experiments import PRESET_PROBLEMS
 from fobw.solver import (
     OscillatorProblem,
@@ -106,7 +107,7 @@ class TestNewton:
     def test_fractional_order_residual_magnitude(self):
         problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 0.2))
-        assert residual_sample(approx, problem, 0.5) <= 7.9e-4
+        assert residual_samples([approx], 0.5)[0] <= 7.9e-4
 
     def test_permutation_invariance(self):
         problem = OscillatorProblem(alpha=ALPHA2, **SINGLE_WELL)
@@ -223,7 +224,7 @@ class TestSolveProblem:
         problem = OscillatorProblem(alpha=ALPHA2, **DOUBLE_WELL)
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 1.0))
         assert abs(approx.value(0.0) - 1.0) <= 1e-14
-        assert abs(approx.derivative(0.0)) <= 1e-14
+        assert abs(approx.evaluate(0.0)[1]) <= 1e-14
 
     def test_example2_magnitude(self):
         problem = OscillatorProblem(
@@ -244,7 +245,7 @@ class TestSolveProblem:
         approx = solve_problem(problem, WaveletBasisSpec(2, 2, 1.0))
         assert approx.report.converged
         # converged at the nodes; sampled points between nodes stay bounded
-        assert residual_sample(approx, problem, 0.9) <= 1.0
+        assert residual_samples([approx], 0.9)[0] <= 1.0
 
 
 class TestEvaluate:
@@ -265,30 +266,42 @@ class TestEvaluate:
     @pytest.mark.parametrize("alpha", ORDERS, ids=lambda a: a.label)
     def test_matches_one_point_calls(self, k, alpha):
         approx = self._approximant(k, alpha)
+        spec, U = approx.spec, approx.coefficients
         ts = np.concatenate([[0.25, 0.5, 1.0], np.random.default_rng(7).uniform(0.01, 1.0, 20)])
         value, slope, caputo = approx.evaluate(ts)
         for i, t in enumerate(ts):
-            assert value[i] == pytest.approx(approx.value(float(t)), abs=1e-13)
-            assert slope[i] == pytest.approx(approx.derivative(float(t)), abs=1e-13)
-            assert caputo[i] == pytest.approx(approx.caputo(float(t)), abs=1e-13)
+            t = float(t)
+            assert value[i] == pytest.approx(approx.value(t), abs=1e-13)
+            expected_slope = basis_images(spec, 1.0, t) @ U + approx.problem.init_slope
+            assert slope[i] == pytest.approx(expected_slope, abs=1e-13)
+            expected_caputo = basis_images(spec, 2.0 - alpha(t), t) @ U
+            assert caputo[i] == pytest.approx(expected_caputo, abs=1e-13)
 
     def test_return_types(self):
         approx = self._approximant(2, self.ORDERS[2])
         ts = np.linspace(0.1, 1.0, 7)
-        for method in (approx.value, approx.derivative, approx.second_derivative, approx.caputo):
-            assert isinstance(method(0.5), float)
-            out = method(ts)
-            assert isinstance(out, np.ndarray) and out.shape == ts.shape
+        assert isinstance(approx.value(0.5), float)
+        out = approx.value(ts)
+        assert isinstance(out, np.ndarray) and out.shape == ts.shape
         assert all(isinstance(v, float) for v in approx.evaluate(0.5))
         assert all(v.shape == ts.shape for v in approx.evaluate(ts))
+
+    def test_evaluate_and_value_are_the_only_evaluators(self):
+        # value, slope and Caputo image come from evaluate, the residual from
+        # residual_samples, y'' from fobw_matrix
+        methods = {name for name in dir(SolutionApproximant) if not name.startswith("_")}
+        extra = methods - set(SolutionApproximant._fields) - {"count", "index"}
+        assert extra == {"evaluate", "value"}
+        assert not hasattr(fobw, "residual_sample")
+        assert not hasattr(fobw.reference, "residual_sample")
 
     @pytest.mark.parametrize("t", [1.5, -0.2, np.array([0.5, 1.0 + 1e-12]), math.nan])
     def test_points_outside_the_unit_interval_raise(self, t):
         # the images check their points in basis_images, the basis vectors in fobw_matrix
         approx = self._approximant(2, self.ORDERS[1])
         for evaluate in (
-            approx.value, approx.derivative, approx.second_derivative, approx.caputo,
-            approx.evaluate, lambda ts: residual_sample(approx, approx.problem, ts),
+            approx.value, approx.evaluate, lambda ts: residual_samples([approx], ts)[0],
+            lambda ts: fobw_matrix(approx.spec, np.atleast_1d(ts)) @ approx.coefficients,
         ):
             with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
                 evaluate(t)
@@ -303,7 +316,7 @@ class TestRefinementMonotonicity:
         maxima = {}
         for M in (3, 5):
             approx = solve_problem(problem, WaveletBasisSpec(1, M, 0.2))
-            maxima[M] = max(residual_sample(approx, problem, t) for t in TABLE_POINTS)
+            maxima[M] = max(residual_samples([approx], t)[0] for t in TABLE_POINTS)
         assert maxima[5] <= maxima[3]
 
 
