@@ -105,6 +105,8 @@ class ExperimentConfig:
             not (0.0 < t <= 1.0) for t in self.output_grid
         ):
             raise ValueError("output grid points must lie in (0, 1]")
+        if any(b <= a for a, b in zip(self.output_grid, self.output_grid[1:])):
+            raise ValueError("output grid points must be strictly ascending")
         orders = tuple(build_order(a) for a in self.alpha)
         for spec_args in self.basis:
             WaveletBasisSpec(*spec_args)

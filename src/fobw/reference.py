@@ -41,36 +41,22 @@ class ReferenceTrajectory(NamedTuple):
     times: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
-    accels: np.ndarray
 
-    def _locate(self, t):
-        t = np.asarray(t, dtype=float)
-        n = self.times.size - 1
-        idx = np.clip((t / self.step).astype(int), 0, n - 1)
-        theta = (t - self.times[idx]) / self.step
-        return idx, theta
-
-    def _hermite(self, t, left, d_left):
-        idx, th = self._locate(t)
+    def value(self, t):
+        """y(t) by cubic Hermite between the stored nodes."""
+        ts = np.asarray(t, dtype=float)
+        idx = np.clip((ts / self.step).astype(int), 0, self.times.size - 2)
+        th = (ts - self.times[idx]) / self.step
         h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
         h10 = th * (1.0 - th) ** 2
         h01 = th**2 * (3.0 - 2.0 * th)
         h11 = th**2 * (th - 1.0)
-        return (
-            h00 * left[idx]
-            + h10 * self.step * d_left[idx]
-            + h01 * left[idx + 1]
-            + h11 * self.step * d_left[idx + 1]
+        out = (
+            h00 * self.values[idx]
+            + h10 * self.step * self.slopes[idx]
+            + h01 * self.values[idx + 1]
+            + h11 * self.step * self.slopes[idx + 1]
         )
-
-    def value(self, t):
-        """y(t) by cubic Hermite between the stored nodes."""
-        out = self._hermite(t, self.values, self.slopes)
-        return float(out) if np.ndim(t) == 0 else out
-
-    def derivative(self, t):
-        """y'(t), interpolated with the accelerations as slopes."""
-        out = self._hermite(t, self.slopes, self.accels)
         return float(out) if np.ndim(t) == 0 else out
 
 
@@ -97,10 +83,6 @@ class ErrorTable:
             cols[label] = vals
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "columns", cols)
-
-
-def _accel(problem, t, y, v):
-    return problem.forcing_at(t) - problem.a * y - problem.b * y**3 + problem.mu * v - problem.mu * v * y * y
 
 
 def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
@@ -133,10 +115,9 @@ def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
             f"integration became non-finite after t = {times[n_good]:.6f}",
             float(times[n_good]),
         )
-    accels = _accel(problem, times, ys, vs)
-    for arr in (times, ys, vs, accels):
+    for arr in (times, ys, vs):
         arr.setflags(write=False)
-    return ReferenceTrajectory(step, times, ys, vs, accels)
+    return ReferenceTrajectory(step, times, ys, vs)
 
 
 def absolute_error(approx, ref, t):

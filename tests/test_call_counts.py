@@ -8,11 +8,12 @@ back unnoticed.
 import numpy as np
 import pytest
 
-from fobw import fracops, solver, special
+from fobw import acceptance, fracops, solver, special
 from fobw.basis import WaveletBasisSpec
 from fobw.experiments import PRESET_PROBLEMS, emit_plot_data, preset_config, run_experiment
 from fobw.expr import parse_expression
 from fobw.fracops import OrderFunction
+from fobw.published import TABLE_POINTS
 from fobw.solver import OscillatorProblem, SolutionApproximant, assemble
 
 
@@ -134,6 +135,17 @@ def test_residual_table_makes_one_image_call_per_basis(counted):
     assert images.calls == 6 + 2
     # I^1, I^2 and one Caputo order per alpha column
     assert [np.shape(lam)[0] for lam in at_table] == [2 + 3, 2 + 3]
+
+
+def test_refinement_criterion_runs_one_table_per_preset(counted):
+    runs = counted(acceptance, "run_experiment")
+    images = counted(solver, "basis_images")
+    acceptance.criterion_05()
+    assert runs.calls == len(acceptance.ALL_PRESETS)
+    # one residual sample per preset and basis, each for the four alphas at once
+    points = np.array(TABLE_POINTS)
+    at_table = [lam for _, lam, ts in images.args if np.array_equal(ts, points)]
+    assert [np.shape(lam)[0] for lam in at_table] == [2 + 4] * 8
 
 
 @pytest.mark.parametrize("points", [1, 7, 401])

@@ -113,6 +113,27 @@ class TestCommandErrors:
         assert exit_info.value.code == 2
         assert "--plot-points: must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, source",
+        [([0.5, 0.1], "preset"), ([0.5, 0.5], "preset"), ([0.3, 0.2], "solve")],
+        ids=["descending", "repeated", "config"],
+    )
+    def test_unsorted_grid_rejected_before_any_solve(self, tmp_path, monkeypatch, caplog,
+                                                    grid, source):
+        import fobw.experiments
+
+        def refuse(problem, spec):
+            raise AssertionError("no solve may run")
+
+        monkeypatch.setattr(fobw.experiments, "solve_problem", refuse)
+        if source == "preset":
+            argv = ["preset", "example1-single", "--grid", ",".join(map(str, grid))]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, "output_grid": grid}))
+            argv = ["solve", "--config", str(path)]
+        _assert_one_error_naming(caplog, "output grid points must be strictly ascending", argv)
+
     @pytest.mark.parametrize("target", ["--out", "--plot-data"])
     def test_unwritable_output_path_is_one_error_line(self, tmp_path, caplog, target):
         missing = str(tmp_path / "missing-dir" / "file.csv")
