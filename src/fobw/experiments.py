@@ -12,20 +12,23 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
 from .basis import WaveletBasisSpec
 from .expr import parse_expression
-from .fracops import OrderFunction
+from .fracops import OrderFunction, order_values
 from .published import COMPARISON_COLUMNS, TABLE_POINTS
-from .reference import ErrorTable, absolute_error, residual_samples, rk4_integrate
+from .reference import BlowupError, ErrorTable, absolute_error, residual_samples, rk4_integrate
 from .solver import OscillatorProblem, SolverError, solve_problem
+from .special import chebyshev_grid
 
 log = logging.getLogger("fobw")
 
 DEFAULT_GRID = TABLE_POINTS
 VALID_METRICS = ("AE", "MAE", "residual")
+REFERENCE_STEP = 1e-4  # step of the RK4 reference that AE and MAE compare against
 
 #: problem parameters behind each named preset
 PRESET_PROBLEMS = {
@@ -50,12 +53,12 @@ PRESET_PROBLEMS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, checked when it is built (by ``replace`` too): a lone
-    ``alpha`` or ``basis`` entry becomes a one-entry tuple, each ``basis``
-    entry (``[k, M, gamma]`` or a ``{"k", "M", "gamma"}`` mapping, k
-    defaulting to 1, k and M whole) an ``(int, int, float)`` triple,
-    ``orders`` holds each alpha entry's order function and ``forcing_term``
-    the forcing as the solver takes it."""
+    """One experiment, checked and built when it is constructed (by ``replace``
+    too): a lone ``alpha``, ``basis``, ``output_grid`` or ``metrics`` value
+    becomes a one-entry tuple, each ``basis`` entry (``[k, M, gamma]`` or a
+    ``{"k", "M", "gamma"}`` mapping, k defaulting to 1, k and M whole) an
+    ``(int, int, float)`` triple, and ``problems`` and ``specs`` hold the problem
+    of each alpha entry and the basis of each basis entry that :func:`run_experiment` solves."""
 
     mu: float = 0.0
     a: float = 0.0
@@ -69,21 +72,19 @@ class ExperimentConfig:
     basis: tuple = ((1, 5, 1.0),)        # (k, M, gamma) triples
     output_grid: tuple = DEFAULT_GRID
     metrics: tuple = ("AE",)
-    reference: str = "rk4"               # "rk4" | "none"
-    reference_step: float = 1e-4
     format: str = "csv"                  # "csv" | "json"
     out: str | None = None
     preset: str | None = None
     include_published: bool = False
-    orders: tuple = field(init=False, repr=False, compare=False)
-    forcing_term: object = field(init=False, repr=False, compare=False)
+    problems: tuple = field(init=False, repr=False, compare=False)
+    specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = dict(
             alpha=_entries(self.alpha),
             basis=tuple(_basis_triple(entry) for entry in _entries(self.basis)),
-            output_grid=tuple(self.output_grid),
-            metrics=tuple(self.metrics),
+            output_grid=_entries(self.output_grid),
+            metrics=_entries(self.metrics),
         )
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
@@ -91,8 +92,6 @@ class ExperimentConfig:
         for metric in self.metrics:
             if metric not in VALID_METRICS:
                 raise ValueError(f"unknown metric {metric!r}; valid: {VALID_METRICS}")
-        if self.reference not in ("rk4", "none"):
-            raise ValueError("reference must be 'rk4' or 'none'")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         if not self.basis:
@@ -101,31 +100,12 @@ class ExperimentConfig:
             raise ValueError("at least one alpha entry is required")
         if not self.metrics:
             raise ValueError("at least one metric is required")
-        if not self.output_grid or any(
-            not (0.0 < t <= 1.0) for t in self.output_grid
+        if not self.output_grid or not all(
+            isinstance(t, Real) and 0.0 < t <= 1.0 for t in self.output_grid
         ):
-            raise ValueError("output grid points must lie in (0, 1]")
+            raise ValueError(f"output_grid points must be numbers in (0, 1]: {self.output_grid!r}")
         if any(b <= a for a, b in zip(self.output_grid, self.output_grid[1:])):
             raise ValueError("output grid points must be strictly ascending")
-        orders = tuple(build_order(a) for a in self.alpha)
-        for spec_args in self.basis:
-            WaveletBasisSpec(*spec_args)
-        labels = set()
-        for order in orders:
-            for k, M, g in self.basis:
-                label = _combination_label(k, M, g, order.label, len(orders) > 1)
-                if label in labels:
-                    raise ValueError(f"duplicate (basis, alpha) combination: {label!r}")
-                labels.add(label)
-        if any(m in ("AE", "MAE") for m in self.metrics):
-            if self.reference != "rk4":
-                raise ValueError("AE/MAE metrics need the rk4 reference")
-            for order in orders:
-                if not (order.is_constant and order.value == 2.0):
-                    raise ValueError(
-                        "AE/MAE metrics compare against the integer-order reference; "
-                        "they require alpha identically 2"
-                    )
         forcing = self.forcing
         if forcing not in ("forced", "force_free"):
             forcing = parse_expression(forcing)
@@ -134,8 +114,35 @@ class ExperimentConfig:
                 raise ValueError(
                     f"forcing expression {self.forcing!r} is not finite everywhere on [0, 1]"
                 )
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "forcing_term", forcing)
+        problems = tuple(
+            OscillatorProblem(
+                mu=self.mu, a=self.a, b=self.b, f=self.f, omega=self.omega,
+                forcing=forcing, alpha=build_order(entry),
+                init_value=self.init_value, init_slope=self.init_slope,
+            )
+            for entry in self.alpha
+        )
+        specs = tuple(WaveletBasisSpec(*triple) for triple in self.basis)
+        labels = set()
+        for problem in problems:
+            for spec in specs:
+                label = _combination_label(spec, problem.alpha.label, len(problems) > 1)
+                if label in labels:
+                    raise ValueError(f"duplicate (basis, alpha) combination: {label!r}")
+                labels.add(label)
+        needs_reference = any(m in ("AE", "MAE") for m in self.metrics)
+        if needs_reference and any(p.alpha.value != 2.0 for p in problems):
+            raise ValueError(
+                "AE/MAE metrics compare against the integer-order reference; "
+                "they require alpha identically 2"
+            )
+        # the run evaluates each order at these points, which its probe may miss
+        grids = [chebyshev_grid(spec.sigma_tilde) for spec in specs]
+        points = np.concatenate([self.output_grid, *grids])
+        for problem in problems:
+            order_values(problem.alpha, points)
+        object.__setattr__(self, "problems", problems)
+        object.__setattr__(self, "specs", specs)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -143,14 +150,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
-
-    def build_problem(self, alpha_entry) -> OscillatorProblem:
-        """The oscillator problem at an alpha entry or an order function."""
-        return OscillatorProblem(
-            mu=self.mu, a=self.a, b=self.b, f=self.f, omega=self.omega,
-            forcing=self.forcing_term, alpha=build_order(alpha_entry),
-            init_value=self.init_value, init_slope=self.init_slope,
-        )
 
 
 def build_order(entry) -> OrderFunction:
@@ -187,10 +186,10 @@ def _basis_triple(entry) -> tuple[int, int, float]:
 
 
 def _entries(value) -> tuple:
-    """The alpha or basis field as a tuple of entries; a lone entry is a
-    one-entry tuple.  Only a plain list or tuple holds entries: a record
+    """A list-valued field as a tuple of entries; a lone entry is a one-entry
+    tuple.  Only a plain list, tuple or numpy array holds entries: a record
     such as an :class:`~fobw.expr.Expression` is a tuple too, but one entry."""
-    return tuple(value) if type(value) in (list, tuple) else (value,)
+    return tuple(value) if type(value) in (list, tuple, np.ndarray) else (value,)
 
 
 def _is_two(entry) -> bool:
@@ -225,17 +224,13 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**settings)
 
 
-def _combination_label(k: int, M: int, g: float, alpha_label: str, multi_alpha: bool) -> str:
-    parts = [f"gamma={g:g}", f"M={M}"]
-    if k != 1:
-        parts.insert(0, f"k={k}")
+def _combination_label(spec: WaveletBasisSpec, alpha_label: str, multi_alpha: bool) -> str:
+    parts = [f"gamma={spec.gamma:g}", f"M={spec.M}"]
+    if spec.k != 1:
+        parts.insert(0, f"k={spec.k}")
     if multi_alpha:
         parts.append(f"alpha={alpha_label}")
     return " ".join(parts)
-
-
-def _column_label(metric: str, k: int, M: int, g: float, alpha_label: str, multi_alpha: bool) -> str:
-    return f"{metric} {_combination_label(k, M, g, alpha_label, multi_alpha)}"
 
 
 def run_experiment(
@@ -243,52 +238,56 @@ def run_experiment(
 ) -> tuple[ErrorTable, bool]:
     """Solve every (basis, alpha) combination and tabulate the metrics.
 
-    Returns the table and a success flag; a non-converged solve leaves a NaN
-    sentinel column and flips the flag.  When ``approximants`` is a list,
-    every converged solve is appended to it as ``(plot label, approximant)``,
+    Returns the table and a success flag; a non-converged solve, or an RK4
+    reference that blows up for the AE/MAE columns, leaves NaN sentinel
+    columns and flips the flag.  When ``approximants`` is a list, every
+    converged solve is appended to it as ``(plot label, approximant)``,
     ready for :func:`emit_plot_data`.  The residual columns of all solves are
     sampled together, one :func:`residual_samples` call per run.
     """
     grid = cfg.output_grid
     points = np.array(grid)
+    nan_column = tuple(math.nan for _ in grid)
     columns: dict[str, tuple] = {}
     failed: list[str] = []
     residual_columns: list[tuple] = []  # (label, approximant), sampled after the loop
-    multi_alpha = len(cfg.orders) > 1
+    multi_alpha = len(cfg.problems) > 1
 
-    problems = [cfg.build_problem(order) for order in cfg.orders]
     reference = None
-    if problems and any(m in ("AE", "MAE") for m in cfg.metrics):
+    if any(m in ("AE", "MAE") for m in cfg.metrics):
         # AE/MAE require alpha identically 2, so every problem shares this reference
-        reference = rk4_integrate(problems[0], cfg.reference_step)
-    for problem in problems:
+        try:
+            reference = rk4_integrate(cfg.problems[0], REFERENCE_STEP)
+        except BlowupError as exc:
+            log.warning("RK4 reference failed, AE/MAE columns are NaN: %s", exc)
+    for problem in cfg.problems:
         alpha_label = problem.alpha.label
-        for k, M, g in cfg.basis:
-            spec = WaveletBasisSpec(k, M, g)
-            labels = {
-                metric: _column_label(metric, k, M, g, alpha_label, multi_alpha)
-                for metric in cfg.metrics
-            }
+        for spec in cfg.specs:
+            combination = _combination_label(spec, alpha_label, multi_alpha)
+            labels = {metric: f"{metric} {combination}" for metric in cfg.metrics}
             try:
                 approx = solve_problem(problem, spec)
             except SolverError as exc:
                 log.warning("solve failed for %s: %s", labels[cfg.metrics[0]], exc)
                 for metric in cfg.metrics:
-                    columns[labels[metric]] = tuple(math.nan for _ in grid)
+                    columns[labels[metric]] = nan_column
                     failed.append(labels[metric])
                 continue
             if approximants is not None:
-                plot_label = _column_label("residual", k, M, g, alpha_label, True)
+                plot_label = f"residual {_combination_label(spec, alpha_label, True)}"
                 approximants.append((plot_label, approx))
             for metric in cfg.metrics:
-                if metric == "AE":
-                    vals = tuple(absolute_error(approx, reference, points))
-                elif metric == "MAE":
-                    mae = float(absolute_error(approx, reference, points).max())
-                    vals = tuple(mae for _ in grid)
-                else:
+                if metric == "residual":
                     vals = None  # holds the column's place until it is sampled
                     residual_columns.append((labels[metric], approx))
+                elif reference is None:
+                    vals = nan_column
+                    failed.append(labels[metric])
+                elif metric == "AE":
+                    vals = tuple(absolute_error(approx, reference, points))
+                else:
+                    mae = float(absolute_error(approx, reference, points).max())
+                    vals = tuple(mae for _ in grid)
                 columns[labels[metric]] = vals
     samples = residual_samples([approx for _, approx in residual_columns], points)
     for (label, _), vals in zip(residual_columns, samples):
@@ -300,7 +299,7 @@ def run_experiment(
 
     meta = {
         "preset": cfg.preset,
-        "alpha": [order.label for order in cfg.orders],
+        "alpha": [problem.alpha.label for problem in cfg.problems],
         "metrics": list(cfg.metrics),
         "failed_columns": failed,
     }

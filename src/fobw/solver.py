@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -61,13 +62,12 @@ class OscillatorProblem:
     init_slope: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.forcing, str):
-            if self.forcing not in ("forced", "force_free"):
-                raise ValueError("forcing must be 'forced', 'force_free', or a callable")
-            if self.forcing == "forced" and not (
-                math.isfinite(self.f) and math.isfinite(self.omega)
-            ):
-                raise ValueError("forced problems need finite f and omega")
+        for name in ("mu", "a", "b", "f", "omega", "init_value", "init_slope"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if isinstance(self.forcing, str) and self.forcing not in ("forced", "force_free"):
+            raise ValueError("forcing must be 'forced', 'force_free', or a callable")
 
     def forcing_at(self, t):
         """Forcing term at scalar or array t."""

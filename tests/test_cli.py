@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -170,10 +171,49 @@ class TestCommandErrors:
         # a lone entry stands for a list of one, so 5 is written as "basis": 5
         basis = entry if isinstance(entry, int) else [entry]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"basis": basis, "metrics": ["residual"],
-                                    "reference": "none"}))
+        path.write_text(json.dumps({"basis": basis, "metrics": ["residual"]}))
         _assert_one_error_naming(caplog, f"basis entry {entry!r} {lacks}",
                                  ["solve", "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"mu": "abc"}, "mu must be a finite real number"),
+            ({"mu": None}, "mu must be a finite real number"),
+            ({"init_value": "1"}, "init_value must be a finite real number"),
+            ({"omega": "x", "forcing": "forced"}, "omega must be a finite real number"),
+            ({"f": float("nan"), "forcing": "forced"}, "f must be a finite real number"),
+            ({"output_grid": [0.5, "x"]}, "output_grid points must be numbers in (0, 1]"),
+            ({"output_grid": [0.5, None]}, "output_grid points must be numbers in (0, 1]"),
+            ({"reference": "rk4"}, "unknown config keys: ['reference']"),
+            ({"reference_step": 0}, "unknown config keys: ['reference_step']"),
+        ],
+    )
+    def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,
+                                                                caplog, raw, message):
+        import fobw.experiments
+
+        def refuse(*args):
+            raise AssertionError("no solve may run")
+
+        monkeypatch.setattr(fobw.experiments, "solve_problem", refuse)
+        monkeypatch.setattr(fobw.experiments, "rk4_integrate", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, **raw}))
+        _assert_one_error_naming(caplog, message, ["solve", "--config", str(path)])
+
+    @pytest.mark.parametrize("plot", [False, True], ids=["table", "plot"])
+    def test_order_leaving_its_range_between_probe_points_is_one_error_line(
+        self, tmp_path, caplog, plot
+    ):
+        # 1.5 at every probe point k/1001, 2.1 at t = 0.5: a point of the
+        # default output grid, and of the two-point plot grid (0.5, 1)
+        argv = ["preset", "example1-single", "--alpha", "1.5 + 0.6*sin(1001*pi*t)^1000",
+                "--gamma", "0.2", "--M", "3"]
+        if plot:
+            argv += ["--grid", "0.1", "--plot-data", str(tmp_path / "p.csv"),
+                     "--plot-points", "2"]
+        _assert_one_error_naming(caplog, "alpha(0.5) = 2.1 outside (1, 2]", argv)
 
     @pytest.mark.parametrize(
         "key, message", [("metrics", "at least one metric"), ("alpha", "at least one alpha entry")]
@@ -197,13 +237,25 @@ class TestSolveCommand:
         cfg = {
             "mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
             "alpha": [2.0], "basis": [[1, 5, 1.0]],
-            "metrics": ["AE"], "reference": "rk4",
+            "metrics": ["AE"],
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t,AE gamma=1 M=5")
+
+    def test_reference_blowup_fails_the_ae_column(self, tmp_path, capsys, caplog):
+        cfg = {"mu": 0, "a": 0, "b": -50, "init_value": 2, "metrics": ["AE"],
+               "basis": [[1, 5, 1.0]], "format": "json"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meta"]["failed_columns"] == ["AE gamma=1 M=5"]
+        assert all(math.isnan(v) for v in payload["columns"]["AE gamma=1 M=5"])
+        assert any("RK4 reference failed" in r.getMessage() and "t = 0.13" in r.getMessage()
+                   for r in caplog.records)
 
     def test_missing_config(self):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2
@@ -218,7 +270,7 @@ class TestSolveCommand:
         cfg = {
             "mu": 0.0, "a": 0.0, "b": 0.0, "init_value": 1.0,
             "alpha": [2.0], "basis": [[1, 3, 1.0]],
-            "metrics": ["residual"], "reference": "none",
+            "metrics": ["residual"],
             "format": "json", "out": str(out),
         }
         path = tmp_path / "cfg.json"

@@ -1,10 +1,13 @@
-"""The package docstring's examples and the README's library example run."""
+"""The package docstring's examples and the README's library example run, and
+the README's config table names exactly the config keys."""
 
 import doctest
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import fobw
+from fobw.experiments import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,10 @@ def test_readme_library_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_config_table_names_every_config_key():
+    (table,) = re.findall(r"^\| key .*?\n\n", README.read_text(), flags=re.M | re.S)
+    first_cells = re.findall(r"^\| (.*?) \|", table, flags=re.M)
+    documented = {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)}
+    assert documented == {f.name for f in fields(ExperimentConfig) if f.init}

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fobw.experiments import (
     ExperimentConfig,
@@ -39,7 +40,7 @@ class TestConfig:
             "mu": 0.1, "a": 0.5, "b": 0.5, "f": 0.5, "omega": 0.79,
             "forcing": "forced", "init_value": 1.0,
             "alpha": [2.0], "basis": [[1, 5, 1.0]],
-            "metrics": ["AE"], "reference": "rk4", "format": "csv",
+            "metrics": ["AE"], "format": "csv",
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.basis == ((1, 5, 1.0),)
@@ -66,7 +67,7 @@ class TestConfig:
     def test_forcing_expression_must_be_total(self):
         raw = {
             "a": 1.0, "forcing": "1 / (t - 0.5)", "alpha": [2.0],
-            "metrics": ["residual"], "reference": "none",
+            "metrics": ["residual"],
         }
         with pytest.raises(ValueError, match="not finite"):
             ExperimentConfig.from_dict(raw)
@@ -75,11 +76,10 @@ class TestConfig:
         raw = {
             "a": 1.0, "forcing": "0.5 * cos(0.79 * t)", "alpha": [2.0],
             "init_value": 1.0, "basis": [[1, 5, 1.0]],
-            "metrics": ["residual"], "reference": "none",
+            "metrics": ["residual"],
         }
         cfg = ExperimentConfig.from_dict(raw)
-        problem = cfg.build_problem(2.0)
-        assert problem.forcing_at(0.0) == pytest.approx(0.5)
+        assert cfg.problems[0].forcing_at(0.0) == pytest.approx(0.5)
 
     def test_direct_construction_is_checked(self):
         with pytest.raises(ValueError, match="unknown metric"):
@@ -96,12 +96,78 @@ class TestConfig:
         assert [type(v) for v in cfg.basis[0]] == [int, int, float]
         assert cfg.alpha == ("1.5",) and cfg.metrics == ("residual",)
 
+    def test_lone_grid_point_and_metric_are_one_entry(self):
+        cfg = ExperimentConfig.from_dict({"a": 1.0, "output_grid": 0.5, "metrics": "AE"})
+        assert cfg.output_grid == (0.5,) and cfg.metrics == ("AE",)
+
+    def test_array_grid_holds_its_points(self):
+        cfg = ExperimentConfig(a=1.0, output_grid=np.array([0.25, 0.75]))
+        assert cfg.output_grid == (0.25, 0.75)
+
+    def test_holds_one_problem_per_alpha_and_one_spec_per_basis(self):
+        cfg = preset_config("example2", alpha=("1.5", "1 + sin(t)"),
+                            basis=((1, 3, 0.5), (2, 3, 0.2)))
+        assert [p.alpha.label for p in cfg.problems] == ["1.5", "1 + sin(t)"]
+        assert all(p.b == 0.01 and p.init_value == 2.0 for p in cfg.problems)
+        assert [(s.k, s.M, s.gamma) for s in cfg.specs] == [(1, 3, 0.5), (2, 3, 0.2)]
+
     def test_build_order_variants(self):
         assert build_order(2.0).is_constant
         assert build_order("1.5").value == 1.5
         variable = build_order("1 + sin(t)")
         assert not variable.is_constant
         assert variable(0.5) == pytest.approx(1.0 + math.sin(0.5))
+
+
+# a value for a numeric config key: numbers of every size, NaN, +-inf, strings, None
+NUMBER = st.one_of(st.floats(), st.integers(), st.text(max_size=3), st.none())
+
+
+def _entries_of(strategy):
+    """A lone value or a short list of values, as a config file may hold them."""
+    return st.one_of(strategy, st.lists(strategy, max_size=3))
+
+
+CONFIG = st.fixed_dictionaries(
+    {},
+    optional={
+        **{key: NUMBER for key in ("mu", "a", "b", "f", "omega", "init_value", "init_slope")},
+        "forcing": st.sampled_from(["forced", "force_free", "0.5 * cos(t)"]),
+        "alpha": _entries_of(st.one_of(NUMBER, st.sampled_from(["1 + sin(t)", "2"]))),
+        "basis": _entries_of(st.tuples(st.integers(1, 3), st.integers(0, 3), NUMBER)),
+        "output_grid": _entries_of(NUMBER),
+        "metrics": _entries_of(st.sampled_from(["AE", "MAE", "residual", "A"])),
+    },
+)
+
+
+class TestAnyConfig:
+    """Every config is either rejected when it is built or runs to a table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw=CONFIG)
+    @example(raw={"mu": "abc"})
+    @example(raw={"mu": None})
+    @example(raw={"init_value": "1"})
+    @example(raw={"omega": "x", "forcing": "forced"})
+    @example(raw={"f": math.nan, "forcing": "forced"})
+    @example(raw={"output_grid": [0.5, "x"]})
+    @example(raw={"output_grid": [0.5, None]})
+    @example(raw={"output_grid": 0.5})
+    @example(raw={"metrics": "AE"})
+    @example(raw={"mu": 0, "a": 0, "b": -50, "init_value": 2, "metrics": ["AE"],
+                  "basis": [[1, 5, 1.0]]})
+    @example(raw={"alpha": "1.5 + 0.6*sin(1001*pi*t)^1000", "basis": [[1, 3, 0.2]],
+                  "metrics": ["residual"]})
+    @example(raw={"reference": "none", "metrics": ["residual"]})
+    @example(raw={"reference_step": 0})
+    def test_rejected_or_runs(self, raw):
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ValueError:
+            return
+        table, ok = run_experiment(cfg)
+        assert isinstance(table, ErrorTable) and ok in (True, False)
 
 
 class TestResolvedOnce:
@@ -125,7 +191,7 @@ class TestResolvedOnce:
         path.write_text(json.dumps({
             "a": 1.0, "forcing": forcing, "init_value": 1.0,
             "alpha": [1.5, "1 + sin(t)", 2.0], "basis": [[1, 3, 0.5]],
-            "metrics": ["residual"], "reference": "none",
+            "metrics": ["residual"],
         }))
         assert main(["solve", "--config", str(path)]) == 0
         assert texts.count(forcing) == 1
@@ -179,7 +245,7 @@ class TestRunExperiment:
             {
                 "mu": 0.0, "a": 0.0, "b": 0.0, "init_value": 1.0,
                 "alpha": [2.0], "basis": [[1, 3, 1.0]],
-                "metrics": ["residual"], "reference": "none",
+                "metrics": ["residual"],
             }
         )
         table, ok = run_experiment(cfg)
@@ -213,7 +279,7 @@ class TestRunExperiment:
             {
                 "mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
                 "alpha": [2.0], "basis": [[1, 3, 1.0]],
-                "metrics": ["residual"], "reference": "none",
+                "metrics": ["residual"],
             }
         )
         table, ok = run_experiment(cfg)
@@ -221,6 +287,28 @@ class TestRunExperiment:
         column = next(iter(table.columns.values()))
         assert all(math.isnan(v) for v in column)
         assert table.meta["failed_columns"]
+
+    def test_reference_blowup_fails_the_ae_columns_only(self, monkeypatch, caplog):
+        import fobw.experiments as experiments_module
+        from fobw.reference import BlowupError
+
+        def blow_up(problem, h):
+            raise BlowupError("integration became non-finite after t = 0.131300", 0.1313)
+
+        monkeypatch.setattr(experiments_module, "rk4_integrate", blow_up)
+        cfg = ExperimentConfig.from_dict(
+            {"a": 1.0, "init_value": 1.0, "basis": [[1, 3, 1.0]],
+             "metrics": ["AE", "MAE", "residual"]}
+        )
+        table, ok = run_experiment(cfg)
+        assert not ok
+        assert table.meta["failed_columns"] == ["AE gamma=1 M=3", "MAE gamma=1 M=3"]
+        for label in table.meta["failed_columns"]:
+            assert all(math.isnan(v) for v in table.columns[label])
+        alone, _ = run_experiment(replace(cfg, metrics=("residual",)))
+        assert table.columns["residual gamma=1 M=3"] == alone.columns["residual gamma=1 M=3"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "t = 0.131300" in warnings[0]
 
     def test_collects_converged_approximants(self):
         cfg = preset_config(
@@ -241,7 +329,7 @@ class TestRunExperiment:
         raw = {
             "mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
             "alpha": [2.0], "basis": [[1, 5, 1.0], [1, 5, 1.0]],
-            "metrics": ["residual"], "reference": "none",
+            "metrics": ["residual"],
         }
         with pytest.raises(ValueError, match="duplicate"):
             ExperimentConfig.from_dict(raw)
@@ -286,8 +374,7 @@ class TestPlotData:
         from fobw.solver import solve_problem
 
         cfg = preset_config("example1-single", alpha=("1.5",), basis=((1, 5, 0.2),))
-        problem = cfg.build_problem("1.5")
-        approx = solve_problem(problem, WaveletBasisSpec(1, 5, 0.2))
+        approx = solve_problem(cfg.problems[0], WaveletBasisSpec(1, 5, 0.2))
         text = emit_plot_data([("residual", approx)], density=21)
         lines = text.strip().split("\n")
         assert lines[0] == "t,residual"
@@ -299,13 +386,11 @@ class TestPlotData:
         from fobw.basis import WaveletBasisSpec
         from fobw.solver import solve_problem
 
-        cfg = preset_config("example1-single")
-        labeled = []
-        for alpha in ("1.2", "1.4", "1.6", "1.8"):
-            problem = cfg.build_problem(alpha)
-            labeled.append(
-                (f"alpha={alpha}", solve_problem(problem, WaveletBasisSpec(1, 5, 0.2)))
-            )
+        cfg = preset_config("example1-single", alpha=("1.2", "1.4", "1.6", "1.8"))
+        labeled = [
+            (f"alpha={alpha}", solve_problem(problem, WaveletBasisSpec(1, 5, 0.2)))
+            for alpha, problem in zip(cfg.alpha, cfg.problems)
+        ]
         text = emit_plot_data(labeled, density=11)
         header = text.split("\n", 1)[0]
         assert header.count(",") == 4

@@ -346,6 +346,13 @@ class TestProblemValidation:
                 forcing="forced", alpha=ALPHA2, init_value=1.0,
             )
 
+    @pytest.mark.parametrize("field", ["mu", "a", "b", "f", "omega", "init_value", "init_slope"])
+    @pytest.mark.parametrize("value", ["1", None, math.nan, -math.inf])
+    def test_numeric_fields_must_be_finite_numbers(self, field, value):
+        params = {"mu": 0.1, "a": 0.5, "b": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            OscillatorProblem(alpha=ALPHA2, **params)
+
     def test_unknown_forcing_string(self):
         with pytest.raises(ValueError):
             OscillatorProblem(mu=0.1, a=0.5, b=0.5, forcing="driven", alpha=ALPHA2)
