@@ -101,7 +101,8 @@ class ExperimentConfig:
         if not self.metrics:
             raise ValueError("at least one metric is required")
         if not self.output_grid or not all(
-            isinstance(t, Real) and 0.0 < t <= 1.0 for t in self.output_grid
+            isinstance(t, Real) and not isinstance(t, bool) and 0.0 < t <= 1.0
+            for t in self.output_grid
         ):
             raise ValueError(f"output_grid points must be numbers in (0, 1]: {self.output_grid!r}")
         if any(b <= a for a, b in zip(self.output_grid, self.output_grid[1:])):

@@ -1,239 +1,128 @@
 """A small arithmetic expression language for order functions and forcing terms.
 
-Grammar (precedence low to high; ^ is right-associative and binds tighter
-than unary minus):
-
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | 't' | 'pi' | ('sin' | 'cos') '(' expr ')' | '(' expr ')'
-
-Function application requires parentheses.  Evaluation is numpy-based so an
-expression applies elementwise to arrays.
+The language is a subset of Python expressions, with ``^`` for the power:
+numbers, ``t``, ``pi``, ``+ - * / ^``, unary minus, and ``sin(...)`` and
+``cos(...)`` of one argument.  ``^`` is right-associative and binds tighter
+than unary minus, as Python's ``**`` does, so Python's own parser reads the
+text once each ``^`` is written ``**`` (``**`` itself is rejected).  The tree
+is checked against the language and evaluated by a numpy walker over its
+nodes, never by ``eval``; evaluation is elementwise over arrays of t.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+import ast
+import operator
+import re
+from typing import NamedTuple
 
 import numpy as np
 
 
 class ExpressionError(ValueError):
-    """Parse failure; ``offset`` is the byte offset into the source text."""
+    """Parse failure; ``offset`` is the character offset into the source text."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
-class Num(NamedTuple):
-    value: float
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: np.power}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos}
+_PI = np.float64(np.pi)
+_NUMBER = re.compile(r"[0-9.]+([eE][+-]?[0-9]+)?")  # a number as it may be spelled
 
 
-class TimeVar(NamedTuple):
-    pass
+def _check(node: ast.expr, code: str, where) -> None:
+    """Raise ExpressionError at the first node, in source order, outside the
+    language; ``where`` turns a position in ``code`` into one in the user's
+    text.  Each number literal's value becomes its ``np.float64``."""
+    text = code[node.col_offset : node.end_col_offset]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        _check(node.left, code, where)
+        _check(node.right, code, where)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        _check(node.operand, code, where)
+    elif isinstance(node, ast.Call):
+        func, args = node.func, node.args
+        # a parenthesized name, a second argument or a trailing comma is not a call
+        if (getattr(func, "id", None) not in _FUNCTIONS or func.col_offset != node.col_offset
+                or len(args) != 1 or node.keywords
+                or "," in code[args[0].end_col_offset : node.end_col_offset]):
+            raise ExpressionError(f"not a call of sin or cos with one argument: {text!r}",
+                                  where(node.col_offset))
+        _check(args[0], code, where)
+    elif isinstance(node, ast.Name):
+        if node.id not in ("t", "pi"):
+            raise ExpressionError(f"unknown identifier {node.id!r}", where(node.col_offset))
+    elif (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+          and _NUMBER.fullmatch(text)):
+        node.value = np.float64(float(text))
+    else:
+        raise ExpressionError(f"unsupported syntax {text!r}", where(node.col_offset))
 
 
-class Neg(NamedTuple):
-    arg: "Node"
-
-
-class BinOp(NamedTuple):
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-class Call(NamedTuple):
-    name: str
-    arg: "Node"
-
-
-Node = Union[Num, TimeVar, Neg, BinOp, Call]
-
-_FUNCTIONS = ("sin", "cos")
-_CONSTANTS = {"pi": np.pi}
-
-
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
-            try:
-                value = float(text)
-            except ValueError:
-                raise ExpressionError(f"bad number literal {text!r}", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionError(f"trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Node:
-        tok = self.advance()
-        kind, text, offset = tok
-        if kind == "num":
-            return Num(text)
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind == "ident":
-            if text == "t":
-                return TimeVar()
-            if text in _CONSTANTS:
-                return Num(_CONSTANTS[text])
-            if text in _FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Call(text, arg)
-            raise ExpressionError(f"unknown identifier {text!r}", offset)
-        raise ExpressionError(f"expected a value, found {text!r}", offset)
-
-
-def _eval_node(node: Node, t):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, TimeVar):
-        return t
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, t)
-    if isinstance(node, Call):
-        fn = np.sin if node.name == "sin" else np.cos
-        return fn(_eval_node(node.arg, t))
-    left = _eval_node(node.left, t)
-    right = _eval_node(node.right, t)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return np.power(left, right)
-
-
-def _print_node(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, TimeVar):
-        return "t"
-    if isinstance(node, Neg):
-        return f"(-{_print_node(node.arg)})"
-    if isinstance(node, Call):
-        return f"{node.name}({_print_node(node.arg)})"
-    return f"({_print_node(node.left)} {node.op} {_print_node(node.right)})"
+def _evaluate(node: ast.expr, t):
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_evaluate(node.left, t), _evaluate(node.right, t))
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, t)
+    if isinstance(node, ast.Call):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], t))
+    if isinstance(node, ast.Name):
+        return t if node.id == "t" else _PI
+    return node.value
 
 
 class Expression(NamedTuple):
     """Parsed expression over the time variable t."""
 
-    root: Node
+    root: ast.expr
     source: str
 
     def __call__(self, t):
+        """The value at a point (a float) or at an array of points (an array of its shape)."""
+        t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            out = _eval_node(self.root, np.asarray(t, dtype=float))
-        if np.ndim(t) == 0:
+            out = _evaluate(self.root, t)
+        if t.ndim == 0:
             return float(out)
-        return np.asarray(out, dtype=float)
-
-    def to_source(self) -> str:
-        """Fully parenthesized rendering; re-parsing it evaluates identically."""
-        return _print_node(self.root)
+        return out if np.shape(out) == t.shape else np.full(t.shape, out)
 
 
 def parse_expression(src: str) -> Expression:
     """Parse source text into an Expression; raises ExpressionError with offset."""
-    if not src or not src.strip():
+    text = re.sub(r"\s", " ", src)  # any whitespace separates tokens, as a blank does
+    if not text.strip():
         raise ExpressionError("empty expression", 0)
-    return Expression(_Parser(src).parse(), src)
+    # '**' is spelled '^', Python would skip a comment, and names and numbers are ASCII
+    bad = re.search(r"\*\*|#|[^ -~]", text)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad[0][-1]!r}", bad.end() - 1)
+    # float() reads a whole number with leading zeros, Python's parser does not
+    text = re.sub(r"(?<![\w.])(?<![eE][+-])0+(?=\d)", lambda zeros: " " * len(zeros[0]), text)
+    code = text.replace("^", "**")
+    body = code.lstrip()
+    lead = len(code) - len(body)
+
+    def where(at: int) -> int:
+        return _source_offset(text, lead + at)
+
+    try:
+        tree = ast.parse(body, mode="eval")
+        _check(tree.body, body, where)
+    except SyntaxError as exc:
+        raise ExpressionError(exc.msg, where(exc.offset - 1 if exc.offset else len(body))) from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError("expression is nested too deeply", 0) from None
+    return Expression(tree.body, src)
+
+
+def _source_offset(text: str, at: int) -> int:
+    """Offset in ``text`` of character ``at`` of ``text`` with each '^' written '**'."""
+    for i, ch in enumerate(text):
+        at -= 2 if ch == "^" else 1
+        if at < 0:
+            return i
+    return len(text)

@@ -64,7 +64,7 @@ class OscillatorProblem:
     def __post_init__(self):
         for name in ("mu", "a", "b", "f", "omega", "init_value", "init_slope"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if isinstance(self.forcing, str) and self.forcing not in ("forced", "force_free"):
             raise ValueError("forcing must be 'forced', 'force_free', or a callable")
@@ -193,36 +193,38 @@ def newton_solve(
     already satisfies the initial conditions), which every reference case
     converges from.  The step is halved up to 20 times until the residual
     norm decreases.  Every ``SolverError`` raised here carries the report
-    of the iteration it stopped at.
+    of the iteration it stopped at.  Overflow is not warned about: a
+    non-finite residual is the error that names it.
     """
-    U = np.zeros(system.spec.sigma_tilde)
-    F = residual_vector(system, U)
-    norm = np.abs(F).max()
-    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.zeros(system.spec.sigma_tilde)
+        F = residual_vector(system, U)
+        norm = np.abs(F).max()
+        iterations = 0
 
-    def failure(message: str) -> SolverError:
-        return SolverError(message, SolveReport(U, iterations, float(norm), False))
+        def failure(message: str) -> SolverError:
+            return SolverError(message, SolveReport(U, iterations, float(norm), False))
 
-    if not np.all(np.isfinite(F)):
-        raise failure("residual is not finite at the initial guess")
-    while norm > tol and iterations < max_iter:
-        try:
-            step = _solve_linear(_jacobian(system, U), -F)
-        except SolverError as exc:
-            raise failure(f"Newton iteration {iterations}: {exc}") from None
-        damping = 1.0
-        for _ in range(21):
-            trial = U + damping * step
-            F_trial = residual_vector(system, trial)
-            if np.any(np.isnan(F_trial)):
-                raise failure(f"residual became NaN at iteration {iterations}")
-            trial_norm = np.abs(F_trial).max()
-            if trial_norm < norm:
-                break
-            damping *= 0.5
-        U, F, norm = trial, F_trial, trial_norm
-        iterations += 1
-    return SolveReport(U, iterations, float(norm), bool(norm <= tol))
+        if not np.all(np.isfinite(F)):
+            raise failure("residual is not finite at the initial guess")
+        while norm > tol and iterations < max_iter:
+            try:
+                step = _solve_linear(_jacobian(system, U), -F)
+            except SolverError as exc:
+                raise failure(f"Newton iteration {iterations}: {exc}") from None
+            damping = 1.0
+            for _ in range(21):
+                trial = U + damping * step
+                F_trial = residual_vector(system, trial)
+                if np.any(np.isnan(F_trial)):
+                    raise failure(f"residual became NaN at iteration {iterations}")
+                trial_norm = np.abs(F_trial).max()
+                if trial_norm < norm:
+                    break
+                damping *= 0.5
+            U, F, norm = trial, F_trial, trial_norm
+            iterations += 1
+        return SolveReport(U, iterations, float(norm), bool(norm <= tol))
 
 
 def _shaped(values: np.ndarray, like: np.ndarray):

@@ -185,6 +185,9 @@ class TestCommandErrors:
             ({"f": float("nan"), "forcing": "forced"}, "f must be a finite real number"),
             ({"output_grid": [0.5, "x"]}, "output_grid points must be numbers in (0, 1]"),
             ({"output_grid": [0.5, None]}, "output_grid points must be numbers in (0, 1]"),
+            ({"mu": True}, "mu must be a finite real number"),
+            ({"output_grid": [0.5, True]}, "output_grid points must be numbers in (0, 1]"),
+            ({"forcing": "1/0"}, "forcing expression '1/0' is not finite"),
             ({"reference": "rk4"}, "unknown config keys: ['reference']"),
             ({"reference_step": 0}, "unknown config keys: ['reference_step']"),
         ],
@@ -214,6 +217,16 @@ class TestCommandErrors:
             argv += ["--grid", "0.1", "--plot-data", str(tmp_path / "p.csv"),
                      "--plot-points", "2"]
         _assert_one_error_naming(caplog, "alpha(0.5) = 2.1 outside (1, 2]", argv)
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("1.5 + 1/0", "order function is not finite"),
+         ("-" * 3000 + "t", "expression is nested too deeply")],
+        ids=["division-by-zero", "nested-too-deeply"],
+    )
+    def test_bad_alpha_expression_is_one_error_line(self, caplog, alpha, message):
+        argv = ["preset", "example1-single", f"--alpha={alpha}", "--gamma", "0.2", "--M", "3"]
+        _assert_one_error_naming(caplog, message, argv)
 
     @pytest.mark.parametrize(
         "key, message", [("metrics", "at least one metric"), ("alpha", "at least one alpha entry")]
@@ -257,6 +270,29 @@ class TestSolveCommand:
         assert any("RK4 reference failed" in r.getMessage() and "t = 0.13" in r.getMessage()
                    for r in caplog.records)
 
+    def test_constant_forcing_runs_like_its_t_form(self, tmp_path, capsys):
+        tables = []
+        for forcing in ("0.5", "0.5 + 0*t"):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"a": 1.0, "forcing": forcing, "init_value": 1.0}))
+            assert main(["solve", "--config", str(path)]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+
+    def test_overflowing_solve_is_one_warning_line(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mu": 1e300, "init_slope": 1e300, "a": 1.0,
+                                    "metrics": "residual"}))
+        proc = _run_fobw(["solve", "--config", str(path)])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "[WARNING] fobw: solve failed for residual gamma=1 M=5: "
+            "residual is not finite at the initial guess\n"
+        )
+        rows = proc.stdout.strip().split("\n")
+        assert rows[0] == "t,residual gamma=1 M=5"
+        assert all(math.isnan(float(row.split(",")[1])) for row in rows[1:])
+
     def test_missing_config(self):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2
 
@@ -290,17 +326,18 @@ class TestVerifyCommand:
         assert main(["verify", "--criterion", "criterion-99"]) == 2
 
 
-def test_module_entry_point(tmp_path):
-    out = tmp_path / "cli.csv"
+def _run_fobw(argv):
+    """``python -m fobw *argv`` in a fresh interpreter, at the default log level."""
     # the child imports the same fobw as this test, installed or not
     pythonpath = [str(Path(fobw.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fobw", "preset", "example1-single", "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=180,
-        env=env,
-    )
+    env.pop("FOBW_LOG", None)
+    return subprocess.run([sys.executable, "-m", "fobw", *argv], capture_output=True, text=True,
+                          timeout=180, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "cli.csv"
+    proc = _run_fobw(["preset", "example1-single", "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("t,")

@@ -159,6 +159,10 @@ class TestAnyConfig:
                   "basis": [[1, 5, 1.0]]})
     @example(raw={"alpha": "1.5 + 0.6*sin(1001*pi*t)^1000", "basis": [[1, 3, 0.2]],
                   "metrics": ["residual"]})
+    @example(raw={"mu": True})
+    @example(raw={"output_grid": [0.5, True]})
+    @example(raw={"forcing": "0.5", "a": 1.0, "init_value": 1.0})
+    @example(raw={"forcing": "1/0"})
     @example(raw={"reference": "none", "metrics": ["residual"]})
     @example(raw={"reference_step": 0})
     def test_rejected_or_runs(self, raw):

@@ -1,19 +1,10 @@
-import math
+import operator
 import random
 
 import numpy as np
 import pytest
 
-from fobw.expr import (
-    BinOp,
-    Call,
-    ExpressionError,
-    Expression,
-    Neg,
-    Num,
-    TimeVar,
-    parse_expression,
-)
+from fobw.expr import ExpressionError, parse_expression
 
 
 class TestEvaluation:
@@ -49,6 +40,17 @@ class TestEvaluation:
         ts = np.array([0.0, 0.5, 1.0])
         assert np.allclose(expr(ts), np.sin(ts) + ts**2)
 
+    def test_value_without_t_has_the_shape_of_t(self):
+        ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        value = parse_expression("0.5")(ts)
+        assert isinstance(value, np.ndarray) and value.shape == (2, 3)
+        assert np.array_equal(value, np.full((2, 3), 0.5))
+        assert parse_expression("2 * pi")(0.5) == 2 * np.pi
+
+    def test_division_by_zero_is_not_an_exception(self):
+        assert parse_expression("1/0")(0.5) == np.inf
+        assert np.all(np.isnan(parse_expression("0/0 + t")(np.array([0.1, 0.2]))))
+
 
 class TestErrors:
     def test_empty_source(self):
@@ -77,44 +79,76 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse_expression("1 2")
 
+    @pytest.mark.parametrize(
+        "src, offset", [("t ^ 2 + bogus", 8), ("\n 1 + bogus", 6)],
+        ids=["after-caret", "leading-blanks"],
+    )
+    def test_offset_counts_characters_of_the_source(self, src, offset):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(src)
+        assert err.value.offset == offset
 
-def random_tree(rng, depth):
-    if depth == 0:
-        return rng.choice([Num(round(rng.uniform(0.1, 5.0), 3)), TimeVar()])
-    kind = rng.choice(["bin", "neg", "call", "leaf"])
+    @pytest.mark.parametrize("src", ["-" * 3000 + "t", "2^" * 3000 + "t"], ids=["minus", "power"])
+    def test_deep_nesting(self, src):
+        with pytest.raises(ExpressionError, match="nested too deeply") as err:
+            parse_expression(src)
+        assert err.value.offset == 0
+
+
+T = np.linspace(0.0, 2.0, 41)
+LEAVES = ["2", "0.5", "3.", ".25", "1e-01", "1.5E+1", "007", "pi", "t", "t", "t"]
+SPACES = ["", " ", "  ", "\t", "\n"]
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def random_case(rng, depth):
+    """A random source text, its value at T computed with numpy alongside,
+    and its precedence: 0 sum, 1 product, 2 unary minus, 3 power, 4 atom."""
+    kind = rng.choice(["leaf", "paren", "call", "neg", "pow", "add", "mul"]) if depth else "leaf"
     if kind == "leaf":
-        return random_tree(rng, 0)
+        text = rng.choice(LEAVES)
+        value = T if text == "t" else np.float64(np.pi if text == "pi" else float(text))
+        return text, value, 4
+    if kind in ("paren", "call"):
+        name = "" if kind == "paren" else rng.choice(["sin", "cos"])
+        text, value, _ = random_case(rng, depth - 1)
+        return f"{name}({text})", getattr(np, name)(value) if name else value, 4
     if kind == "neg":
-        return Neg(random_tree(rng, depth - 1))
-    if kind == "call":
-        return Call(rng.choice(["sin", "cos"]), random_tree(rng, depth - 1))
-    op = rng.choice(["+", "-", "*", "/", "^"])
-    left = random_tree(rng, depth - 1)
-    right = random_tree(rng, depth - 1)
-    if op == "^":
-        # keep powers numeric-exponent so values stay real and bounded
-        right = Num(round(rng.uniform(0.0, 3.0), 2))
-    return BinOp(op, left, right)
+        text, value = operand(rng, depth - 1, 2)
+        return f"-{rng.choice(SPACES)}{text}", -value, 2
+    if kind == "pow":  # the base is an atom, the exponent may carry a minus
+        (base, b), (exponent, e) = operand(rng, depth - 1, 4), operand(rng, depth - 1, 2)
+        return f"{base}{rng.choice(SPACES)}^{rng.choice(SPACES)}{exponent}", np.power(b, e), 3
+    rank = 0 if kind == "add" else 1
+    op = rng.choice("+-" if kind == "add" else "*/")
+    (left, lv), (right, rv) = operand(rng, depth - 1, rank), operand(rng, depth - 1, rank + 1)
+    return f"{left}{rng.choice(SPACES)}{op}{rng.choice(SPACES)}{right}", OPERATORS[op](lv, rv), rank
 
 
-class TestRoundTrip:
-    def test_print_parse_identity(self):
+def operand(rng, depth, rank):
+    """A random text and value of precedence at least ``rank``, parenthesized if needed."""
+    text, value, own = random_case(rng, depth)
+    return (text if own >= rank else f"({text})"), value
+
+
+class TestLanguage:
+    def test_random_expressions_evaluate_bit_for_bit(self):
         rng = random.Random(1234)
-        ts = [rng.uniform(0.01, 1.0) for _ in range(10)]
-        for _ in range(200):
-            tree = random_tree(rng, 3)
-            printed = Expression(tree, "<generated>").to_source()
-            reparsed = parse_expression(printed)
-            for t in ts:
-                a = Expression(tree, "<generated>")(t)
-                b = reparsed(t)
-                if math.isnan(a):
-                    assert math.isnan(b)
-                else:
-                    assert a == b
+        for _ in range(300):
+            with np.errstate(all="ignore"):
+                text, want, _ = random_case(rng, 4)
+            want = np.broadcast_to(want, T.shape)
+            got = parse_expression(rng.choice(SPACES) + text)(T)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), text
+            assert got[~nan].tobytes() == want[~nan].tobytes(), text
 
-    def test_source_is_reparseable_text(self):
-        expr = parse_expression("-(1 + sin(t)) ^ 2 / 3")
-        again = parse_expression(expr.to_source())
-        for t in (0.1, 0.7):
-            assert expr(t) == again(t)
+    @pytest.mark.parametrize(
+        "src",
+        ["t**2", "+1", "abs(t)", "sin(t, t)", "sin(x=t)", "t if t else 1", "True", "1j",
+         "t.real", "[t]", "lambda: t", "__import__('os')", "sin", "t(1)",
+         "(sin)(t)", "sin(t,)", "t # comment", "1_0", "0x10"],
+    )
+    def test_outside_the_language(self, src):
+        with pytest.raises(ExpressionError):
+            parse_expression(src)
