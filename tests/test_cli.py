@@ -185,11 +185,11 @@ class TestCommandErrors:
             ({"f": float("nan"), "forcing": "forced"}, "f must be a finite real number"),
             ({"output_grid": [0.5, "x"]}, "output_grid points must be numbers in (0, 1]"),
             ({"output_grid": [0.5, None]}, "output_grid points must be numbers in (0, 1]"),
+            ({"reference": "rk4"}, "unknown config keys: ['reference']"),
+            ({"reference_step": 0}, "unknown config keys: ['reference_step']"),
             ({"mu": True}, "mu must be a finite real number"),
             ({"output_grid": [0.5, True]}, "output_grid points must be numbers in (0, 1]"),
             ({"forcing": "1/0"}, "forcing expression '1/0' is not finite"),
-            ({"reference": "rk4"}, "unknown config keys: ['reference']"),
-            ({"reference_step": 0}, "unknown config keys: ['reference_step']"),
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,

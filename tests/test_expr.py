@@ -131,8 +131,9 @@ def operand(rng, depth, rank):
     return (text if own >= rank else f"({text})"), value
 
 
-class TestLanguage:
-    def test_random_expressions_evaluate_bit_for_bit(self):
+class TestRoundTrip:
+    def test_print_parse_identity(self):
+        # each random text is printed together with its value computed by numpy
         rng = random.Random(1234)
         for _ in range(300):
             with np.errstate(all="ignore"):
@@ -143,6 +144,14 @@ class TestLanguage:
             assert np.array_equal(np.isnan(got), nan), text
             assert got[~nan].tobytes() == want[~nan].tobytes(), text
 
+    def test_source_is_reparseable_text(self):
+        expr = parse_expression("-(1 + sin(t)) ^ 2 / 3")
+        again = parse_expression(expr.source)
+        assert again.source == expr.source
+        assert expr(T).tobytes() == again(T).tobytes()
+
+
+class TestLanguage:
     @pytest.mark.parametrize(
         "src",
         ["t**2", "+1", "abs(t)", "sin(t, t)", "sin(x=t)", "t if t else 1", "True", "1j",
