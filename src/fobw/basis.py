@@ -59,20 +59,6 @@ class WaveletBasisSpec:
         return self.translations * (self.M + 1)
 
 
-def cell_bounds(spec: WaveletBasisSpec, eta: int) -> tuple[float, float]:
-    """Support of the eta-th translation: [(eta-1), eta] / 2**(k-1)."""
-    width = 1.0 / spec.translations
-    return (eta - 1) * width, eta * width
-
-
-def cell_index(spec: WaveletBasisSpec, t: float) -> int:
-    """Cell owning t.  Shared boundaries belong to the left cell, so cells are
-    half-open on the left except the first, which is closed at 0."""
-    if t <= 0.0:
-        return 1
-    return min(int(math.ceil(t * spec.translations)), spec.translations)
-
-
 @lru_cache(maxsize=1024)
 def local_series_table(spec: WaveletBasisSpec) -> tuple[np.ndarray, np.ndarray]:
     """Local series of all M+1 wavelets on the exponent grid gamma*(0..M).
@@ -120,9 +106,9 @@ def _local_values(spec: WaveletBasisSpec, x, rows=slice(None)) -> np.ndarray:
 def fobw_matrix(spec: WaveletBasisSpec, ts) -> np.ndarray:
     """Basis vectors at every point of the 1-D array ``ts``, one row per point.
 
-    Row entries are ordered (eta=1: upsilon=0..M), (eta=2: ...), and cells
-    are assigned as in :func:`cell_index`.  A row does not depend on the
-    other points of the call.
+    Row entries are ordered (eta=1: upsilon=0..M), (eta=2: ...).  A shared
+    cell boundary belongs to the left cell, and t = 0 to the first.  A row
+    does not depend on the other points of the call.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all((ts >= 0.0) & (ts <= 1.0)):

@@ -21,8 +21,7 @@ from .expr import parse_expression
 from .fracops import OrderFunction, order_values
 from .published import COMPARISON_COLUMNS, TABLE_POINTS
 from .reference import BlowupError, ErrorTable, absolute_error, residual_samples, rk4_integrate
-from .solver import OscillatorProblem, SolverError, solve_problem
-from .special import chebyshev_grid
+from .solver import OscillatorProblem, SolverError, collocation_grid, solve_problem
 
 log = logging.getLogger("fobw")
 
@@ -138,7 +137,7 @@ class ExperimentConfig:
                 "they require alpha identically 2"
             )
         # the run evaluates each order at these points, which its probe may miss
-        grids = [chebyshev_grid(spec.sigma_tilde) for spec in specs]
+        grids = [collocation_grid(spec) for spec in specs]
         points = np.concatenate([self.output_grid, *grids])
         for problem in problems:
             order_values(problem.alpha, points)
@@ -178,12 +177,20 @@ def _basis_triple(entry) -> tuple[int, int, float]:
             raise ValueError(f"basis entry {entry!r} lacks {' and '.join(map(repr, missing))}")
         values = (entry.get("k", 1), entry["M"], entry["gamma"])
     try:
-        k, M, g = (float(v) for v in values)
+        k, M, g = (_number(v) for v in values)
     except (TypeError, ValueError):
         raise ValueError(f"basis entry {entry!r} is not three numbers [k, M, gamma]") from None
     if not (k.is_integer() and M.is_integer()):
         raise ValueError(f"basis entry {entry!r} has a k or M that is not a whole number")
     return int(k), int(M), g
+
+
+def _number(value) -> float:
+    """``value`` as a float; TypeError unless it is a real number, and a bool
+    (JSON ``true``) is not one."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
 
 
 def _entries(value) -> tuple:
@@ -330,17 +337,6 @@ def render_json(table: ErrorTable) -> str:
         "meta": table.meta,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def parse_table_json(text: str) -> ErrorTable:
-    import json
-
-    payload = json.loads(text)
-    return ErrorTable(
-        tuple(payload["grid"]),
-        {k: tuple(v) for k, v in payload["columns"].items()},
-        payload.get("meta", {}),
-    )
 
 
 def emit_table(table: ErrorTable, format: str, path: str | None) -> str:

@@ -32,18 +32,25 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos}
 _PI = np.float64(np.pi)
 _NUMBER = re.compile(r"[0-9.]+([eE][+-]?[0-9]+)?")  # a number as it may be spelled
+#: deepest tree accepted; checking and evaluating a tree recurse once per
+#: level, so this stays well under Python's recursion limit (1000) wherever
+#: the expression is later evaluated
+_MAX_DEPTH = 500
 
 
-def _check(node: ast.expr, code: str, where) -> None:
+def _check(node: ast.expr, code: str, where, depth: int = 1) -> None:
     """Raise ExpressionError at the first node, in source order, outside the
-    language; ``where`` turns a position in ``code`` into one in the user's
-    text.  Each number literal's value becomes its ``np.float64``."""
+    language or deeper than ``_MAX_DEPTH``; ``where`` turns a position in
+    ``code`` into one in the user's text.  Each number literal's value becomes
+    its ``np.float64``."""
+    if depth > _MAX_DEPTH:
+        raise ExpressionError("expression is nested too deeply", 0)
     text = code[node.col_offset : node.end_col_offset]
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        _check(node.left, code, where)
-        _check(node.right, code, where)
+        _check(node.left, code, where, depth + 1)
+        _check(node.right, code, where, depth + 1)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        _check(node.operand, code, where)
+        _check(node.operand, code, where, depth + 1)
     elif isinstance(node, ast.Call):
         func, args = node.func, node.args
         # a parenthesized name, a second argument or a trailing comma is not a call
@@ -52,7 +59,7 @@ def _check(node: ast.expr, code: str, where) -> None:
                 or "," in code[args[0].end_col_offset : node.end_col_offset]):
             raise ExpressionError(f"not a call of sin or cos with one argument: {text!r}",
                                   where(node.col_offset))
-        _check(args[0], code, where)
+        _check(args[0], code, where, depth + 1)
     elif isinstance(node, ast.Name):
         if node.id not in ("t", "pi"):
             raise ExpressionError(f"unknown identifier {node.id!r}", where(node.col_offset))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import WaveletBasisSpec, _local_values, cell_bounds, cell_index
+from .basis import WaveletBasisSpec, _local_values
 from .fracops import _vectorized
 
 __all__ = [
@@ -54,6 +54,20 @@ def _validate_index(idx: BasisIndex, spec: WaveletBasisSpec) -> None:
         raise ValueError(f"eta={idx.eta} outside [1, {spec.translations}]")
     if not (0 <= idx.upsilon <= spec.M):
         raise ValueError(f"upsilon={idx.upsilon} outside [0, {spec.M}]")
+
+
+def cell_bounds(spec: WaveletBasisSpec, eta: int) -> tuple[float, float]:
+    """Support of the eta-th translation: [(eta-1), eta] / 2**(k-1)."""
+    width = 1.0 / spec.translations
+    return (eta - 1) * width, eta * width
+
+
+def cell_index(spec: WaveletBasisSpec, t: float) -> int:
+    """Cell owning t.  Shared boundaries belong to the left cell, so cells are
+    half-open on the left except the first, which is closed at 0."""
+    if t <= 0.0:
+        return 1
+    return min(int(math.ceil(t * spec.translations)), spec.translations)
 
 
 def bernstein_frac(upsilon: int, M: int, gamma: float, t: float) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "SolutionApproximant",
     "SolverError",
     "collocation_systems",
+    "collocation_grid",
     "assemble",
     "residual_vector",
     "newton_solve",
@@ -128,14 +129,18 @@ def collocation_systems(problems, spec: WaveletBasisSpec, ts) -> list[Collocatio
     ]
 
 
+def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
+    """The points a basis is collocated at: the Chebyshev grid of its size."""
+    return chebyshev_grid(spec.sigma_tilde)
+
+
 def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationSystem:
-    """The collocation system: ``problem``'s image rows at the Chebyshev grid."""
-    sigma = spec.sigma_tilde
-    if sigma == 1:
+    """The collocation system: ``problem``'s image rows at :func:`collocation_grid`."""
+    if spec.sigma_tilde == 1:
         warnings.warn(
             "a single collocation point cannot represent oscillation", stacklevel=2
         )
-    (system,) = collocation_systems([problem], spec, chebyshev_grid(sigma))
+    (system,) = collocation_systems([problem], spec, collocation_grid(spec))
     return system
 
 

@@ -2,42 +2,17 @@
 
 The batched fractional integrals take their gamma-function and
 incomplete-beta values from this module: ``gamma_array``, ``gamma_ratio``
-and ``betainc`` work elementwise over arrays, in extended precision when
-given ``np.longdouble``.  ``gamma_array`` is good to better than 1e-13
-relative on [0.1, 50], the range actually exercised by the wavelet
-exponents.  Scalar gamma values and binomials come from :mod:`math`."""
+and ``betainc`` work elementwise over arrays and keep the floating type of
+their arguments, so ``np.longdouble`` arguments give ``np.longdouble``
+results.  ``betainc`` and the whole-number routes of ``gamma_ratio`` compute
+in that type; the gamma values themselves are :func:`math.gamma`'s, good to
+double precision.  Scalar gamma values and binomials come from :mod:`math`."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error is a few
-# ulp across the positive axis, comfortably below the 1e-13 contract.
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos(x):
-    """Lanczos approximation of gamma(x) over an array, x >= 0.5."""
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc = acc + _LANCZOS_COEFFS[i] / (z + i)
-    t = z + 7.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * np.exp(-t) * acc
 
 
 def _floating(*values) -> list[np.ndarray]:
@@ -47,24 +22,28 @@ def _floating(*values) -> list[np.ndarray]:
     return [a.astype(dtype, copy=False) for a in arrays]
 
 
+def _gamma(v: float) -> float:
+    """math.gamma, with an overflow (arguments above about 171.6) as infinity."""
+    try:
+        return math.gamma(v)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def gamma_array(x) -> np.ndarray:
-    """Gamma function elementwise over an array, by the Lanczos approximation.
+    """Gamma function elementwise over an array, by :func:`math.gamma`.
 
-    Raises ValueError at the poles (x = 0, -1, -2, ...); arguments below 1/2
-    go through the reflection formula.
-
-    The result has the floating type and shape of ``x`` (at least double),
-    so an ``np.longdouble`` argument is evaluated in extended precision.
+    Raises ValueError at the poles (x = 0, -1, -2, ...).  A value too large
+    for a double is infinite.  The result has the floating type and shape of
+    ``x`` (at least double).
     """
     (x,) = _floating(x)
     if np.any((x <= 0.0) & (x == np.floor(x))):
         raise ValueError("gamma pole in the argument array")
-    # the callers repeat arguments (one exponent grid for every point), so the
-    # Lanczos sum runs once per distinct value and is scattered back
+    # the callers repeat arguments (one exponent grid for every point), so
+    # math.gamma runs once per distinct value and is scattered back
     distinct, inverse = np.unique(x, return_inverse=True)
-    reflect = distinct < 0.5
-    g = _lanczos(np.where(reflect, 1.0 - distinct, distinct))
-    values = np.where(reflect, np.pi / (np.sin(np.pi * distinct) * g), g)
+    values = np.array([_gamma(v) for v in distinct.tolist()], dtype=x.dtype)
     return values[inverse].reshape(x.shape)
 
 
@@ -72,13 +51,16 @@ def gamma_ratio(x, d) -> np.ndarray:
     """gamma(x) / gamma(x + d), elementwise, for x > 0 and x + d > 0.
 
     A whole number d >= 0 uses the exact finite product
-    1 / (x (x+1) ... (x+d-1)) instead of two Lanczos values.
+    1 / (x (x+1) ... (x+d-1)) instead of two gamma values.  Otherwise an
+    argument beyond the range of a double gives an infinite gamma value, so
+    the ratio is NaN or 0 there, without a warning.
     """
     x, d = np.broadcast_arrays(*_floating(x, d))
     out = np.empty(x.shape, dtype=x.dtype)
     whole = (d == np.floor(d)) & (d >= 0.0)
     if not whole.all():
-        out[~whole] = gamma_array(x[~whole]) / gamma_array(x[~whole] + d[~whole])
+        with np.errstate(invalid="ignore"):
+            out[~whole] = gamma_array(x[~whole]) / gamma_array(x[~whole] + d[~whole])
     if whole.any():
         xw, dw = x[whole], d[whole]
         product = np.ones_like(xw)
@@ -170,7 +152,8 @@ def betainc(a, b, x, y=None) -> np.ndarray:
     u = np.where(swap, y, x)[~finite]
     v = np.where(swap, x, y)[~finite]
     if p.size:
-        front = u**p * v**q * gamma_array(p + q) / (p * gamma_array(p) * gamma_array(q))
+        with np.errstate(invalid="ignore"):  # infinite gamma values, as in gamma_ratio
+            front = u**p * v**q * gamma_array(p + q) / (p * gamma_array(p) * gamma_array(q))
         part = front * _beta_cf(p, q, u)
         out[~finite] = np.where(swap[~finite], 1.0 - part, part)
     return out

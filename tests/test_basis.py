@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from fobw.basis import (
     WaveletBasisSpec,
     _local_values,
-    cell_index,
     fobw_matrix,
     local_series_table,
 )
@@ -15,6 +14,7 @@ from fobw.oracles import (
     BasisIndex,
     adaptive_unit_integral,
     bernstein_frac,
+    cell_index,
     fobw_eval,
     weight_eval,
     weighted_inner_product,

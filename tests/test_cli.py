@@ -165,6 +165,10 @@ class TestCommandErrors:
             ([1, 3], "is not three numbers"),
             ([1, 3.7, 0.5], "has a k or M that is not a whole number"),
             (5, "is not three numbers"),
+            ([True, 5, 1.0], "is not three numbers"),
+            (["1", "5", "1"], "is not three numbers"),
+            ([1, 5, True], "is not three numbers"),
+            ({"M": 5, "gamma": "0.5"}, "is not three numbers"),
         ],
     )
     def test_malformed_basis_entry_is_one_error_line(self, tmp_path, caplog, entry, lacks):
@@ -227,6 +231,17 @@ class TestCommandErrors:
     def test_bad_alpha_expression_is_one_error_line(self, caplog, alpha, message):
         argv = ["preset", "example1-single", f"--alpha={alpha}", "--gamma", "0.2", "--M", "3"]
         _assert_one_error_naming(caplog, message, argv)
+
+    @pytest.mark.parametrize("signs, code", [(300, 0), (980, 2)])
+    def test_an_expression_that_parses_also_runs(self, signs, code):
+        # a fresh interpreter parses from a shallow stack, so a depth that
+        # passes the parse but not the solve would end in a RecursionError
+        alpha = "1.5+" + "-" * signs + "0*t"
+        proc = _run_fobw(["preset", "example1-single", f"--alpha={alpha}",
+                          "--gamma", "0.2", "--M", "3"])
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("expression is nested too deeply" in proc.stderr) == (code == 2)
 
     @pytest.mark.parametrize(
         "key, message", [("metrics", "at least one metric"), ("alpha", "at least one alpha entry")]
@@ -291,6 +306,22 @@ class TestSolveCommand:
         )
         rows = proc.stdout.strip().split("\n")
         assert rows[0] == "t,residual gamma=1 M=5"
+        assert all(math.isnan(float(row.split(",")[1])) for row in rows[1:])
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [(["--gamma", "60", "--M", "3"], "gamma=60 M=3"),
+         (["--k", "2", "--gamma", "45", "--M", "4"], "k=2 gamma=45 M=4")],
+    )
+    def test_exponents_past_the_range_of_gamma_fail_one_column(self, argv, label):
+        # the images need gamma(p + 1) with p up to gamma*M, beyond 171.6 it
+        # is infinite in double precision
+        proc = _run_fobw(["preset", "example1-single", "--alpha", "1.5", *argv])
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"[WARNING] fobw: solve failed for residual {label}: ")
+        rows = proc.stdout.strip().split("\n")
+        assert rows[0] == f"t,residual {label}"
         assert all(math.isnan(float(row.split(",")[1])) for row in rows[1:])
 
     def test_missing_config(self):

@@ -11,7 +11,6 @@ from fobw.experiments import (
     build_order,
     emit_plot_data,
     emit_table,
-    parse_table_json,
     preset_config,
     render_csv,
     run_experiment,
@@ -90,7 +89,7 @@ class TestConfig:
             replace(preset_config("example1-single"), alpha=("1.5",))
 
     def test_direct_construction_normalizes_basis(self):
-        cfg = ExperimentConfig(basis=[[1, 3, 1], {"M": "5", "gamma": 0.5}], alpha="1.5",
+        cfg = ExperimentConfig(basis=[[1, 3, 1], {"M": 5.0, "gamma": 0.5}], alpha="1.5",
                                metrics=["residual"])
         assert cfg.basis == ((1, 3, 1.0), (1, 5, 0.5))
         assert [type(v) for v in cfg.basis[0]] == [int, int, float]
@@ -355,8 +354,12 @@ class TestEmission:
             {"a": (1.0, 2.0), "b": (0.25, 0.125)},
             {"preset": None, "note": "x"},
         )
-        text = emit_table(table, "json", None)
-        again = parse_table_json(text)
+        payload = json.loads(emit_table(table, "json", None))
+        again = ErrorTable(
+            tuple(payload["grid"]),
+            {label: tuple(vals) for label, vals in payload["columns"].items()},
+            payload["meta"],
+        )
         assert again == table
 
     def test_write_to_file(self, tmp_path):

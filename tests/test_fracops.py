@@ -320,7 +320,7 @@ class TestCaputo:
 
 
 # orders for the shared-table tests: whole orders take the finite-product and
-# finite-sum routes, the others the Lanczos and continued-fraction ones
+# finite-sum routes, the others math.gamma and the continued fraction
 ORDERS = st.one_of(st.sampled_from([1.0, 2.0, 0.5]), st.floats(0.05, 2.0))
 POINTS = st.lists(
     st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=12

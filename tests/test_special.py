@@ -33,8 +33,8 @@ class TestGammaArray:
         wide=st.booleans(),
     )
     def test_repeated_entries_match_one_call_per_element(self, pool, picks, wide):
-        # the Lanczos sum runs once per distinct argument; scattering the
-        # values back must give every entry exactly its own value
+        # math.gamma runs once per distinct argument; scattering the values
+        # back must give every entry exactly its own value
         x = np.array([pool[i % len(pool)] for i in picks], dtype=np.longdouble if wide else float)
         out = gamma_array(x)
         assert out.dtype == x.dtype
@@ -124,11 +124,26 @@ class TestGamma:
             gamma_array(x)
 
     def test_accuracy_against_stdlib(self):
-        # math.gamma is an independent implementation of the same function;
-        # the module promises 1e-13 relative on [0.1, 50]
+        # the values are math.gamma's, scattered back over the array
         x = np.linspace(0.1, 50.0, 997)
-        expected = [math.gamma(v) for v in x]
-        assert np.allclose(gamma_array(x), expected, rtol=1e-13, atol=0)
+        assert np.array_equal(gamma_array(x), [math.gamma(v) for v in x])
+
+    def test_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.linspace(-3.9, 60.0, 1280)
+        x = x[(x > 0.0) | (np.abs(x - np.round(x)) >= 1e-3)]  # 1e-3 off the poles
+        with mpmath.workdps(40):
+            exact = [mpmath.gamma(v) for v in x.tolist()]
+            for dtype in (float, np.longdouble):
+                # long-double arguments holding the same doubles, so each is exact
+                got = gamma_array(x.astype(dtype))
+                worst = max(abs(mpmath.mpf(float(g)) / e - 1) for g, e in zip(got, exact))
+                assert worst <= 1e-15, dtype
+
+    def test_overflow_is_infinite(self):
+        assert np.array_equal(gamma_array([171.5, 172.0, 500.0]), [math.gamma(171.5), np.inf, np.inf])
+        wide = gamma_array(np.array([200.0], dtype=np.longdouble))
+        assert wide.dtype == np.longdouble and np.isposinf(wide[0])
 
     @given(st.floats(0.1, 20.0))
     def test_recurrence(self, x):
