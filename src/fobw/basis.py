@@ -32,7 +32,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class WaveletBasisSpec:
-    """One wavelet family: resolution k, maximal polynomial index M, exponent gamma."""
+    """One wavelet family: resolution k, maximal polynomial index M, exponent
+    gamma, with gamma*M at most 168 so every image of order up to 2 is finite."""
 
     k: int
     M: int
@@ -45,6 +46,11 @@ class WaveletBasisSpec:
             raise ValueError("M must be a nonnegative integer")
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ValueError("gamma must be positive and finite")
+        if self.gamma * self.M > 168.0:
+            # the image of order lam of x**p needs gamma(p + 1 + lam): at most
+            # gamma(171) for lam <= 2, under the 171.6 where a double overflows
+            raise ValueError(f"gamma*M = {self.gamma * self.M:g} exceeds 168: the basis "
+                             "images would need gamma values past the range of a double")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "gamma", float(self.gamma))

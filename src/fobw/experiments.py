@@ -154,8 +154,6 @@ class ExperimentConfig:
 
 def build_order(entry) -> OrderFunction:
     """Order function from a constant or an expression string in t."""
-    if isinstance(entry, OrderFunction):
-        return entry
     if isinstance(entry, (int, float)):
         return OrderFunction.constant(float(entry))
     text = str(entry).strip()
@@ -201,10 +199,10 @@ def _entries(value) -> tuple:
 
 
 def _is_two(entry) -> bool:
-    """Whether :func:`build_order` makes ``entry`` (a number, a string or an
-    order function) the constant order 2, decided without parsing an expression."""
+    """Whether :func:`build_order` makes ``entry`` (a number or a string) the
+    constant order 2, decided without parsing an expression."""
     try:
-        return float(getattr(entry, "value", entry)) == 2.0
+        return float(entry) == 2.0
     except (TypeError, ValueError):
         return False
 
@@ -301,7 +299,9 @@ def run_experiment(
     for (label, _), vals in zip(residual_columns, samples):
         columns[label] = tuple(vals)
 
-    if cfg.include_published and cfg.preset in COMPARISON_COLUMNS and grid == TABLE_POINTS:
+    # the published values are absolute errors, comparable only to AE columns
+    if (cfg.include_published and "AE" in cfg.metrics and cfg.preset in COMPARISON_COLUMNS
+            and grid == TABLE_POINTS):
         for method, vals in COMPARISON_COLUMNS[cfg.preset].items():
             columns[f"{method} (published)"] = vals
 

@@ -184,8 +184,7 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     powers = (cells * s) ** exps
     terms = gamma_ratio(exps + 1.0, distinct[:, None])[inverse][..., None, :] * powers[at]
     terms *= s[at] ** lw[..., None, None]
-    with np.errstate(invalid="ignore"):  # 0 * inf past the range of gamma_ratio, a NaN image
-        terms[cut] *= cut_factors
+    terms[cut] *= cut_factors
     sums = terms.reshape(-1, exps.size) @ weights
     del terms  # the largest array of the call
 

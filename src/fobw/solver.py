@@ -187,19 +187,20 @@ def _solve_linear(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise SolverError(f"Jacobian is singular: smallest relative |R_ii| {r_min:.2e}, floor 1e-13")
 
 
-def newton_solve(
-    system: CollocationSystem,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> SolveReport:
+NEWTON_TOL = 1e-12  # largest residual entry of a converged Newton solve
+NEWTON_MAX_ITER = 100  # Newton iterations before a solve is unconverged
+
+
+def newton_solve(system: CollocationSystem) -> SolveReport:
     """Damped Newton iteration from U = 0 with the exact Jacobian.
 
     The zero start is the straight-line initial state (the representation
     already satisfies the initial conditions), which every reference case
     converges from.  The step is halved up to 20 times until the residual
-    norm decreases.  Every ``SolverError`` raised here carries the report
-    of the iteration it stopped at.  Overflow is not warned about: a
-    non-finite residual is the error that names it.
+    norm decreases, for at most ``NEWTON_MAX_ITER`` iterations, until the
+    largest residual entry is at most ``NEWTON_TOL``.  Every ``SolverError``
+    raised here carries the report of the iteration it stopped at.  Overflow
+    is not warned about: a non-finite residual is the error that names it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         U = np.zeros(system.spec.sigma_tilde)
@@ -212,7 +213,7 @@ def newton_solve(
 
         if not np.all(np.isfinite(F)):
             raise failure("residual is not finite at the initial guess")
-        while norm > tol and iterations < max_iter:
+        while norm > NEWTON_TOL and iterations < NEWTON_MAX_ITER:
             try:
                 step = _solve_linear(_jacobian(system, U), -F)
             except SolverError as exc:
@@ -229,7 +230,7 @@ def newton_solve(
                 damping *= 0.5
             U, F, norm = trial, F_trial, trial_norm
             iterations += 1
-        return SolveReport(U, iterations, float(norm), bool(norm <= tol))
+        return SolveReport(U, iterations, float(norm), bool(norm <= NEWTON_TOL))
 
 
 def _shaped(values: np.ndarray, like: np.ndarray):
@@ -272,15 +273,10 @@ class SolutionApproximant(NamedTuple):
         return _shaped(_value_from(self.problem, pts, i2, self.coefficients), ts)
 
 
-def solve_problem(
-    problem: OscillatorProblem,
-    spec: WaveletBasisSpec,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> SolutionApproximant:
+def solve_problem(problem: OscillatorProblem, spec: WaveletBasisSpec) -> SolutionApproximant:
     """assemble -> newton_solve -> approximant; raises SolverError if not converged."""
     system = assemble(problem, spec)
-    report = newton_solve(system, tol=tol, max_iter=max_iter)
+    report = newton_solve(system)
     if not report.converged:
         raise SolverError(
             f"Newton did not converge: residual {report.final_residual_norm:.3e} "

@@ -22,20 +22,12 @@ def _floating(*values) -> list[np.ndarray]:
     return [a.astype(dtype, copy=False) for a in arrays]
 
 
-def _gamma(v: float) -> float:
-    """math.gamma, with an overflow (arguments above about 171.6) as infinity."""
-    try:
-        return math.gamma(v)
-    except OverflowError:
-        return math.copysign(math.inf, v)
-
-
 def gamma_array(x) -> np.ndarray:
     """Gamma function elementwise over an array, by :func:`math.gamma`.
 
-    Raises ValueError at the poles (x = 0, -1, -2, ...).  A value too large
-    for a double is infinite.  The result has the floating type and shape of
-    ``x`` (at least double).
+    Raises ValueError at the poles (x = 0, -1, -2, ...) and OverflowError
+    where the value is too large for a double (x above about 171.6).  The
+    result has the floating type and shape of ``x`` (at least double).
     """
     (x,) = _floating(x)
     if np.any((x <= 0.0) & (x == np.floor(x))):
@@ -43,7 +35,7 @@ def gamma_array(x) -> np.ndarray:
     # the callers repeat arguments (one exponent grid for every point), so
     # math.gamma runs once per distinct value and is scattered back
     distinct, inverse = np.unique(x, return_inverse=True)
-    values = np.array([_gamma(v) for v in distinct.tolist()], dtype=x.dtype)
+    values = np.array([math.gamma(v) for v in distinct.tolist()], dtype=x.dtype)
     return values[inverse].reshape(x.shape)
 
 
@@ -51,16 +43,13 @@ def gamma_ratio(x, d) -> np.ndarray:
     """gamma(x) / gamma(x + d), elementwise, for x > 0 and x + d > 0.
 
     A whole number d >= 0 uses the exact finite product
-    1 / (x (x+1) ... (x+d-1)) instead of two gamma values.  Otherwise an
-    argument beyond the range of a double gives an infinite gamma value, so
-    the ratio is NaN or 0 there, without a warning.
+    1 / (x (x+1) ... (x+d-1)) instead of two gamma values.
     """
     x, d = np.broadcast_arrays(*_floating(x, d))
     out = np.empty(x.shape, dtype=x.dtype)
     whole = (d == np.floor(d)) & (d >= 0.0)
     if not whole.all():
-        with np.errstate(invalid="ignore"):
-            out[~whole] = gamma_array(x[~whole]) / gamma_array(x[~whole] + d[~whole])
+        out[~whole] = gamma_array(x[~whole]) / gamma_array(x[~whole] + d[~whole])
     if whole.any():
         xw, dw = x[whole], d[whole]
         product = np.ones_like(xw)
@@ -152,8 +141,7 @@ def betainc(a, b, x, y=None) -> np.ndarray:
     u = np.where(swap, y, x)[~finite]
     v = np.where(swap, x, y)[~finite]
     if p.size:
-        with np.errstate(invalid="ignore"):  # infinite gamma values, as in gamma_ratio
-            front = u**p * v**q * gamma_array(p + q) / (p * gamma_array(p) * gamma_array(q))
+        front = u**p * v**q * gamma_array(p + q) / (p * gamma_array(p) * gamma_array(q))
         part = front * _beta_cf(p, q, u)
         out[~finite] = np.where(swap[~finite], 1.0 - part, part)
     return out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fobw.basis import (
     fobw_matrix,
     local_series_table,
 )
+from fobw.fracops import basis_images
 from fobw.oracles import (
     BasisIndex,
     adaptive_unit_integral,
@@ -326,7 +328,21 @@ class TestSpecValidation:
         assert WaveletBasisSpec(1, 3, 1.0).sigma_tilde == 4
         assert WaveletBasisSpec(2, 5, 0.5).sigma_tilde == 12
 
-    @pytest.mark.parametrize("args", [(0, 3, 1.0), (1, -1, 1.0), (1, 3, 0.0), (1, 3, -0.5)])
+    @pytest.mark.parametrize(
+        "args",
+        # the last two have gamma*M = 168.03, just past the largest exponent
+        [(0, 3, 1.0), (1, -1, 1.0), (1, 3, 0.0), (1, 3, -0.5), (1, 3, 56.01), (2, 4, 42.0075)],
+    )
     def test_invalid_spec(self, args):
         with pytest.raises(ValueError):
             WaveletBasisSpec(*args)
+
+    @pytest.mark.parametrize("k, M, gamma", [(1, 3, 56.0), (2, 4, 42.0)])
+    def test_largest_exponent_has_finite_images(self, k, M, gamma):
+        # gamma*M = 168, the largest exponent a basis may have
+        spec = WaveletBasisSpec(k, M, gamma)
+        ts = np.linspace(0.0, 1.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (0.0, 0.3, 1.0, 1.7, 2.0):
+                assert np.all(np.isfinite(basis_images(spec, lam, ts))), lam

@@ -83,6 +83,15 @@ class TestPresetCommand:
         header = plot_out.read_text().split("\n", 1)[0]
         assert header == "t,residual k=2 gamma=0.2 M=3 alpha=1.5"
 
+    @pytest.mark.parametrize("metric", ["AE", "MAE", "residual"])
+    def test_metric_flag(self, capsys, metric):
+        # the published columns are absolute errors, so only AE columns get them
+        assert main(["preset", "example1-single", "--metric", metric]) == 0
+        header = capsys.readouterr().out.split("\n", 1)[0].split(",")
+        assert header[1:4] == [f"{metric} gamma={g} M=5" for g in ("0.5", "0.9", "1")]
+        published = ["UWS (published)", "LWPS (published)"] if metric == "AE" else []
+        assert header[4:] == published
+
     def test_no_published_flag(self, capsys):
         assert main(["preset", "example1-single", "--no-published"]) == 0
         header = capsys.readouterr().out.split("\n", 1)[0]
@@ -194,6 +203,8 @@ class TestCommandErrors:
             ({"mu": True}, "mu must be a finite real number"),
             ({"output_grid": [0.5, True]}, "output_grid points must be numbers in (0, 1]"),
             ({"forcing": "1/0"}, "forcing expression '1/0' is not finite"),
+            ({"format": "xml"}, "format must be 'csv' or 'json'"),
+            ({"basis": [[1, 3, 56.01]]}, "gamma*M = 168.03 exceeds 168"),
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,
@@ -309,20 +320,18 @@ class TestSolveCommand:
         assert all(math.isnan(float(row.split(",")[1])) for row in rows[1:])
 
     @pytest.mark.parametrize(
-        "argv, label",
-        [(["--gamma", "60", "--M", "3"], "gamma=60 M=3"),
-         (["--k", "2", "--gamma", "45", "--M", "4"], "k=2 gamma=45 M=4")],
+        "argv",
+        [["--gamma", "60", "--M", "3"], ["--k", "2", "--gamma", "45", "--M", "4"]],
+        ids=["k=1", "k=2"],
     )
-    def test_exponents_past_the_range_of_gamma_fail_one_column(self, argv, label):
-        # the images need gamma(p + 1) with p up to gamma*M, beyond 171.6 it
-        # is infinite in double precision
+    def test_exponents_past_the_range_of_gamma_are_refused(self, argv):
+        # the images need gamma(p + 1 + lam) with p up to gamma*M = 180, past
+        # the range of a double, so the basis is refused before any solve
         proc = _run_fobw(["preset", "example1-single", "--alpha", "1.5", *argv])
-        assert proc.returncode == 1
+        assert proc.returncode == 2
+        assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
-        assert line.startswith(f"[WARNING] fobw: solve failed for residual {label}: ")
-        rows = proc.stdout.strip().split("\n")
-        assert rows[0] == f"t,residual {label}"
-        assert all(math.isnan(float(row.split(",")[1])) for row in rows[1:])
+        assert line.startswith("[ERROR] fobw: invalid preset options: gamma*M = 180 exceeds 168")
 
     def test_missing_config(self):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2

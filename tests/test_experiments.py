@@ -368,6 +368,11 @@ class TestEmission:
         emit_table(table, "csv", str(path))
         assert path.read_text().startswith("t,c")
 
+    def test_unknown_format_rejected(self):
+        table = ErrorTable((0.5,), {"c": (1.0,)}, {})
+        with pytest.raises(ValueError, match="format must be 'csv' or 'json'"):
+            emit_table(table, "xml", None)
+
     def test_write_failure_reports_path(self, tmp_path):
         table = ErrorTable((0.5,), {"c": (1.0,)}, {})
         missing = tmp_path / "nope" / "out.csv"
@@ -388,6 +393,10 @@ class TestPlotData:
         assert len(lines) == 22
         last_t = float(lines[-1].split(",")[0])
         assert last_t == pytest.approx(1.0)
+
+    def test_density_below_two_rejected(self):
+        with pytest.raises(ValueError, match="density must be at least 2"):
+            emit_plot_data([], density=1)
 
     def test_four_order_family(self):
         from fobw.basis import WaveletBasisSpec

@@ -9,6 +9,8 @@ from fobw.fracops import OrderFunction, basis_images
 from fobw.reference import residual_samples, rk4_integrate, absolute_error
 from fobw.experiments import PRESET_PROBLEMS
 from fobw.solver import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     OscillatorProblem,
     SolutionApproximant,
     SolverError,
@@ -89,13 +91,16 @@ class TestNewton:
         assert np.all(report.U == 0.0)
 
     def test_report_on_iteration_budget(self):
-        problem = OscillatorProblem(alpha=ALPHA2, **SINGLE_WELL)
-        system = assemble(problem, WaveletBasisSpec(1, 5, 1.0))
-        report = newton_solve(system, max_iter=0)
+        # a basis on which Newton stalls at a residual of about 0.26
+        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        spec = WaveletBasisSpec(1, 8, 2.0)
+        report = newton_solve(assemble(problem, spec))
         assert not report.converged
-        assert report.final_residual_norm > 1e-12
-        with pytest.raises(SolverError):
-            solve_problem(problem, WaveletBasisSpec(1, 5, 1.0), max_iter=0)
+        assert report.iterations == NEWTON_MAX_ITER
+        assert report.final_residual_norm > NEWTON_TOL
+        with pytest.raises(SolverError, match="did not converge") as failure:
+            solve_problem(problem, spec)
+        assert failure.value.report.iterations == NEWTON_MAX_ITER
 
     def test_single_well_alpha2(self):
         problem = OscillatorProblem(alpha=ALPHA2, **SINGLE_WELL)

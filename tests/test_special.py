@@ -26,7 +26,8 @@ class TestGammaArray:
     @settings(max_examples=60, deadline=None)
     @given(
         pool=st.lists(
-            st.floats(-4.9, 30.0).filter(lambda v: not (v <= 0.0 and v == math.floor(v))),
+            # no subnormal numbers: gamma of one overflows, tested on its own
+            st.floats(-4.9, 30.0, allow_subnormal=False).filter(lambda v: not (v <= 0.0 and v == math.floor(v))),
             min_size=1, max_size=5,
         ),
         picks=st.lists(st.integers(0, 4), min_size=1, max_size=40),
@@ -140,10 +141,11 @@ class TestGamma:
                 worst = max(abs(mpmath.mpf(float(g)) / e - 1) for g, e in zip(got, exact))
                 assert worst <= 1e-15, dtype
 
-    def test_overflow_is_infinite(self):
-        assert np.array_equal(gamma_array([171.5, 172.0, 500.0]), [math.gamma(171.5), np.inf, np.inf])
-        wide = gamma_array(np.array([200.0], dtype=np.longdouble))
-        assert wide.dtype == np.longdouble and np.isposinf(wide[0])
+    def test_overflow_raises(self):
+        assert gamma_array([171.5]) == math.gamma(171.5)
+        for dtype in (float, np.longdouble):
+            with pytest.raises(OverflowError):
+                gamma_array(np.array([171.5, 172.0], dtype=dtype))
 
     @given(st.floats(0.1, 20.0))
     def test_recurrence(self, x):
