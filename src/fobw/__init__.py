@@ -44,10 +44,12 @@ from .solver import (
     SolveReport,
     SolverError,
     assemble,
+    assemble_systems,
     collocation_systems,
     newton_solve,
     residual_vector,
     solve_problem,
+    solve_system,
 )
 from .special import chebyshev_grid
 

@@ -21,7 +21,9 @@ from .expr import parse_expression
 from .fracops import OrderFunction, order_values
 from .published import COMPARISON_COLUMNS, TABLE_POINTS
 from .reference import BlowupError, ErrorTable, absolute_error, residual_samples, rk4_integrate
-from .solver import OscillatorProblem, SolverError, collocation_grid, solve_problem
+from .solver import (
+    OscillatorProblem, SolverError, assemble_systems, collocation_grid, solve_system,
+)
 
 log = logging.getLogger("fobw")
 
@@ -248,8 +250,10 @@ def run_experiment(
     reference that blows up for the AE/MAE columns, leaves NaN sentinel
     columns and flips the flag.  When ``approximants`` is a list, every
     converged solve is appended to it as ``(plot label, approximant)``,
-    ready for :func:`emit_plot_data`.  The residual columns of all solves are
-    sampled together, one :func:`residual_samples` call per run.
+    ready for :func:`emit_plot_data`.  Every alpha of a basis is assembled
+    together, one :func:`assemble_systems` call per basis, and the residual
+    columns of all solves are sampled together, one :func:`residual_samples`
+    call per run.
     """
     grid = cfg.output_grid
     points = np.array(grid)
@@ -266,15 +270,17 @@ def run_experiment(
             reference = rk4_integrate(cfg.problems[0], REFERENCE_STEP)
         except BlowupError as exc:
             log.warning("RK4 reference failed, AE/MAE columns are NaN: %s", exc)
-    for problem in cfg.problems:
+    # each entry: an approximant, or the message of the SolverError its solve raised
+    outcomes = {spec: [_solve(system) for system in assemble_systems(cfg.problems, spec)]
+                for spec in cfg.specs}
+    for j, problem in enumerate(cfg.problems):
         alpha_label = problem.alpha.label
         for spec in cfg.specs:
             combination = _combination_label(spec, alpha_label, multi_alpha)
             labels = {metric: f"{metric} {combination}" for metric in cfg.metrics}
-            try:
-                approx = solve_problem(problem, spec)
-            except SolverError as exc:
-                log.warning("solve failed for %s: %s", labels[cfg.metrics[0]], exc)
+            approx = outcomes[spec][j]
+            if isinstance(approx, str):
+                log.warning("solve failed for %s: %s", labels[cfg.metrics[0]], approx)
                 for metric in cfg.metrics:
                     columns[labels[metric]] = nan_column
                     failed.append(labels[metric])
@@ -313,6 +319,15 @@ def run_experiment(
     }
     table = ErrorTable(grid, columns, meta)
     return table, not failed
+
+
+def _solve(system):
+    """:func:`solve_system`'s approximant, or the message of its SolverError;
+    the message keeps no reference to the system, the exception's traceback would."""
+    try:
+        return solve_system(system)
+    except SolverError as exc:
+        return str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +377,11 @@ def emit_plot_data(labeled_approximants, density: int = 401, path: str | None = 
     grid = np.linspace(0.0, 1.0, density + 1)[1:]
     labels = [label for label, _ in labeled_approximants]
     curves = residual_samples([approx for _, approx in labeled_approximants], grid)
-    lines = ["t," + ",".join(labels)]
-    for i, t in enumerate(grid):
-        lines.append(",".join([f"{t:.8g}"] + [f"{c[i]:.5e}" for c in curves]))
+    # one format per row, of Python floats: faster than per-cell formats of
+    # numpy scalars, and the same text
+    row = ",".join(["%.8g"] + ["%.5e"] * len(curves))
+    lines = [",".join(["t", *labels])]
+    lines += [row % cells for cells in zip(grid.tolist(), *(c.tolist() for c in curves))]
     return _write("\n".join(lines) + "\n", path, "plot data")
 
 

@@ -32,9 +32,11 @@ __all__ = [
     "SolverError",
     "collocation_systems",
     "collocation_grid",
+    "assemble_systems",
     "assemble",
     "residual_vector",
     "newton_solve",
+    "solve_system",
     "solve_problem",
 ]
 
@@ -134,13 +136,19 @@ def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
     return chebyshev_grid(spec.sigma_tilde)
 
 
-def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationSystem:
-    """The collocation system: ``problem``'s image rows at :func:`collocation_grid`."""
+def assemble_systems(problems, spec: WaveletBasisSpec) -> list[CollocationSystem]:
+    """The collocation system of each of ``problems`` on ``spec``: their image
+    rows at :func:`collocation_grid`, from one :func:`collocation_systems` call."""
     if spec.sigma_tilde == 1:
         warnings.warn(
             "a single collocation point cannot represent oscillation", stacklevel=2
         )
-    (system,) = collocation_systems([problem], spec, collocation_grid(spec))
+    return collocation_systems(problems, spec, collocation_grid(spec))
+
+
+def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationSystem:
+    """The collocation system: ``problem``'s image rows at :func:`collocation_grid`."""
+    (system,) = assemble_systems([problem], spec)
     return system
 
 
@@ -273,9 +281,8 @@ class SolutionApproximant(NamedTuple):
         return _shaped(_value_from(self.problem, pts, i2, self.coefficients), ts)
 
 
-def solve_problem(problem: OscillatorProblem, spec: WaveletBasisSpec) -> SolutionApproximant:
-    """assemble -> newton_solve -> approximant; raises SolverError if not converged."""
-    system = assemble(problem, spec)
+def solve_system(system: CollocationSystem) -> SolutionApproximant:
+    """newton_solve -> approximant; raises SolverError if not converged."""
     report = newton_solve(system)
     if not report.converged:
         raise SolverError(
@@ -283,4 +290,9 @@ def solve_problem(problem: OscillatorProblem, spec: WaveletBasisSpec) -> Solutio
             f"after {report.iterations} iterations",
             report,
         )
-    return SolutionApproximant(problem, spec, report.U, report)
+    return SolutionApproximant(system.problem, system.spec, report.U, report)
+
+
+def solve_problem(problem: OscillatorProblem, spec: WaveletBasisSpec) -> SolutionApproximant:
+    """assemble -> :func:`solve_system`."""
+    return solve_system(assemble(problem, spec))

@@ -128,13 +128,30 @@ def test_residual_table_makes_one_image_call_per_basis(counted):
     )
     table, ok = run_experiment(cfg)
     assert ok and cfg.metrics == ("residual",) and len(table.columns) == 6
-    # the six solves assemble at their Chebyshev grids; the table's residual
-    # columns are sampled at its grid, one call per basis
+    # the six solves assemble at their Chebyshev grids and the table's residual
+    # columns are sampled at its grid, one call per basis each
     points = np.array(table.grid)
     at_table = [lam for _, lam, ts in images.args if np.array_equal(ts, points)]
-    assert images.calls == 6 + 2
+    assert images.calls == 2 + 2
     # I^1, I^2 and one Caputo order per alpha column
     assert [np.shape(lam)[0] for lam in at_table] == [2 + 3, 2 + 3]
+
+
+def test_constant_order_family_assembles_once_per_basis(counted):
+    # the curves_const shape: four constant orders on two bases
+    images = counted(solver, "basis_images")
+    cfg = preset_config(
+        "example1-single", alpha=("1.2", "1.4", "1.6", "1.8"), basis=((1, 3, 0.2), (1, 5, 0.2)),
+    )
+    table, ok = run_experiment(cfg)
+    assert ok and len(table.columns) == 8
+    assembly = [
+        (spec, lam) for spec, lam, ts in images.args
+        if np.array_equal(ts, solver.collocation_grid(spec))
+    ]
+    assert [spec for spec, _ in assembly] == list(cfg.specs)
+    # I^1, I^2 and one Caputo order per alpha
+    assert all(np.shape(lam)[0] == 2 + 4 for _, lam in assembly)
 
 
 def test_refinement_criterion_runs_one_table_per_preset(counted):

@@ -64,14 +64,15 @@ class TestPresetCommand:
         import fobw.solver
 
         calls = []
-        solve = fobw.solver.solve_problem
+        solve = fobw.solver.solve_system
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(fobw.solver, "solve_problem", counted)
-        monkeypatch.setattr(fobw.experiments, "solve_problem", counted)
+        # solve_problem goes through solver.solve_system, so this counts both routes
+        monkeypatch.setattr(fobw.solver, "solve_system", counted)
+        monkeypatch.setattr(fobw.experiments, "solve_system", counted)
         plot_out = tmp_path / "curves.csv"
         code = main(
             ["preset", "example1-single", "--k", "2", "--alpha", "1.5",
@@ -113,10 +114,10 @@ class TestCommandErrors:
     def test_plot_points_below_two_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
         import fobw.experiments
 
-        def refuse(problem, spec):
+        def refuse(system):
             raise AssertionError("no solve may run")
 
-        monkeypatch.setattr(fobw.experiments, "solve_problem", refuse)
+        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
         with pytest.raises(SystemExit) as exit_info:
             main(["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2",
                   "--M", "3", "--plot-data", str(tmp_path / "c.csv"), "--plot-points", "1"])
@@ -132,10 +133,10 @@ class TestCommandErrors:
                                                     grid, source):
         import fobw.experiments
 
-        def refuse(problem, spec):
+        def refuse(system):
             raise AssertionError("no solve may run")
 
-        monkeypatch.setattr(fobw.experiments, "solve_problem", refuse)
+        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
         if source == "preset":
             argv = ["preset", "example1-single", "--grid", ",".join(map(str, grid))]
         else:
@@ -214,7 +215,7 @@ class TestCommandErrors:
         def refuse(*args):
             raise AssertionError("no solve may run")
 
-        monkeypatch.setattr(fobw.experiments, "solve_problem", refuse)
+        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
         monkeypatch.setattr(fobw.experiments, "rk4_integrate", refuse)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, **raw}))

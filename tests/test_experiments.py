@@ -274,10 +274,10 @@ class TestRunExperiment:
         import fobw.experiments as experiments_module
         from fobw.solver import SolverError
 
-        def refuse(problem, spec):
+        def refuse(system):
             raise SolverError("forced failure for the test", None)
 
-        monkeypatch.setattr(experiments_module, "solve_problem", refuse)
+        monkeypatch.setattr(experiments_module, "solve_system", refuse)
         cfg = ExperimentConfig.from_dict(
             {
                 "mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
@@ -290,6 +290,15 @@ class TestRunExperiment:
         column = next(iter(table.columns.values()))
         assert all(math.isnan(v) for v in column)
         assert table.meta["failed_columns"]
+
+    def test_single_point_basis_warns_once_per_basis(self):
+        cfg = ExperimentConfig.from_dict(
+            {"mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
+             "alpha": [2.0, 1.5], "basis": [[1, 0, 1.0]], "metrics": ["residual"]}
+        )
+        with pytest.warns(UserWarning, match="a single collocation point") as record:
+            run_experiment(cfg)
+        assert sum("a single collocation point" in str(w.message) for w in record) == 1
 
     def test_reference_blowup_fails_the_ae_columns_only(self, monkeypatch, caplog):
         import fobw.experiments as experiments_module
@@ -393,6 +402,27 @@ class TestPlotData:
         assert len(lines) == 22
         last_t = float(lines[-1].split(",")[0])
         assert last_t == pytest.approx(1.0)
+
+    def test_no_curves_is_a_one_column_csv(self):
+        assert emit_plot_data([], density=3) == "t\n0.33333333\n0.66666667\n1\n"
+
+    def test_cells_format_as_numpy_scalars_do(self, monkeypatch):
+        import fobw.experiments as experiments_module
+
+        values = np.array([
+            0.0, 5e-324, 1e-300, 9.999995e-05, 1e100, 1.0, np.nextafter(1.0, 0.0),
+            np.nextafter(1.0, 2.0), 0.999995, 1.000005, 1.2345649999999999, -0.0,
+            math.inf, math.nan,
+        ])
+        curves = [values, values[::-1].copy()]
+        monkeypatch.setattr(experiments_module, "residual_samples", lambda approx, t: curves)
+        text = emit_plot_data([("a", None), ("b", None)], density=values.size)
+        grid = np.linspace(0.0, 1.0, values.size + 1)[1:]
+        lines = ["t,a,b"] + [
+            ",".join([format(t, ".8g")] + [format(np.float64(c[i]), ".5e") for c in curves])
+            for i, t in enumerate(grid)
+        ]
+        assert text == "\n".join(lines) + "\n"
 
     def test_density_below_two_rejected(self):
         with pytest.raises(ValueError, match="density must be at least 2"):

@@ -16,9 +16,13 @@ from fobw.solver import (
     SolverError,
     _jacobian,
     assemble,
+    assemble_systems,
+    collocation_grid,
+    collocation_systems,
     newton_solve,
     residual_vector,
     solve_problem,
+    solve_system,
 )
 
 ALPHA2 = OrderFunction.constant(2.0)
@@ -56,6 +60,26 @@ class TestAssemble:
     def test_single_point_basis_warns(self):
         with pytest.warns(UserWarning):
             assemble(manufactured_cos_problem(), WaveletBasisSpec(1, 0, 1.0))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_systems_of_one_call_equal_lone_assemblies(self, k):
+        # constant, variable and integer orders assembled in one image call:
+        # each system, and its solve, is bit-identical to one of its own
+        spec = WaveletBasisSpec(k, 3, 0.2)
+        problems = [
+            OscillatorProblem(alpha=alpha, **SINGLE_WELL)
+            for alpha in (OrderFunction.constant(1.5), SIN_ORDER, ALPHA2)
+        ]
+        systems = assemble_systems(problems, spec)
+        at_grid = collocation_systems(problems, spec, collocation_grid(spec))
+        for problem, system, same in zip(problems, systems, at_grid, strict=True):
+            alone = assemble(problem, spec)
+            for name in ("grid", "alphas", "i1", "i2", "caputo_images", "phi"):
+                assert np.array_equal(getattr(system, name), getattr(alone, name)), name
+                assert np.array_equal(getattr(same, name), getattr(alone, name)), name
+            approx = solve_system(system)
+            assert approx.problem is problem and approx.spec == spec
+            assert np.array_equal(approx.coefficients, solve_problem(problem, spec).coefficients)
 
 
 class TestResidualVector:
