@@ -26,8 +26,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
+
+
+def finite_real(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite
+    real number, and a bool (JSON ``true``) is not one."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the range of a double
+        pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,20 +52,21 @@ class WaveletBasisSpec:
     gamma: float
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        k, M, gamma = (finite_real(name, getattr(self, name)) for name in ("k", "M", "gamma"))
+        if not k.is_integer() or k < 1:
             raise ValueError("k must be a positive integer")
-        if int(self.M) != self.M or self.M < 0:
+        if not M.is_integer() or M < 0:
             raise ValueError("M must be a nonnegative integer")
-        if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
-            raise ValueError("gamma must be positive and finite")
-        if self.gamma * self.M > 168.0:
+        if not gamma > 0.0:
+            raise ValueError("gamma must be positive")
+        if gamma * M > 168.0:
             # the image of order lam of x**p needs gamma(p + 1 + lam): at most
             # gamma(171) for lam <= 2, under the 171.6 where a double overflows
-            raise ValueError(f"gamma*M = {self.gamma * self.M:g} exceeds 168: the basis "
+            raise ValueError(f"gamma*M = {gamma * M:g} exceeds 168: the basis "
                              "images would need gamma values past the range of a double")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "M", int(M))
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def translations(self) -> int:

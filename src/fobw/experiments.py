@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .basis import WaveletBasisSpec
+from .basis import WaveletBasisSpec, finite_real
 from .expr import parse_expression
 from .fracops import OrderFunction, order_values
 from .published import COMPARISON_COLUMNS, TABLE_POINTS
@@ -31,7 +31,7 @@ DEFAULT_GRID = TABLE_POINTS
 VALID_METRICS = ("AE", "MAE", "residual")
 REFERENCE_STEP = 1e-4  # step of the RK4 reference that AE and MAE compare against
 
-#: problem parameters behind each named preset
+#: problem parameters behind each named preset, every one of the config's but alpha
 PRESET_PROBLEMS = {
     "example1-single": dict(
         mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79, forcing="forced",
@@ -46,7 +46,7 @@ PRESET_PROBLEMS = {
         init_value=1.0, init_slope=0.0,
     ),
     "example2": dict(
-        mu=0.1, a=1.0, b=0.01, forcing="force_free",
+        mu=0.1, a=1.0, b=0.01, f=0.0, omega=0.0, forcing="force_free",
         init_value=2.0, init_slope=0.0,
     ),
 }
@@ -59,7 +59,11 @@ class ExperimentConfig:
     becomes a one-entry tuple, each ``basis`` entry (``[k, M, gamma]`` or a
     ``{"k", "M", "gamma"}`` mapping, k defaulting to 1, k and M whole) an
     ``(int, int, float)`` triple, and ``problems`` and ``specs`` hold the problem
-    of each alpha entry and the basis of each basis entry that :func:`run_experiment` solves."""
+    of each alpha entry and the basis of each basis entry that :func:`run_experiment` solves.
+    ``metrics`` left at None becomes ``("AE",)`` when every order is the
+    constant 2 and ``("residual",)`` otherwise.  A config that names a
+    ``preset`` must hold that preset's problem, every parameter of
+    :data:`PRESET_PROBLEMS` equal."""
 
     mu: float = 0.0
     a: float = 0.0
@@ -72,7 +76,7 @@ class ExperimentConfig:
     alpha: tuple = (2.0,)                # constants and/or expression strings
     basis: tuple = ((1, 5, 1.0),)        # (k, M, gamma) triples
     output_grid: tuple = DEFAULT_GRID
-    metrics: tuple = ("AE",)
+    metrics: tuple | None = None         # None: derived from alpha
     format: str = "csv"                  # "csv" | "json"
     out: str | None = None
     preset: str | None = None
@@ -85,22 +89,16 @@ class ExperimentConfig:
             alpha=_entries(self.alpha),
             basis=tuple(_basis_triple(entry) for entry in _entries(self.basis)),
             output_grid=_entries(self.output_grid),
-            metrics=_entries(self.metrics),
         )
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
-        for metric in self.metrics:
-            if metric not in VALID_METRICS:
-                raise ValueError(f"unknown metric {metric!r}; valid: {VALID_METRICS}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         if not self.basis:
             raise ValueError("at least one basis (k, M, gamma) is required")
         if not self.alpha:
             raise ValueError("at least one alpha entry is required")
-        if not self.metrics:
-            raise ValueError("at least one metric is required")
         if not self.output_grid or not all(
             isinstance(t, Real) and not isinstance(t, bool) and 0.0 < t <= 1.0
             for t in self.output_grid
@@ -124,6 +122,24 @@ class ExperimentConfig:
             )
             for entry in self.alpha
         )
+        # AE and MAE compare against the RK4 reference of the integer-order equation
+        integer_order = all(p.alpha.value == 2.0 for p in problems)
+        default = ("AE",) if integer_order else ("residual",)
+        metrics = default if self.metrics is None else _entries(self.metrics)
+        object.__setattr__(self, "metrics", metrics)
+        for metric in self.metrics:
+            if metric not in VALID_METRICS:
+                raise ValueError(f"unknown metric {metric!r}; valid: {VALID_METRICS}")
+        if not self.metrics:
+            raise ValueError("at least one metric is required")
+        if self.preset is not None:
+            valid = sorted(PRESET_PROBLEMS)
+            if self.preset not in valid:  # a list, so an unhashable preset is unknown too
+                raise ValueError(f"unknown preset {self.preset!r}; valid: {valid}")
+            for name, value in PRESET_PROBLEMS[self.preset].items():
+                if getattr(self, name) != value:
+                    raise ValueError(f"preset {self.preset!r} has {name} = {value!r}, "
+                                     f"not {getattr(self, name)!r}")
         specs = tuple(WaveletBasisSpec(*triple) for triple in self.basis)
         labels = set()
         for problem in problems:
@@ -132,8 +148,7 @@ class ExperimentConfig:
                 if label in labels:
                     raise ValueError(f"duplicate (basis, alpha) combination: {label!r}")
                 labels.add(label)
-        needs_reference = any(m in ("AE", "MAE") for m in self.metrics)
-        if needs_reference and any(p.alpha.value != 2.0 for p in problems):
+        if not integer_order and any(m in ("AE", "MAE") for m in self.metrics):
             raise ValueError(
                 "AE/MAE metrics compare against the integer-order reference; "
                 "they require alpha identically 2"
@@ -148,6 +163,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(raw) - {f.name for f in fields(cls) if f.init}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -177,20 +194,13 @@ def _basis_triple(entry) -> tuple[int, int, float]:
             raise ValueError(f"basis entry {entry!r} lacks {' and '.join(map(repr, missing))}")
         values = (entry.get("k", 1), entry["M"], entry["gamma"])
     try:
-        k, M, g = (_number(v) for v in values)
+        names = ("k", "M", "gamma")
+        k, M, g = (finite_real(name, v) for name, v in zip(names, values, strict=True))
     except (TypeError, ValueError):
         raise ValueError(f"basis entry {entry!r} is not three numbers [k, M, gamma]") from None
     if not (k.is_integer() and M.is_integer()):
         raise ValueError(f"basis entry {entry!r} has a k or M that is not a whole number")
     return int(k), int(M), g
-
-
-def _number(value) -> float:
-    """``value`` as a float; TypeError unless it is a real number, and a bool
-    (JSON ``true``) is not one."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise TypeError(f"not a number: {value!r}")
-    return float(value)
 
 
 def _entries(value) -> tuple:
@@ -200,35 +210,22 @@ def _entries(value) -> tuple:
     return tuple(value) if type(value) in (list, tuple, np.ndarray) else (value,)
 
 
-def _is_two(entry) -> bool:
-    """Whether :func:`build_order` makes ``entry`` (a number or a string) the
-    constant order 2, decided without parsing an expression."""
-    try:
-        return float(entry) == 2.0
-    except (TypeError, ValueError):
-        return False
-
-
 def preset_config(name: str, **overrides) -> ExperimentConfig:
     """Named experiment presets with table-matching defaults.
 
-    With the default alpha = 2 the preset emits the absolute-error block
-    (gamma in {0.5, 0.9, 1}, M = 5) next to the published comparison columns;
-    fractional or variable alphas switch the default metric to the residual.
+    The preset's problem on the bases gamma in {0.5, 0.9, 1}, M = 5, with its
+    published comparison columns.  As in any config, the default metric is
+    AE when every alpha is 2 (the published columns then stand beside it)
+    and the residual otherwise (which carries no published columns: they
+    are absolute errors).
     """
-    if name not in PRESET_PROBLEMS:
-        raise ValueError(f"unknown preset {name!r}; valid: {sorted(PRESET_PROBLEMS)}")
     settings = dict(
-        PRESET_PROBLEMS[name],
-        alpha=(2.0,),
+        PRESET_PROBLEMS.get(name, {}),
         basis=((1, 5, 0.5), (1, 5, 0.9), (1, 5, 1.0)),
-        metrics=("AE",),
         preset=name,
         include_published=True,
     )
     settings.update(overrides)
-    if "metrics" not in overrides and not all(map(_is_two, _entries(settings["alpha"]))):
-        settings.update(metrics=("residual",), include_published=False)
     return ExperimentConfig(**settings)
 
 
@@ -335,11 +332,10 @@ def _solve(system):
 # ---------------------------------------------------------------------------
 
 def render_csv(table: ErrorTable) -> str:
-    header = "t," + ",".join(table.columns)
-    lines = [header]
-    for i, t in enumerate(table.grid):
-        row = [f"{t:.6g}"] + [f"{table.columns[c][i]:.5e}" for c in table.columns]
-        lines.append(",".join(row))
+    # one format per row of the table's Python floats, as in emit_plot_data
+    row = ",".join(["%.6g"] + ["%.5e"] * len(table.columns))
+    lines = [",".join(["t", *table.columns])]
+    lines += [row % cells for cells in zip(table.grid, *table.columns.values())]
     return "\n".join(lines) + "\n"
 
 

@@ -43,8 +43,8 @@ class OrderFunction:
 
     Either a constant or a callable of t.  A callable is evaluated over whole
     arrays of points; one that only takes a float is wrapped to loop over
-    the array.  The range contract is enforced on a 1001-point probe grid at
-    construction by :meth:`from_callable`.
+    the array.  :meth:`from_callable` checks the range contract with
+    :func:`order_values` on a 1001-point probe of (0, 1].
     """
 
     fn: Callable | None
@@ -67,13 +67,7 @@ class OrderFunction:
         order = cls(fn=fn, value=None, label=label)
         # Probe on (0, 1]: the fractional operators are only ever evaluated at
         # t > 0, and orders like 1 + sin(t) touch 1 exactly at t = 0.
-        vals = order(np.linspace(0.0, 1.0, 1002)[1:])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("order function is not finite on the probe grid")
-        if vals.min() <= 1.0 or vals.max() > 2.0:
-            raise ValueError(
-                f"order function leaves (1, 2] on (0, 1]: range [{vals.min():g}, {vals.max():g}]"
-            )
+        order_values(order, np.linspace(0.0, 1.0, 1002)[1:])
         return order
 
     @property

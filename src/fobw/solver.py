@@ -12,15 +12,13 @@ evaluated through the same rows.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .basis import WaveletBasisSpec
+from .basis import WaveletBasisSpec, finite_real
 from .fracops import OrderFunction, basis_images, order_values
 from .special import chebyshev_grid
 
@@ -66,9 +64,7 @@ class OscillatorProblem:
 
     def __post_init__(self):
         for name in ("mu", "a", "b", "f", "omega", "init_value", "init_slope"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            finite_real(name, getattr(self, name))
         if isinstance(self.forcing, str) and self.forcing not in ("forced", "force_free"):
             raise ValueError("forcing must be 'forced', 'force_free', or a callable")
 

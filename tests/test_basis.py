@@ -328,13 +328,18 @@ class TestSpecValidation:
         assert WaveletBasisSpec(1, 3, 1.0).sigma_tilde == 4
         assert WaveletBasisSpec(2, 5, 0.5).sigma_tilde == 12
 
-    @pytest.mark.parametrize(
-        "args",
-        # the last two have gamma*M = 168.03, just past the largest exponent
-        [(0, 3, 1.0), (1, -1, 1.0), (1, 3, 0.0), (1, 3, -0.5), (1, 3, 56.01), (2, 4, 42.0075)],
-    )
-    def test_invalid_spec(self, args):
-        with pytest.raises(ValueError):
+    # (1, 3, 56.01) and (2, 4, 42.0075) have gamma*M = 168.03, just past the
+    # largest exponent; the last five hold a value that is not a finite real number
+    INVALID = [
+        ((0, 3, 1.0), "k"), ((1, -1, 1.0), "M"), ((1, 3, 0.0), "gamma"), ((1, 3, -0.5), "gamma"),
+        ((1, 3, 56.01), r"gamma\*M"), ((2, 4, 42.0075), r"gamma\*M"),
+        ((True, 3, 0.5), "k"), ((1, 3, True), "gamma"), ((1, 3, "0.5"), "gamma"),
+        ((1, math.nan, 0.5), "M"), ((1, 3, math.inf), "gamma"),
+    ]
+
+    @pytest.mark.parametrize("args, field", INVALID, ids=[f"args{i}" for i in range(len(INVALID))])
+    def test_invalid_spec(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
             WaveletBasisSpec(*args)
 
     @pytest.mark.parametrize("k, M, gamma", [(1, 3, 56.0), (2, 4, 42.0)])

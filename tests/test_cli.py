@@ -179,6 +179,7 @@ class TestCommandErrors:
             (["1", "5", "1"], "is not three numbers"),
             ([1, 5, True], "is not three numbers"),
             ({"M": 5, "gamma": "0.5"}, "is not three numbers"),
+            ([1, math.nan, 0.5], "is not three numbers"),
         ],
     )
     def test_malformed_basis_entry_is_one_error_line(self, tmp_path, caplog, entry, lacks):
@@ -206,6 +207,13 @@ class TestCommandErrors:
             ({"forcing": "1/0"}, "forcing expression '1/0' is not finite"),
             ({"format": "xml"}, "format must be 'csv' or 'json'"),
             ({"basis": [[1, 3, 56.01]]}, "gamma*M = 168.03 exceeds 168"),
+            ([], "config must be a JSON object"),
+            (None, "config must be a JSON object"),
+            ({"preset": "example1-single", "include_published": True},
+             "preset 'example1-single' has mu = 0.1, not 0.0"),
+            ({"preset": "nonsense"}, "unknown preset 'nonsense'"),
+            ({"preset": ["example2"]}, "unknown preset ['example2']"),
+            ("x", "config must be a JSON object"),
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,
@@ -218,7 +226,8 @@ class TestCommandErrors:
         monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
         monkeypatch.setattr(fobw.experiments, "rk4_integrate", refuse)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, **raw}))
+        doc = {"a": 1.0, "init_value": 1.0, **raw} if isinstance(raw, dict) else raw
+        path.write_text(json.dumps(doc))
         _assert_one_error_naming(caplog, message, ["solve", "--config", str(path)])
 
     @pytest.mark.parametrize("plot", [False, True], ids=["table", "plot"])
@@ -236,7 +245,7 @@ class TestCommandErrors:
 
     @pytest.mark.parametrize(
         "alpha, message",
-        [("1.5 + 1/0", "order function is not finite"),
+        [("1.5 + 1/0", "alpha(0.000999001) = inf outside (1, 2]"),
          ("-" * 3000 + "t", "expression is nested too deeply")],
         ids=["division-by-zero", "nested-too-deeply"],
     )
@@ -284,6 +293,17 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t,AE gamma=1 M=5")
+
+    def test_fractional_alpha_defaults_to_the_residual_like_a_preset(self, tmp_path, capsys):
+        from fobw.experiments import PRESET_PROBLEMS
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(PRESET_PROBLEMS["example1-single"], alpha=[1.5])))
+        assert main(["solve", "--config", str(path)]) == 0
+        solved = capsys.readouterr().out
+        assert solved.startswith("t,residual gamma=1 M=5\n")
+        assert main(["preset", "example1-single", "--alpha", "1.5", "--gamma", "1", "--M", "5"]) == 0
+        assert capsys.readouterr().out == solved
 
     def test_reference_blowup_fails_the_ae_column(self, tmp_path, capsys, caplog):
         cfg = {"mu": 0, "a": 0, "b": -50, "init_value": 2, "metrics": ["AE"],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fobw.experiments import (
+    PRESET_PROBLEMS,
     ExperimentConfig,
     build_order,
     emit_plot_data,
@@ -16,6 +17,14 @@ from fobw.experiments import (
     run_experiment,
 )
 from fobw.reference import ErrorTable, residual_samples
+
+# cells whose text a format could get wrong: subnormals, rounding ties near
+# a power of ten, neighbours of 1, signed zero and the non-finite values
+EDGE_VALUES = np.array([
+    0.0, 5e-324, 1e-300, 9.999995e-05, 1e100, 1.0, np.nextafter(1.0, 0.0),
+    np.nextafter(1.0, 2.0), 0.999995, 1.000005, 1.2345649999999999, -0.0,
+    math.inf, math.nan,
+])
 
 
 class TestConfig:
@@ -28,11 +37,34 @@ class TestConfig:
     def test_fractional_alpha_switches_to_residual(self):
         cfg = preset_config("example1-single", alpha=("1.5",), basis=((1, 5, 0.2),))
         assert cfg.metrics == ("residual",)
-        assert not cfg.include_published
+        table, _ = run_experiment(cfg)
+        assert not any(label.endswith("(published)") for label in table.columns)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_config("example3")
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.lists(st.sampled_from([2, "2.0", 1.5, "1 + sin(t)"]), min_size=1,
+                          max_size=3, unique_by=lambda a: build_order(a).label))
+    def test_default_metric_is_the_same_on_both_routes(self, alpha):
+        expected = ("AE",) if set(alpha) <= {2, "2.0"} else ("residual",)
+        assert ExperimentConfig(alpha=alpha).metrics == expected
+        assert preset_config("example2", alpha=alpha).metrics == expected
+
+    @pytest.mark.parametrize(
+        "preset, raw, message",
+        [
+            ("example1-single", {"mu": 3, "a": 2}, "has mu = 0.1, not 3"),
+            ("example1-single", {"forcing": "0.5 * cos(0.79 * t)"},
+             "has forcing = 'forced', not '0.5 \\* cos"),
+            ("example2", {"f": 0.5}, "preset 'example2' has f = 0.0, not 0.5"),
+        ],
+    )
+    def test_config_naming_a_preset_must_hold_its_problem(self, preset, raw, message):
+        settings = dict(PRESET_PROBLEMS[preset], preset=preset, **raw)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**settings)
 
     def test_from_dict_round_trip(self):
         raw = {
@@ -56,7 +88,7 @@ class TestConfig:
 
     def test_alpha_expression_range_checked(self):
         raw = {"a": 1.0, "alpha": ["3 - t"], "metrics": ["residual"]}
-        with pytest.raises(ValueError, match=r"leaves \(1, 2\]"):
+        with pytest.raises(ValueError, match=r"alpha\(0\.000999001\) = 2\.999 outside \(1, 2\]"):
             ExperimentConfig.from_dict(raw)
 
     def test_bad_metric(self):
@@ -164,6 +196,8 @@ class TestAnyConfig:
     @example(raw={"forcing": "1/0"})
     @example(raw={"reference": "none", "metrics": ["residual"]})
     @example(raw={"reference_step": 0})
+    @example(raw=[])
+    @example(raw=None)
     def test_rejected_or_runs(self, raw):
         try:
             cfg = ExperimentConfig.from_dict(raw)
@@ -353,6 +387,19 @@ class TestEmission:
         text = render_csv(table)
         assert text == "t,only\n0.5,1.25000e-07\n"
 
+    def test_cells_format_as_per_cell_formats_do(self):
+        grid = sorted({v for v in EDGE_VALUES.tolist() if math.isfinite(v)})
+        n = len(grid)
+        # between them the two columns hold every edge value; they are marked
+        # failed, so their non-finite cells are allowed
+        columns = {"a": EDGE_VALUES[:n], "b": EDGE_VALUES[-n:]}
+        table = ErrorTable(grid, columns, {"failed_columns": ["a", "b"]})
+        lines = ["t,a,b"] + [
+            ",".join([f"{t:.6g}"] + [f"{columns[c][i]:.5e}" for c in "ab"])
+            for i, t in enumerate(grid)
+        ]
+        assert render_csv(table) == "\n".join(lines) + "\n"
+
     def test_csv_is_deterministic(self):
         table, _ = run_experiment(preset_config("example1-single"))
         assert render_csv(table) == render_csv(table)
@@ -409,11 +456,7 @@ class TestPlotData:
     def test_cells_format_as_numpy_scalars_do(self, monkeypatch):
         import fobw.experiments as experiments_module
 
-        values = np.array([
-            0.0, 5e-324, 1e-300, 9.999995e-05, 1e100, 1.0, np.nextafter(1.0, 0.0),
-            np.nextafter(1.0, 2.0), 0.999995, 1.000005, 1.2345649999999999, -0.0,
-            math.inf, math.nan,
-        ])
+        values = EDGE_VALUES
         curves = [values, values[::-1].copy()]
         monkeypatch.setattr(experiments_module, "residual_samples", lambda approx, t: curves)
         text = emit_plot_data([("a", None), ("b", None)], density=values.size)

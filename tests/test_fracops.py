@@ -55,6 +55,18 @@ class TestOrderFunction:
         with pytest.raises(ValueError):
             OrderFunction.from_callable(lambda t: 0.5 + t)  # dips to 1 and below
 
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (lambda t: np.where(t > 0.5, np.nan, 1.5), r"alpha\(0\.5005\) = nan outside"),
+            (lambda t: np.where(t < 0.25, np.inf, 1.5), r"alpha\(0\.000999001\) = inf outside"),
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_order_names_the_probe_point(self, fn, message):
+        with pytest.raises(ValueError, match=message):
+            OrderFunction.from_callable(fn)
+
 
 class TestSeriesIntegral:
     # The single wavelet of the k = 1, M = 0, gamma = 1 family is the

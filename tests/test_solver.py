@@ -376,7 +376,8 @@ class TestProblemValidation:
             )
 
     @pytest.mark.parametrize("field", ["mu", "a", "b", "f", "omega", "init_value", "init_slope"])
-    @pytest.mark.parametrize("value", ["1", None, math.nan, -math.inf])
+    @pytest.mark.parametrize("value", ["1", None, math.nan, -math.inf,
+                                       pytest.param(10**400, id="int-past-double")])
     def test_numeric_fields_must_be_finite_numbers(self, field, value):
         params = {"mu": 0.1, "a": 0.5, "b": 0.5, field: value}
         with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
