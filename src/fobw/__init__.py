@@ -6,9 +6,7 @@ The pieces compose bottom-up: special functions and the Chebyshev grid
 (`basis`), closed-form variable-order fractional images of the basis
 (`fracops`), the collocation solve and the approximant it returns
 (`solver`), RK4 references and error metrics (`reference`), and
-config-driven experiment reproduction (`experiments`, `cli`).  The
-independent oracles the closed forms are checked against (`oracles`) are
-imported only when one of their names is first looked up here.
+config-driven experiment reproduction (`experiments`, `cli`).
 
 >>> from fobw import OscillatorProblem, OrderFunction, WaveletBasisSpec, solve_problem
 >>> problem = OscillatorProblem(mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79,
@@ -54,21 +52,3 @@ from .solver import (
 from .special import chebyshev_grid
 
 __version__ = "0.1.0"
-
-_ORACLES = frozenset({
-    "AccuracyError",
-    "BasisIndex",
-    "bernstein_frac",
-    "fobw_eval",
-    "rl_integral_quadrature",
-    "weight_eval",
-    "weighted_inner_product",
-})
-
-
-def __getattr__(name):
-    if name in _ORACLES:
-        from . import oracles
-
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

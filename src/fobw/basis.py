@@ -45,7 +45,8 @@ def finite_real(name: str, value) -> float:
 @dataclass(frozen=True)
 class WaveletBasisSpec:
     """One wavelet family: resolution k, maximal polynomial index M, exponent
-    gamma, with gamma*M at most 168 so every image of order up to 2 is finite."""
+    gamma, with gamma*M at most 168 so every image of order up to 2 is finite,
+    and at most 1024 wavelets, 2**(k-1) * (M+1), so the system fits in memory."""
 
     k: int
     M: int
@@ -64,6 +65,10 @@ class WaveletBasisSpec:
             # gamma(171) for lam <= 2, under the 171.6 where a double overflows
             raise ValueError(f"gamma*M = {gamma * M:g} exceeds 168: the basis "
                              "images would need gamma values past the range of a double")
+        # k first: 2**(k-1) of a huge k is itself a huge integer
+        if k > 11 or 2 ** (int(k) - 1) * (M + 1) > 1024:
+            raise ValueError(f"sigma_tilde = 2**{int(k) - 1} * {int(M) + 1} exceeds 1024: "
+                             "the basis would be too large to assemble")
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "M", int(M))
         object.__setattr__(self, "gamma", gamma)

@@ -5,7 +5,8 @@
     fobw verify [--criterion IDENT ...]
 
 The config file is a JSON document whose keys match the ExperimentConfig
-field names.  FOBW_LOG sets the log level (DEBUG, INFO, WARNING, ...).
+field names; where the table goes, and in which format, only the flags
+say.  FOBW_LOG sets the log level (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import sys
 from .experiments import (
     ExperimentConfig,
     PRESET_PROBLEMS,
+    PRESET_SWEEP,
+    basis_sweep,
     emit_plot_data,
     emit_table,
     preset_config,
@@ -59,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run an experiment from a config file")
     p_solve.add_argument("--config", required=True, help="JSON config path")
     p_solve.add_argument("--out", default=None, help="output path (default: stdout)")
-    p_solve.add_argument("--format", choices=("csv", "json"), default=None)
+    p_solve.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_preset = sub.add_parser("preset", help="run a built-in experiment preset")
     p_preset.add_argument("name", choices=sorted(PRESET_PROBLEMS))
@@ -68,9 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma list of constants and/or expressions in t, e.g. '1.5' or '1 + sin(t)'",
     )
-    p_preset.add_argument("--gamma", type=_float_list, default=None, help="comma list")
-    p_preset.add_argument("--M", type=_int_list, default=None, help="comma list")
-    p_preset.add_argument("--k", type=int, default=1)
+    p_preset.add_argument("--gamma", type=_float_list, default=PRESET_SWEEP["gamma"],
+                          help="comma list")
+    p_preset.add_argument("--M", type=_int_list, default=PRESET_SWEEP["M"], help="comma list")
+    p_preset.add_argument("--k", type=int, default=PRESET_SWEEP["k"])
     p_preset.add_argument("--metric", choices=("AE", "MAE", "residual"), default=None)
     p_preset.add_argument("--grid", type=_float_list, default=None, help="output grid")
     p_preset.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -122,20 +126,14 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         log.error("invalid config: %s", exc)
         return 2
-    fmt = args.format or cfg.format
-    out = args.out if args.out is not None else cfg.out
     table, ok = run_experiment(cfg)
-    return _emit(table, ok, fmt, out)
+    return _emit(table, ok, args.format, args.out)
 
 
 def _cmd_preset(args) -> int:
-    overrides = {}
+    overrides = {"basis": basis_sweep(args.k, args.M, args.gamma)}
     if args.alpha is not None:
         overrides["alpha"] = tuple(part.strip() for part in args.alpha.split(",") if part.strip())
-    if args.gamma is not None or args.M is not None or args.k != 1:
-        gammas = args.gamma if args.gamma is not None else [1.0]
-        ms = args.M if args.M is not None else [5]
-        overrides["basis"] = tuple((args.k, m, g) for g in gammas for m in ms)
     if args.metric is not None:
         overrides["metrics"] = (args.metric,)
     if args.grid is not None:

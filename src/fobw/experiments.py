@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields
-from numbers import Real
 
 import numpy as np
 
@@ -30,6 +29,8 @@ log = logging.getLogger("fobw")
 DEFAULT_GRID = TABLE_POINTS
 VALID_METRICS = ("AE", "MAE", "residual")
 REFERENCE_STEP = 1e-4  # step of the RK4 reference that AE and MAE compare against
+#: a preset's basis sweep, and what `fobw preset` takes for an omitted --k, --M or --gamma
+PRESET_SWEEP = {"k": 1, "M": (5,), "gamma": (0.5, 0.9, 1.0)}
 
 #: problem parameters behind each named preset, every one of the config's but alpha
 PRESET_PROBLEMS = {
@@ -56,14 +57,15 @@ PRESET_PROBLEMS = {
 class ExperimentConfig:
     """One experiment, checked and built when it is constructed (by ``replace``
     too): a lone ``alpha``, ``basis``, ``output_grid`` or ``metrics`` value
-    becomes a one-entry tuple, each ``basis`` entry (``[k, M, gamma]`` or a
-    ``{"k", "M", "gamma"}`` mapping, k defaulting to 1, k and M whole) an
-    ``(int, int, float)`` triple, and ``problems`` and ``specs`` hold the problem
-    of each alpha entry and the basis of each basis entry that :func:`run_experiment` solves.
+    becomes a one-entry tuple, each ``basis`` entry (see :func:`_spec`) an
+    ``(int, int, float)`` triple, each ``output_grid`` point a float, and
+    ``problems`` and ``specs`` hold the problem of each alpha entry and the
+    basis of each basis entry that :func:`run_experiment` solves.
     ``metrics`` left at None becomes ``("AE",)`` when every order is the
     constant 2 and ``("residual",)`` otherwise.  A config that names a
     ``preset`` must hold that preset's problem, every parameter of
-    :data:`PRESET_PROBLEMS` equal."""
+    :data:`PRESET_PROBLEMS` equal.  Where the table goes, and in which
+    format, is the command's to say, not the config's."""
 
     mu: float = 0.0
     a: float = 0.0
@@ -77,33 +79,30 @@ class ExperimentConfig:
     basis: tuple = ((1, 5, 1.0),)        # (k, M, gamma) triples
     output_grid: tuple = DEFAULT_GRID
     metrics: tuple | None = None         # None: derived from alpha
-    format: str = "csv"                  # "csv" | "json"
-    out: str | None = None
     preset: str | None = None
     include_published: bool = False
     problems: tuple = field(init=False, repr=False, compare=False)
     specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        normalized = dict(
-            alpha=_entries(self.alpha),
-            basis=tuple(_basis_triple(entry) for entry in _entries(self.basis)),
-            output_grid=_entries(self.output_grid),
-        )
-        for name, value in normalized.items():
-            object.__setattr__(self, name, value)
+        specs = tuple(_spec(entry) for entry in _entries(self.basis))
+        object.__setattr__(self, "basis", tuple((s.k, s.M, s.gamma) for s in specs))
+        object.__setattr__(self, "alpha", _entries(self.alpha))
+        try:
+            grid = tuple(finite_real("t", t) for t in _entries(self.output_grid))
+        except ValueError:
+            grid = ()  # a point that is not a number is refused with the range below
+        if not grid or not all(0.0 < t <= 1.0 for t in grid):
+            raise ValueError(f"output_grid points must be numbers in (0, 1]: {self.output_grid!r}")
+        object.__setattr__(self, "output_grid", grid)
 
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
         if not self.basis:
             raise ValueError("at least one basis (k, M, gamma) is required")
         if not self.alpha:
             raise ValueError("at least one alpha entry is required")
-        if not self.output_grid or not all(
-            isinstance(t, Real) and not isinstance(t, bool) and 0.0 < t <= 1.0
-            for t in self.output_grid
-        ):
-            raise ValueError(f"output_grid points must be numbers in (0, 1]: {self.output_grid!r}")
+        if not isinstance(self.include_published, bool):
+            raise ValueError(f"include_published must be true or false, "
+                             f"not {self.include_published!r}")
         if any(b <= a for a, b in zip(self.output_grid, self.output_grid[1:])):
             raise ValueError("output grid points must be strictly ascending")
         forcing = self.forcing
@@ -140,7 +139,6 @@ class ExperimentConfig:
                 if getattr(self, name) != value:
                     raise ValueError(f"preset {self.preset!r} has {name} = {value!r}, "
                                      f"not {getattr(self, name)!r}")
-        specs = tuple(WaveletBasisSpec(*triple) for triple in self.basis)
         labels = set()
         for problem in problems:
             for spec in specs:
@@ -183,10 +181,10 @@ def build_order(entry) -> OrderFunction:
     return OrderFunction.from_callable(parse_expression(text), label=text)
 
 
-def _basis_triple(entry) -> tuple[int, int, float]:
-    """A basis entry, ``[k, M, gamma]`` or a mapping with ``"M"``, ``"gamma"``
-    and optionally ``"k"`` (default 1), as an ``(int, int, float)`` triple;
-    ``k`` and ``M`` must be whole numbers."""
+def _spec(entry) -> WaveletBasisSpec:
+    """The basis of a ``basis`` entry, ``[k, M, gamma]`` or a mapping with
+    ``"M"``, ``"gamma"`` and optionally ``"k"`` (default 1).  Its numbers are
+    checked by :class:`WaveletBasisSpec` alone; an error names the entry."""
     values = entry
     if isinstance(entry, dict):
         missing = [key for key in ("M", "gamma") if key not in entry]
@@ -194,13 +192,11 @@ def _basis_triple(entry) -> tuple[int, int, float]:
             raise ValueError(f"basis entry {entry!r} lacks {' and '.join(map(repr, missing))}")
         values = (entry.get("k", 1), entry["M"], entry["gamma"])
     try:
-        names = ("k", "M", "gamma")
-        k, M, g = (finite_real(name, v) for name, v in zip(names, values, strict=True))
-    except (TypeError, ValueError):
+        return WaveletBasisSpec(*values)
+    except TypeError:  # not iterable, or not three values
         raise ValueError(f"basis entry {entry!r} is not three numbers [k, M, gamma]") from None
-    if not (k.is_integer() and M.is_integer()):
-        raise ValueError(f"basis entry {entry!r} has a k or M that is not a whole number")
-    return int(k), int(M), g
+    except ValueError as exc:
+        raise ValueError(f"basis entry {entry!r}: {exc}") from None
 
 
 def _entries(value) -> tuple:
@@ -213,20 +209,25 @@ def _entries(value) -> tuple:
 def preset_config(name: str, **overrides) -> ExperimentConfig:
     """Named experiment presets with table-matching defaults.
 
-    The preset's problem on the bases gamma in {0.5, 0.9, 1}, M = 5, with its
-    published comparison columns.  As in any config, the default metric is
-    AE when every alpha is 2 (the published columns then stand beside it)
-    and the residual otherwise (which carries no published columns: they
-    are absolute errors).
+    The preset's problem on the bases of :data:`PRESET_SWEEP` (gamma in
+    {0.5, 0.9, 1}, M = 5, k = 1), with its published comparison columns.  As
+    in any config, the default metric is AE when every alpha is 2 (the
+    published columns then stand beside it) and the residual otherwise (which
+    carries no published columns: they are absolute errors).
     """
     settings = dict(
         PRESET_PROBLEMS.get(name, {}),
-        basis=((1, 5, 0.5), (1, 5, 0.9), (1, 5, 1.0)),
+        basis=basis_sweep(**PRESET_SWEEP),
         preset=name,
         include_published=True,
     )
     settings.update(overrides)
     return ExperimentConfig(**settings)
+
+
+def basis_sweep(k: int, M, gamma) -> tuple:
+    """The ``(k, M, gamma)`` triple of every M for each gamma, gamma-major."""
+    return tuple((k, m, g) for g in gamma for m in M)
 
 
 def _combination_label(spec: WaveletBasisSpec, alpha_label: str, multi_alpha: bool) -> str:
@@ -340,14 +341,17 @@ def render_csv(table: ErrorTable) -> str:
 
 
 def render_json(table: ErrorTable) -> str:
+    """The table as strict JSON: a non-finite cell, which only a failed column
+    holds, is ``null``."""
     import json
 
     payload = {
         "grid": list(table.grid),
-        "columns": {label: list(vals) for label, vals in table.columns.items()},
+        "columns": {label: [v if math.isfinite(v) else None for v in vals]
+                    for label, vals in table.columns.items()},
         "meta": table.meta,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def emit_table(table: ErrorTable, format: str, path: str | None) -> str:

@@ -143,6 +143,8 @@ _GRADING_ORDER = 8
 
 _MAX_PANELS_PER_CHUNK = 1 << 14
 
+QUADRATURE_TOL = 1e-12  # agreement of two successive estimates that ends the bisection
+
 
 def _graded(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wm = w**_GRADING_ORDER
@@ -176,21 +178,17 @@ def _level_estimate(g, panels: int) -> float:
     return total
 
 
-def adaptive_unit_integral(
-    g,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-    max_levels: int = 20,
-) -> float:
+def adaptive_unit_integral(g, max_levels: int = 20) -> float:
     """Integral of vectorized ``g`` over [0, 1].
 
     Composite 64-node Gauss-Legendre in an endpoint-graded variable; panels
-    are bisected globally until two successive estimates agree to tolerance.
+    are bisected globally until two successive estimates agree to
+    ``QUADRATURE_TOL``, absolute below 1 and relative above.
     """
     prev = _level_estimate(g, 1)
     for level in range(1, max_levels + 1):
         cur = _level_estimate(g, 2**level)
-        if abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
+        if abs(cur - prev) <= QUADRATURE_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise AccuracyError(
@@ -202,13 +200,7 @@ def adaptive_unit_integral(
 # Riemann-Liouville integrals and inner products by quadrature
 # ---------------------------------------------------------------------------
 
-def rl_integral_quadrature(
-    f,
-    lam: float,
-    t: float,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-) -> float:
+def rl_integral_quadrature(f, lam: float, t: float) -> float:
     """Fractional integral of order lam of an evaluable f at t, by quadrature.
 
     The kernel singularity at the upper limit is removed by substituting
@@ -224,7 +216,7 @@ def rl_integral_quadrature(
     fv = _vectorized(f)
     inv = 1.0 / lam
     g = lambda v: fv(t * (1.0 - v**inv))
-    j = adaptive_unit_integral(g, abs_tol=abs_tol, rel_tol=rel_tol)
+    j = adaptive_unit_integral(g)
     return t**lam / math.gamma(lam + 1.0) * j
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,20 +328,34 @@ class TestSpecValidation:
     def test_sigma_tilde(self):
         assert WaveletBasisSpec(1, 3, 1.0).sigma_tilde == 4
         assert WaveletBasisSpec(2, 5, 0.5).sigma_tilde == 12
+        assert WaveletBasisSpec(8, 7, 0.5).sigma_tilde == 1024  # the largest basis
 
     # (1, 3, 56.01) and (2, 4, 42.0075) have gamma*M = 168.03, just past the
-    # largest exponent; the last five hold a value that is not a finite real number
+    # largest exponent; the next five hold a value that is not a finite real
+    # number; the last two have more than 1024 wavelets
     INVALID = [
         ((0, 3, 1.0), "k"), ((1, -1, 1.0), "M"), ((1, 3, 0.0), "gamma"), ((1, 3, -0.5), "gamma"),
         ((1, 3, 56.01), r"gamma\*M"), ((2, 4, 42.0075), r"gamma\*M"),
         ((True, 3, 0.5), "k"), ((1, 3, True), "gamma"), ((1, 3, "0.5"), "gamma"),
         ((1, math.nan, 0.5), "M"), ((1, 3, math.inf), "gamma"),
+        ((8, 8, 0.5), r"sigma_tilde = 2\*\*7 \* 9"), ((10**9, 3, 0.5), "sigma_tilde"),
     ]
 
     @pytest.mark.parametrize("args, field", INVALID, ids=[f"args{i}" for i in range(len(INVALID))])
     def test_invalid_spec(self, args, field):
         with pytest.raises(ValueError, match=f"^{field} "):
             WaveletBasisSpec(*args)
+
+    def test_huge_k_is_refused_without_forming_its_size(self):
+        # 2**(10**9 - 1) alone would be a 125 MB integer
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds 1024"):
+                WaveletBasisSpec(10**9, 3, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("k, M, gamma", [(1, 3, 56.0), (2, 4, 42.0)])
     def test_largest_exponent_has_finite_images(self, k, M, gamma):

@@ -93,6 +93,15 @@ class TestPresetCommand:
         published = ["UWS (published)", "LWPS (published)"] if metric == "AE" else []
         assert header[4:] == published
 
+    @pytest.mark.parametrize(
+        "flags, k, M", [(["--M", "3"], "", 3), (["--k", "2"], "k=2 ", 5)], ids=["M", "k"]
+    )
+    def test_lone_basis_flag_keeps_the_preset_gammas(self, capsys, flags, k, M):
+        assert main(["preset", "example1-single", *flags]) == 0
+        header = capsys.readouterr().out.split("\n", 1)[0].split(",")
+        assert header[1:4] == [f"AE {k}gamma={g} M={M}" for g in ("0.5", "0.9", "1")]
+        assert header[4:] == ["UWS (published)", "LWPS (published)"]
+
     def test_no_published_flag(self, capsys):
         assert main(["preset", "example1-single", "--no-published"]) == 0
         header = capsys.readouterr().out.split("\n", 1)[0]
@@ -173,22 +182,23 @@ class TestCommandErrors:
         [
             ({"k": 1, "gamma": 0.5}, "lacks 'M'"),
             ([1, 3], "is not three numbers"),
-            ([1, 3.7, 0.5], "has a k or M that is not a whole number"),
+            ([1, 3.7, 0.5], "M must be a nonnegative integer"),
             (5, "is not three numbers"),
-            ([True, 5, 1.0], "is not three numbers"),
-            (["1", "5", "1"], "is not three numbers"),
-            ([1, 5, True], "is not three numbers"),
-            ({"M": 5, "gamma": "0.5"}, "is not three numbers"),
-            ([1, math.nan, 0.5], "is not three numbers"),
+            ([True, 5, 1.0], "k must be a finite real number, got True"),
+            (["1", "5", "1"], "k must be a finite real number, got '1'"),
+            ([1, 5, True], "gamma must be a finite real number, got True"),
+            ({"M": 5, "gamma": "0.5"}, "gamma must be a finite real number, got '0.5'"),
+            ([1, math.nan, 0.5], "M must be a finite real number, got nan"),
         ],
     )
     def test_malformed_basis_entry_is_one_error_line(self, tmp_path, caplog, entry, lacks):
-        # a lone entry stands for a list of one, so 5 is written as "basis": 5
+        # a lone entry stands for a list of one, so 5 is written as "basis": 5;
+        # the error names the entry, then what is wrong with it
         basis = entry if isinstance(entry, int) else [entry]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"basis": basis, "metrics": ["residual"]}))
-        _assert_one_error_naming(caplog, f"basis entry {entry!r} {lacks}",
-                                 ["solve", "--config", str(path)])
+        error = _assert_one_error_naming(caplog, lacks, ["solve", "--config", str(path)])
+        assert error.startswith(f"invalid config: basis entry {entry!r}")
 
     @pytest.mark.parametrize(
         "raw, message",
@@ -205,7 +215,7 @@ class TestCommandErrors:
             ({"mu": True}, "mu must be a finite real number"),
             ({"output_grid": [0.5, True]}, "output_grid points must be numbers in (0, 1]"),
             ({"forcing": "1/0"}, "forcing expression '1/0' is not finite"),
-            ({"format": "xml"}, "format must be 'csv' or 'json'"),
+            ({"format": "json"}, "unknown config keys: ['format']"),
             ({"basis": [[1, 3, 56.01]]}, "gamma*M = 168.03 exceeds 168"),
             ([], "config must be a JSON object"),
             (None, "config must be a JSON object"),
@@ -214,6 +224,11 @@ class TestCommandErrors:
             ({"preset": "nonsense"}, "unknown preset 'nonsense'"),
             ({"preset": ["example2"]}, "unknown preset ['example2']"),
             ("x", "config must be a JSON object"),
+            ({"out": "x"}, "unknown config keys: ['out']"),
+            ({"include_published": "no"}, "include_published must be true or false, not 'no'"),
+            ({"include_published": 1}, "include_published must be true or false, not 1"),
+            ({"basis": [[30, 5, 0.2]]}, "basis entry [30, 5, 0.2]: sigma_tilde = 2**29 * 6 "
+                                        "exceeds 1024"),
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,
@@ -274,11 +289,13 @@ class TestCommandErrors:
 
 
 def _assert_one_error_naming(caplog, name, argv):
-    """``main(argv)`` exits 2 with one error line, and that line holds ``name``."""
+    """``main(argv)`` exits 2 with one error line, and that line holds ``name``;
+    returns the line."""
     with caplog.at_level(logging.ERROR, logger="fobw"):
         assert main(argv) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and name in errors[0]
+    return errors[0]
 
 
 class TestSolveCommand:
@@ -307,13 +324,13 @@ class TestSolveCommand:
 
     def test_reference_blowup_fails_the_ae_column(self, tmp_path, capsys, caplog):
         cfg = {"mu": 0, "a": 0, "b": -50, "init_value": 2, "metrics": ["AE"],
-               "basis": [[1, 5, 1.0]], "format": "json"}
+               "basis": [[1, 5, 1.0]]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["solve", "--config", str(path)]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["solve", "--config", str(path), "--format", "json"]) == 1
+        payload = _strict_json(capsys.readouterr().out)
         assert payload["meta"]["failed_columns"] == ["AE gamma=1 M=5"]
-        assert all(math.isnan(v) for v in payload["columns"]["AE gamma=1 M=5"])
+        assert payload["columns"]["AE gamma=1 M=5"] == [None] * 5
         assert any("RK4 reference failed" in r.getMessage() and "t = 0.13" in r.getMessage()
                    for r in caplog.records)
 
@@ -352,7 +369,18 @@ class TestSolveCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
-        assert line.startswith("[ERROR] fobw: invalid preset options: gamma*M = 180 exceeds 168")
+        assert line.startswith("[ERROR] fobw: invalid preset options: basis entry (")
+        assert line.endswith("): gamma*M = 180 exceeds 168: the basis images would need "
+                             "gamma values past the range of a double")
+
+    def test_basis_too_large_to_assemble_is_refused(self):
+        # 2**44 * 4 wavelets: refused by name before anything is allocated
+        proc = _run_fobw(["preset", "example1-single", "--k", "45", "--M", "3", "--gamma", "0.5"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("[ERROR] fobw: invalid preset options: basis entry (45, 3, 0.5): "
+                               "sigma_tilde = 2**44 * 4 exceeds 1024: the basis would be too "
+                               "large to assemble\n")
 
     def test_missing_config(self):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2
@@ -362,18 +390,22 @@ class TestSolveCommand:
         path.write_text(json.dumps({"metrics": ["bogus"]}))
         assert main(["solve", "--config", str(path)]) == 2
 
-    def test_out_path_from_config(self, tmp_path):
-        out = tmp_path / "from_cfg.json"
+    def test_out_path_from_config(self, tmp_path, caplog):
+        # the output path is the command's: --out writes it, a config's "out" is refused
+        out = tmp_path / "from_flag.json"
         cfg = {
             "mu": 0.0, "a": 0.0, "b": 0.0, "init_value": 1.0,
             "alpha": [2.0], "basis": [[1, 3, 1.0]],
             "metrics": ["residual"],
-            "format": "json", "out": str(out),
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["solve", "--config", str(path)]) == 0
-        assert out.exists()
+        assert main(["solve", "--config", str(path), "--format", "json", "--out", str(out)]) == 0
+        assert _strict_json(out.read_text())["columns"]["residual gamma=1 M=3"]
+        path.write_text(json.dumps(dict(cfg, out=str(tmp_path / "from_cfg.json"))))
+        _assert_one_error_naming(caplog, "unknown config keys: ['out']",
+                                 ["solve", "--config", str(path)])
+        assert not (tmp_path / "from_cfg.json").exists()
 
 
 class TestVerifyCommand:
@@ -385,6 +417,14 @@ class TestVerifyCommand:
 
     def test_unknown_criterion(self, capsys):
         assert main(["verify", "--criterion", "criterion-99"]) == 2
+
+
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _run_fobw(argv):

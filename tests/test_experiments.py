@@ -71,7 +71,7 @@ class TestConfig:
             "mu": 0.1, "a": 0.5, "b": 0.5, "f": 0.5, "omega": 0.79,
             "forcing": "forced", "init_value": 1.0,
             "alpha": [2.0], "basis": [[1, 5, 1.0]],
-            "metrics": ["AE"], "format": "csv",
+            "metrics": ["AE"],
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.basis == ((1, 5, 1.0),)
@@ -417,6 +417,16 @@ class TestEmission:
             payload["meta"],
         )
         assert again == table
+
+    def test_json_is_strict_and_non_finite_cells_are_null(self):
+        table = ErrorTable((0.1, 0.9), {"ok": (1.0, 2.0), "bad": (math.nan, math.inf)},
+                           {"failed_columns": ["bad"]})
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(emit_table(table, "json", None), parse_constant=refuse)
+        assert payload["columns"] == {"ok": [1.0, 2.0], "bad": [None, None]}
 
     def test_write_to_file(self, tmp_path):
         table = ErrorTable((0.5,), {"c": (1.0,)}, {})

@@ -42,11 +42,3 @@ def test_preset_loads_only_what_it_runs():
         "ErrorTable", "ExperimentConfig", "OrderFunction", "OscillatorProblem", "WaveletBasisSpec",
     ]
     assert warmup
-
-
-def test_oracle_names_stay_reachable_from_the_package():
-    from fobw import oracles
-
-    for name in sorted(fobw._ORACLES):
-        assert getattr(fobw, name) is getattr(oracles, name)
-    assert not hasattr(fobw, "no_such_name")
