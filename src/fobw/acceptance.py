@@ -16,10 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import WaveletBasisSpec, _local_values
-from .experiments import preset_config, run_experiment
+from .experiments import TABLE_POINTS, preset_config, run_experiment
 from .fracops import OrderFunction, basis_images
 from .oracles import rl_integral_quadrature, weighted_inner_product
-from .published import TABLE_POINTS
 from .reference import rk4_integrate
 from .solver import OscillatorProblem, solve_problem
 
@@ -45,9 +44,8 @@ class CriterionResult(NamedTuple):
 
 def _columns(preset: str, **overrides) -> dict[str, tuple[float, ...]]:
     """The table columns `fobw preset` builds for ``preset`` with ``overrides``
-    at the table points, without the published columns; a column whose solve
-    failed is all NaN."""
-    cfg = preset_config(preset, include_published=False, **overrides)
+    at the table points, read by label; a column whose solve failed is all NaN."""
+    cfg = preset_config(preset, **overrides)
     table, _ = run_experiment(cfg)
     return table.columns
 

@@ -44,13 +44,6 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _plot_points(text: str) -> int:
-    points = int(text)
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {points}")
-    return points
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fobw",
@@ -76,14 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--M", type=_int_list, default=PRESET_SWEEP["M"], help="comma list")
     p_preset.add_argument("--k", type=int, default=PRESET_SWEEP["k"])
     p_preset.add_argument("--metric", choices=("AE", "MAE", "residual"), default=None)
-    p_preset.add_argument("--grid", type=_float_list, default=None, help="output grid")
     p_preset.add_argument("--out", default=None, help="output path (default: stdout)")
     p_preset.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_preset.add_argument("--plot-data", default=None, help="write dense residual curves here")
-    p_preset.add_argument("--plot-points", type=_plot_points, default=401)
-    p_preset.add_argument(
-        "--no-published", action="store_true", help="omit the published comparison columns"
-    )
+    p_preset.add_argument("--plot-data", default=None,
+                          help="write dense residual curves, 401 points, here")
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria")
     p_verify.add_argument(
@@ -108,7 +97,7 @@ def _emit(table, ok: bool, fmt: str, out: str | None, plot=None) -> int:
     else:
         log.info("wrote %s", out)
     if plot is not None:
-        log.info("wrote %s", plot[2])
+        log.info("wrote %s", plot[1])
     return 0 if ok else 1
 
 
@@ -136,10 +125,6 @@ def _cmd_preset(args) -> int:
         overrides["alpha"] = tuple(part.strip() for part in args.alpha.split(",") if part.strip())
     if args.metric is not None:
         overrides["metrics"] = (args.metric,)
-    if args.grid is not None:
-        overrides["output_grid"] = tuple(args.grid)
-    if args.no_published:
-        overrides["include_published"] = False
     try:
         cfg = preset_config(args.name, **overrides)
     except ValueError as exc:
@@ -147,7 +132,7 @@ def _cmd_preset(args) -> int:
         return 2
     labeled = [] if args.plot_data is not None else None
     table, ok = run_experiment(cfg, approximants=labeled)
-    plot = None if labeled is None else (labeled, args.plot_points, args.plot_data)
+    plot = None if labeled is None else (labeled, args.plot_data)
     return _emit(table, ok, args.format, args.out, plot)
 
 

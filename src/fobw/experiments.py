@@ -18,7 +18,6 @@ import numpy as np
 from .basis import WaveletBasisSpec, finite_real
 from .expr import parse_expression
 from .fracops import OrderFunction, order_values
-from .published import COMPARISON_COLUMNS, TABLE_POINTS
 from .reference import BlowupError, ErrorTable, absolute_error, residual_samples, rk4_integrate
 from .solver import (
     OscillatorProblem, SolverError, assemble_systems, collocation_grid, solve_system,
@@ -26,9 +25,9 @@ from .solver import (
 
 log = logging.getLogger("fobw")
 
-DEFAULT_GRID = TABLE_POINTS
 VALID_METRICS = ("AE", "MAE", "residual")
 REFERENCE_STEP = 1e-4  # step of the RK4 reference that AE and MAE compare against
+PLOT_POINTS = 401  # uniform points on (0, 1] of every dense residual curve
 #: a preset's basis sweep, and what `fobw preset` takes for an omitted --k, --M or --gamma
 PRESET_SWEEP = {"k": 1, "M": (5,), "gamma": (0.5, 0.9, 1.0)}
 
@@ -50,6 +49,31 @@ PRESET_PROBLEMS = {
         mu=0.1, a=1.0, b=0.01, f=0.0, omega=0.0, forcing="force_free",
         init_value=2.0, init_slope=0.0,
     ),
+}
+
+# The points of the paper's tables, and the absolute errors other methods
+# reached there (ultraspherical wavelet scheme, Legendre wavelet-Picard
+# scheme, Adomian decomposition scheme and its restarted variant).  These
+# columns are transcribed literature values shipped for side-by-side table
+# output; this package never computes them.
+TABLE_POINTS = (0.1, 0.3, 0.5, 0.7, 0.9)
+COMPARISON_COLUMNS = {
+    "example1-single": {
+        "UWS": (4.0e-8, 1.2e-7, 6.1e-7, 1.6e-6, 3.3e-6),
+        "LWPS": (2.1e-8, 5.2e-8, 2.8e-7, 1.4e-6, 2.5e-6),
+    },
+    "example1-double": {
+        "UWS": (1.1e-8, 9.0e-8, 3.6e-7, 5.6e-7, 1.1e-6),
+        "LWPS": (1.0e-8, 5.9e-8, 1.7e-7, 3.6e-7, 9.4e-7),
+    },
+    "example1-hump": {
+        "UWS": (1.0e-7, 4.8e-7, 1.4e-6, 3.8e-6, 5.8e-6),
+        "LWPS": (8.0e-8, 4.1e-7, 1.2e-6, 3.6e-6, 5.1e-6),
+    },
+    "example2": {
+        "ADS": (2.4e-3, 2.2e-3, 1.5e-3, 6.2e-4, 1.4e-3),
+        "RADS": (2.4e-3, 2.2e-3, 1.5e-3, 2.2e-4, 1.3e-3),
+    },
 }
 
 
@@ -77,10 +101,9 @@ class ExperimentConfig:
     init_slope: float = 0.0
     alpha: tuple = (2.0,)                # constants and/or expression strings
     basis: tuple = ((1, 5, 1.0),)        # (k, M, gamma) triples
-    output_grid: tuple = DEFAULT_GRID
+    output_grid: tuple = TABLE_POINTS
     metrics: tuple | None = None         # None: derived from alpha
     preset: str | None = None
-    include_published: bool = False
     problems: tuple = field(init=False, repr=False, compare=False)
     specs: tuple = field(init=False, repr=False, compare=False)
 
@@ -100,9 +123,6 @@ class ExperimentConfig:
             raise ValueError("at least one basis (k, M, gamma) is required")
         if not self.alpha:
             raise ValueError("at least one alpha entry is required")
-        if not isinstance(self.include_published, bool):
-            raise ValueError(f"include_published must be true or false, "
-                             f"not {self.include_published!r}")
         if any(b <= a for a, b in zip(self.output_grid, self.output_grid[1:])):
             raise ValueError("output grid points must be strictly ascending")
         forcing = self.forcing
@@ -210,16 +230,14 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     """Named experiment presets with table-matching defaults.
 
     The preset's problem on the bases of :data:`PRESET_SWEEP` (gamma in
-    {0.5, 0.9, 1}, M = 5, k = 1), with its published comparison columns.  As
-    in any config, the default metric is AE when every alpha is 2 (the
-    published columns then stand beside it) and the residual otherwise (which
-    carries no published columns: they are absolute errors).
+    {0.5, 0.9, 1}, M = 5, k = 1).  As in any config, the default metric is AE
+    when every alpha is 2 and the residual otherwise, and an AE table carries
+    the preset's published columns (see :func:`run_experiment`).
     """
     settings = dict(
         PRESET_PROBLEMS.get(name, {}),
         basis=basis_sweep(**PRESET_SWEEP),
         preset=name,
-        include_published=True,
     )
     settings.update(overrides)
     return ExperimentConfig(**settings)
@@ -251,7 +269,9 @@ def run_experiment(
     ready for :func:`emit_plot_data`.  Every alpha of a basis is assembled
     together, one :func:`assemble_systems` call per basis, and the residual
     columns of all solves are sampled together, one :func:`residual_samples`
-    call per run.
+    call per run.  A table carries the :data:`COMPARISON_COLUMNS` of the
+    config's ``preset`` exactly when it has an AE metric and the output grid
+    is :data:`TABLE_POINTS`.
     """
     grid = cfg.output_grid
     points = np.array(grid)
@@ -303,9 +323,9 @@ def run_experiment(
     for (label, _), vals in zip(residual_columns, samples):
         columns[label] = tuple(vals)
 
-    # the published values are absolute errors, comparable only to AE columns
-    if (cfg.include_published and "AE" in cfg.metrics and cfg.preset in COMPARISON_COLUMNS
-            and grid == TABLE_POINTS):
+    # the published values are absolute errors at the table points, comparable
+    # only to AE columns there
+    if cfg.preset is not None and "AE" in cfg.metrics and grid == TABLE_POINTS:
         for method, vals in COMPARISON_COLUMNS[cfg.preset].items():
             columns[f"{method} (published)"] = vals
 
@@ -365,16 +385,14 @@ def emit_table(table: ErrorTable, format: str, path: str | None) -> str:
     return _write(text, path, "table")
 
 
-def emit_plot_data(labeled_approximants, density: int = 401, path: str | None = None) -> str:
+def emit_plot_data(labeled_approximants, path: str | None = None) -> str:
     """Dense residual curves as CSV, one column per labeled approximant.
 
-    The grid is ``density`` uniform points on (0, 1]; the Caputo operator is
-    defined for t > 0, so 0 itself is excluded.  The columns on one basis
-    share its image tables (:func:`residual_samples`).
+    The grid is :data:`PLOT_POINTS` uniform points on (0, 1]; the Caputo
+    operator is defined for t > 0, so 0 itself is excluded.  The columns on
+    one basis share its image tables (:func:`residual_samples`).
     """
-    if density < 2:
-        raise ValueError("density must be at least 2")
-    grid = np.linspace(0.0, 1.0, density + 1)[1:]
+    grid = np.linspace(0.0, 1.0, PLOT_POINTS + 1)[1:]
     labels = [label for label, _ in labeled_approximants]
     curves = residual_samples([approx for _, approx in labeled_approximants], grid)
     # one format per row, of Python floats: faster than per-cell formats of

@@ -10,10 +10,11 @@ import pytest
 
 from fobw import acceptance, fracops, solver, special
 from fobw.basis import WaveletBasisSpec
-from fobw.experiments import PRESET_PROBLEMS, emit_plot_data, preset_config, run_experiment
+from fobw.experiments import (
+    PRESET_PROBLEMS, TABLE_POINTS, emit_plot_data, preset_config, run_experiment,
+)
 from fobw.expr import parse_expression
 from fobw.fracops import OrderFunction
-from fobw.published import TABLE_POINTS
 from fobw.solver import OscillatorProblem, SolutionApproximant, assemble
 
 
@@ -114,7 +115,7 @@ def test_plot_data_makes_one_image_call_per_basis(counted):
         for k, M in ((1, 3), (2, 3), (1, 4))
         for name in sorted(ORDERS)
     ]
-    emit_plot_data(labeled, density=40)
+    emit_plot_data(labeled)
     # three bases, three alpha columns each
     assert images.calls == 3
     # I^1, I^2 and one Caputo order per column

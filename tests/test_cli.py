@@ -10,6 +10,7 @@ import pytest
 
 import fobw
 from fobw.cli import main
+from fobw.experiments import PRESET_PROBLEMS, PRESET_SWEEP
 
 
 class TestPresetCommand:
@@ -51,12 +52,11 @@ class TestPresetCommand:
         code = main(
             ["preset", "example1-single", "--alpha", "1.2,1.4",
              "--gamma", "0.2", "--M", "5",
-             "--out", str(table_out), "--plot-data", str(plot_out),
-             "--plot-points", "11"]
+             "--out", str(table_out), "--plot-data", str(plot_out)]
         )
         assert code == 0
         lines = plot_out.read_text().strip().split("\n")
-        assert len(lines) == 12
+        assert len(lines) == 402
         assert lines[0].count(",") == 2
 
     def test_plot_data_reuses_table_solves(self, tmp_path, monkeypatch):
@@ -77,7 +77,7 @@ class TestPresetCommand:
         code = main(
             ["preset", "example1-single", "--k", "2", "--alpha", "1.5",
              "--gamma", "0.2", "--M", "3", "--out", str(tmp_path / "t.csv"),
-             "--plot-data", str(plot_out), "--plot-points", "11"]
+             "--plot-data", str(plot_out)]
         )
         assert code == 0
         assert len(calls) == 1
@@ -102,56 +102,69 @@ class TestPresetCommand:
         assert header[1:4] == [f"AE {k}gamma={g} M={M}" for g in ("0.5", "0.9", "1")]
         assert header[4:] == ["UWS (published)", "LWPS (published)"]
 
-    def test_no_published_flag(self, capsys):
-        assert main(["preset", "example1-single", "--no-published"]) == 0
-        header = capsys.readouterr().out.split("\n", 1)[0]
-        assert "published" not in header
-
-    def test_custom_output_grid(self, capsys):
-        code = main(
-            ["preset", "example1-single", "--gamma", "1.0", "--M", "5",
-             "--grid", "0.25,0.75"]
-        )
-        assert code == 0
+    def test_custom_output_grid(self, tmp_path, capsys):
+        # a preset keeps the table grid; another grid is a config's output_grid,
+        # and off the table grid the published columns have no place
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**PRESET_PROBLEMS["example1-single"],
+                                    "preset": "example1-single", "basis": [[1, 5, 1.0]],
+                                    "output_grid": [0.25, 0.75]}))
+        assert main(["solve", "--config", str(path)]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "t,AE gamma=1 M=5"
         assert len(lines) == 3
         assert lines[1].startswith("0.25,")
         assert lines[2].startswith("0.75,")
 
+    def test_config_naming_a_preset_prints_the_preset_table(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**PRESET_PROBLEMS["example2"], "preset": "example2",
+                                    "basis": [[1, 5, g] for g in PRESET_SWEEP["gamma"]]}))
+        assert main(["solve", "--config", str(path)]) == 0
+        solved = capsys.readouterr().out
+        assert main(["preset", "example2"]) == 0
+        assert solved == capsys.readouterr().out
+        assert solved.split("\n", 1)[0].endswith(",ADS (published),RADS (published)")
+
 
 class TestCommandErrors:
-    def test_plot_points_below_two_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--plot-points", "10000000"], ["--grid", "0.25,0.75"], ["--no-published"]],
+        ids=["plot-points", "grid", "no-published"],
+    )
+    def test_removed_preset_flag_exits_before_any_solve(self, monkeypatch, capsys, flags):
         import fobw.experiments
 
-        def refuse(system):
+        def refuse(*args):
             raise AssertionError("no solve may run")
 
         monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
+        monkeypatch.setattr(fobw.experiments, "rk4_integrate", refuse)
         with pytest.raises(SystemExit) as exit_info:
-            main(["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2",
-                  "--M", "3", "--plot-data", str(tmp_path / "c.csv"), "--plot-points", "1"])
+            main(["preset", "example1-single", *flags])
         assert exit_info.value.code == 2
-        assert "--plot-points: must be at least 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "grid, source",
-        [([0.5, 0.1], "preset"), ([0.5, 0.5], "preset"), ([0.3, 0.2], "solve")],
+        "grid, preset",
+        [([0.5, 0.1], "example1-single"), ([0.5, 0.5], "example1-single"), ([0.3, 0.2], None)],
         ids=["descending", "repeated", "config"],
     )
     def test_unsorted_grid_rejected_before_any_solve(self, tmp_path, monkeypatch, caplog,
-                                                    grid, source):
+                                                    grid, preset):
         import fobw.experiments
 
         def refuse(system):
             raise AssertionError("no solve may run")
 
         monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
-        if source == "preset":
-            argv = ["preset", "example1-single", "--grid", ",".join(map(str, grid))]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, "output_grid": grid}))
-            argv = ["solve", "--config", str(path)]
+        doc = {"a": 1.0, "init_value": 1.0}
+        if preset is not None:
+            doc = {**PRESET_PROBLEMS[preset], "preset": preset}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "output_grid": grid}))
+        argv = ["solve", "--config", str(path)]
         _assert_one_error_naming(caplog, "output grid points must be strictly ascending", argv)
 
     @pytest.mark.parametrize("target", ["--out", "--plot-data"])
@@ -159,8 +172,7 @@ class TestCommandErrors:
         missing = str(tmp_path / "missing-dir" / "file.csv")
         paths = {"--out": str(tmp_path / "t.csv"), "--plot-data": str(tmp_path / "p.csv")}
         paths[target] = missing
-        argv = ["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2", "--M", "3",
-                "--plot-points", "11"]
+        argv = ["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2", "--M", "3"]
         for flag, path in paths.items():
             argv += [flag, path]
         _assert_one_error_naming(caplog, missing, argv)
@@ -219,14 +231,13 @@ class TestCommandErrors:
             ({"basis": [[1, 3, 56.01]]}, "gamma*M = 168.03 exceeds 168"),
             ([], "config must be a JSON object"),
             (None, "config must be a JSON object"),
-            ({"preset": "example1-single", "include_published": True},
-             "preset 'example1-single' has mu = 0.1, not 0.0"),
+            ({"preset": "example1-single"}, "preset 'example1-single' has mu = 0.1, not 0.0"),
             ({"preset": "nonsense"}, "unknown preset 'nonsense'"),
             ({"preset": ["example2"]}, "unknown preset ['example2']"),
             ("x", "config must be a JSON object"),
             ({"out": "x"}, "unknown config keys: ['out']"),
-            ({"include_published": "no"}, "include_published must be true or false, not 'no'"),
-            ({"include_published": 1}, "include_published must be true or false, not 1"),
+            ({"include_published": "no"}, "unknown config keys: ['include_published']"),
+            ({"include_published": 1}, "unknown config keys: ['include_published']"),
             ({"basis": [[30, 5, 0.2]]}, "basis entry [30, 5, 0.2]: sigma_tilde = 2**29 * 6 "
                                         "exceeds 1024"),
         ],
@@ -245,18 +256,27 @@ class TestCommandErrors:
         path.write_text(json.dumps(doc))
         _assert_one_error_naming(caplog, message, ["solve", "--config", str(path)])
 
-    @pytest.mark.parametrize("plot", [False, True], ids=["table", "plot"])
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            # 1.5 at every probe point k/1001, 2.1 at t = 0.5, a point of the table grid
+            ("1.5 + 0.6*sin(1001*pi*t)^1000", "alpha(0.5) = 2.1 outside (1, 2]"),
+            # the cosine factor is 1 at every plot point j/401 and 0 at t = 0.5, so
+            # this order is 1.5 at the probe, table and collocation points, and
+            # leaves (1, 2] first at the plot point 1/401
+            ("1.5 + 0.6*(sin(1001*pi*t)*cos(401*pi*t))^1000",
+             "alpha(0.00249377) = 2.05997 outside (1, 2]"),
+        ],
+        ids=["table", "plot"],
+    )
     def test_order_leaving_its_range_between_probe_points_is_one_error_line(
-        self, tmp_path, caplog, plot
+        self, tmp_path, caplog, alpha, message
     ):
-        # 1.5 at every probe point k/1001, 2.1 at t = 0.5: a point of the
-        # default output grid, and of the two-point plot grid (0.5, 1)
-        argv = ["preset", "example1-single", "--alpha", "1.5 + 0.6*sin(1001*pi*t)^1000",
-                "--gamma", "0.2", "--M", "3"]
-        if plot:
-            argv += ["--grid", "0.1", "--plot-data", str(tmp_path / "p.csv"),
-                     "--plot-points", "2"]
-        _assert_one_error_naming(caplog, "alpha(0.5) = 2.1 outside (1, 2]", argv)
+        plot = tmp_path / "p.csv"
+        argv = ["preset", "example1-single", "--alpha", alpha, "--gamma", "0.2", "--M", "3",
+                "--plot-data", str(plot)]
+        _assert_one_error_naming(caplog, message, argv)
+        assert not plot.exists()
 
     @pytest.mark.parametrize(
         "alpha, message",

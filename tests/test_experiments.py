@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fobw.experiments import (
+    PLOT_POINTS,
     PRESET_PROBLEMS,
     ExperimentConfig,
     build_order,
@@ -32,7 +33,8 @@ class TestConfig:
         cfg = preset_config("example1-single")
         assert cfg.metrics == ("AE",)
         assert cfg.basis == ((1, 5, 0.5), (1, 5, 0.9), (1, 5, 1.0))
-        assert cfg.include_published
+        assert cfg.preset == "example1-single"
+        assert cfg.output_grid == (0.1, 0.3, 0.5, 0.7, 0.9)
 
     def test_fractional_alpha_switches_to_residual(self):
         cfg = preset_config("example1-single", alpha=("1.5",), basis=((1, 5, 0.2),))
@@ -453,33 +455,32 @@ class TestPlotData:
 
         cfg = preset_config("example1-single", alpha=("1.5",), basis=((1, 5, 0.2),))
         approx = solve_problem(cfg.problems[0], WaveletBasisSpec(1, 5, 0.2))
-        text = emit_plot_data([("residual", approx)], density=21)
+        text = emit_plot_data([("residual", approx)])
         lines = text.strip().split("\n")
         assert lines[0] == "t,residual"
-        assert len(lines) == 22
+        assert len(lines) == 402
         last_t = float(lines[-1].split(",")[0])
         assert last_t == pytest.approx(1.0)
 
     def test_no_curves_is_a_one_column_csv(self):
-        assert emit_plot_data([], density=3) == "t\n0.33333333\n0.66666667\n1\n"
+        lines = emit_plot_data([]).split("\n")
+        assert lines[:3] == ["t", "0.0024937656", "0.0049875312"]
+        assert lines[-2:] == ["1", ""]
+        assert len(lines) == PLOT_POINTS + 2 and not any("," in line for line in lines)
 
     def test_cells_format_as_numpy_scalars_do(self, monkeypatch):
         import fobw.experiments as experiments_module
 
-        values = EDGE_VALUES
+        values = np.resize(EDGE_VALUES, PLOT_POINTS)
         curves = [values, values[::-1].copy()]
         monkeypatch.setattr(experiments_module, "residual_samples", lambda approx, t: curves)
-        text = emit_plot_data([("a", None), ("b", None)], density=values.size)
-        grid = np.linspace(0.0, 1.0, values.size + 1)[1:]
+        text = emit_plot_data([("a", None), ("b", None)])
+        grid = np.linspace(0.0, 1.0, PLOT_POINTS + 1)[1:]
         lines = ["t,a,b"] + [
             ",".join([format(t, ".8g")] + [format(np.float64(c[i]), ".5e") for c in curves])
             for i, t in enumerate(grid)
         ]
         assert text == "\n".join(lines) + "\n"
-
-    def test_density_below_two_rejected(self):
-        with pytest.raises(ValueError, match="density must be at least 2"):
-            emit_plot_data([], density=1)
 
     def test_four_order_family(self):
         from fobw.basis import WaveletBasisSpec
@@ -490,7 +491,7 @@ class TestPlotData:
             (f"alpha={alpha}", solve_problem(problem, WaveletBasisSpec(1, 5, 0.2)))
             for alpha, problem in zip(cfg.alpha, cfg.problems)
         ]
-        text = emit_plot_data(labeled, density=11)
+        text = emit_plot_data(labeled)
         header = text.split("\n", 1)[0]
         assert header.count(",") == 4
 
