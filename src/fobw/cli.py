@@ -20,6 +20,7 @@ from .experiments import (
     ExperimentConfig,
     PRESET_PROBLEMS,
     PRESET_SWEEP,
+    VALID_METRICS,
     basis_sweep,
     emit_plot_data,
     emit_table,
@@ -68,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma list")
     p_preset.add_argument("--M", type=_int_list, default=PRESET_SWEEP["M"], help="comma list")
     p_preset.add_argument("--k", type=int, default=PRESET_SWEEP["k"])
-    p_preset.add_argument("--metric", choices=("AE", "MAE", "residual"), default=None)
+    p_preset.add_argument("--metric", choices=VALID_METRICS, default=None)
     p_preset.add_argument("--out", default=None, help="output path (default: stdout)")
     p_preset.add_argument("--format", choices=("csv", "json"), default="csv")
     p_preset.add_argument("--plot-data", default=None,
@@ -107,7 +108,7 @@ def _cmd_solve(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         log.error("could not read config %s: %s", args.config, exc)
         return 2
     try:

@@ -190,15 +190,16 @@ class ExperimentConfig:
 
 
 def build_order(entry) -> OrderFunction:
-    """Order function from a constant or an expression string in t."""
+    """Order function from a constant or an expression string in t; an
+    expression that is one number, such as ``"1.5"`` or ``"(2)"``, is that
+    constant."""
     if isinstance(entry, (int, float)):
         return OrderFunction.constant(float(entry))
     text = str(entry).strip()
-    try:
-        return OrderFunction.constant(float(text))
-    except ValueError:
-        pass
-    return OrderFunction.from_callable(parse_expression(text), label=text)
+    expression = parse_expression(text)
+    if expression.number is not None:
+        return OrderFunction.constant(expression.number)
+    return OrderFunction.from_callable(expression, label=text)
 
 
 def _spec(entry) -> WaveletBasisSpec:

@@ -126,6 +126,13 @@ class TestPresetCommand:
         assert solved == capsys.readouterr().out
         assert solved.split("\n", 1)[0].endswith(",ADS (published),RADS (published)")
 
+    def test_parenthesized_number_is_that_constant_order(self, capsys):
+        assert main(["preset", "example1-single", "--alpha", "2"]) == 0
+        table = capsys.readouterr().out
+        assert table.startswith("t,AE gamma=0.5 M=5")
+        assert main(["preset", "example1-single", "--alpha", "(2)"]) == 0
+        assert capsys.readouterr().out == table
+
 
 class TestCommandErrors:
     @pytest.mark.parametrize(
@@ -288,6 +295,13 @@ class TestCommandErrors:
         argv = ["preset", "example1-single", f"--alpha={alpha}", "--gamma", "0.2", "--M", "3"]
         _assert_one_error_naming(caplog, message, argv)
 
+    @pytest.mark.parametrize("alpha", ["+1.5", "1.5_0", "\u0661.\u0665"],
+                             ids=["unary-plus", "underscore", "arabic-indic-digits"])
+    def test_lone_number_is_read_by_the_expression_grammar(self, caplog, alpha):
+        argv = ["preset", "example1-single", f"--alpha={alpha}", "--gamma", "0.2", "--M", "3"]
+        error = _assert_one_error_naming(caplog, "(at offset ", argv)
+        assert error.startswith("invalid preset options: ")
+
     @pytest.mark.parametrize("signs, code", [(300, 0), (980, 2)])
     def test_an_expression_that_parses_also_runs(self, signs, code):
         # a fresh interpreter parses from a shallow stack, so a depth that
@@ -404,6 +418,14 @@ class TestSolveCommand:
 
     def test_missing_config(self):
         assert main(["solve", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff", b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf-8", "nested-past-the-recursion-limit"])
+    def test_unreadable_config_is_one_error_line(self, tmp_path, caplog, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        _assert_one_error_naming(caplog, f"could not read config {path}: ",
+                                 ["solve", "--config", str(path)])
 
     def test_invalid_config(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fobw.expr import ExpressionError, parse_expression
 
@@ -161,3 +162,31 @@ class TestLanguage:
     def test_outside_the_language(self, src):
         with pytest.raises(ExpressionError):
             parse_expression(src)
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("src, offset", [("(t", 2), ("2t", 1), ("sin(t", 5)],
+                             ids=["unclosed", "juxtaposed", "unclosed-call"])
+    def test_error_offset_points_at_the_offending_token(self, src, offset):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(src)
+        assert err.value.offset == offset
+
+    def test_long_flat_sum_is_not_nesting(self):
+        assert parse_expression("1+" * 1000 + "t")(0.5) == 1000.5
+
+    def test_parentheses_nest_past_two_hundred(self):
+        assert parse_expression("(" * 250 + "t" + ")" * 250)(0.5) == 0.5
+
+    # the token alphabet, a few characters outside it, and blanks between them
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["0", "7", ".", "e", "E", "t", "pi", "sin", "cos", "(", ")",
+                                     "+", "-", "*", "/", "^", " ", "\n", "_", "#", ",", "\\",
+                                     "\u0661", "\u00e9"]), max_size=30).map("".join))
+    def test_a_text_parses_to_its_shape_or_raises_expression_error(self, src):
+        try:
+            expr = parse_expression(src)
+        except ExpressionError as err:
+            assert 0 <= err.offset <= len(src)
+        else:
+            assert np.shape(expr(T)) == T.shape
