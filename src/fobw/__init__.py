@@ -31,9 +31,11 @@ from .reference import (
     BlowupError,
     ErrorTable,
     ReferenceTrajectory,
+    UnsettledError,
     absolute_error,
     residual_samples,
     rk4_integrate,
+    rk4_reference,
 )
 from .solver import (
     CollocationSystem,

@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 
+from .expr import ExpressionError, parse_expression
 from .experiments import (
     ExperimentConfig,
     PRESET_PROBLEMS,
@@ -37,12 +38,22 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="[%(levelname)s] %(name)s: %(message)s")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _number(text: str) -> float:
+    """``text`` as one number of the expression language (see :mod:`fobw.expr`),
+    which has no signed numbers; whether it is a valid k, M or gamma is the
+    basis's to say.  An integral value is an int, as JSON reads ``3``, so the
+    basis names a refused entry as ``(45, 3, 0.5)``, not ``(45.0, 3.0, 0.5)``."""
+    try:
+        number = parse_expression(text).number
+    except ExpressionError:
+        number = None
+    if number is None:
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an unsigned number")
+    return int(number) if number.is_integer() else number
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _number_list(text: str) -> list[float]:
+    return [_number(part) for part in text.split(",") if part.strip()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,10 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma list of constants and/or expressions in t, e.g. '1.5' or '1 + sin(t)'",
     )
-    p_preset.add_argument("--gamma", type=_float_list, default=PRESET_SWEEP["gamma"],
-                          help="comma list")
-    p_preset.add_argument("--M", type=_int_list, default=PRESET_SWEEP["M"], help="comma list")
-    p_preset.add_argument("--k", type=int, default=PRESET_SWEEP["k"])
+    p_preset.add_argument("--gamma", type=_number_list, default=PRESET_SWEEP["gamma"],
+                          help="comma list of numbers")
+    p_preset.add_argument("--M", type=_number_list, default=PRESET_SWEEP["M"],
+                          help="comma list of numbers")
+    p_preset.add_argument("--k", type=_number, default=PRESET_SWEEP["k"])
     p_preset.add_argument("--metric", choices=VALID_METRICS, default=None)
     p_preset.add_argument("--out", default=None, help="output path (default: stdout)")
     p_preset.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -18,7 +18,9 @@ import numpy as np
 from .basis import WaveletBasisSpec, finite_real
 from .expr import parse_expression
 from .fracops import OrderFunction, order_values
-from .reference import BlowupError, ErrorTable, absolute_error, residual_samples, rk4_integrate
+from .reference import (
+    BlowupError, ErrorTable, UnsettledError, absolute_error, residual_samples, rk4_reference,
+)
 from .solver import (
     OscillatorProblem, SolverError, assemble_systems, collocation_grid, solve_system,
 )
@@ -26,7 +28,6 @@ from .solver import (
 log = logging.getLogger("fobw")
 
 VALID_METRICS = ("AE", "MAE", "residual")
-REFERENCE_STEP = 1e-4  # step of the RK4 reference that AE and MAE compare against
 PLOT_POINTS = 401  # uniform points on (0, 1] of every dense residual curve
 #: a preset's basis sweep, and what `fobw preset` takes for an omitted --k, --M or --gamma
 PRESET_SWEEP = {"k": 1, "M": (5,), "gamma": (0.5, 0.9, 1.0)}
@@ -264,8 +265,10 @@ def run_experiment(
     """Solve every (basis, alpha) combination and tabulate the metrics.
 
     Returns the table and a success flag; a non-converged solve, or an RK4
-    reference that blows up for the AE/MAE columns, leaves NaN sentinel
-    columns and flips the flag.  When ``approximants`` is a list, every
+    reference (:func:`rk4_reference`) that blows up or does not settle for
+    the AE/MAE columns, leaves NaN sentinel columns and flips the flag.  A
+    table with a reference carries its error estimate as the ``meta`` key
+    ``reference_error``.  When ``approximants`` is a list, every
     converged solve is appended to it as ``(plot label, approximant)``,
     ready for :func:`emit_plot_data`.  Every alpha of a basis is assembled
     together, one :func:`assemble_systems` call per basis, and the residual
@@ -286,8 +289,8 @@ def run_experiment(
     if any(m in ("AE", "MAE") for m in cfg.metrics):
         # AE/MAE require alpha identically 2, so every problem shares this reference
         try:
-            reference = rk4_integrate(cfg.problems[0], REFERENCE_STEP)
-        except BlowupError as exc:
+            reference, reference_error = rk4_reference(cfg.problems[0], points)
+        except (BlowupError, UnsettledError) as exc:
             log.warning("RK4 reference failed, AE/MAE columns are NaN: %s", exc)
     # each entry: an approximant, or the message of the SolverError its solve raised
     outcomes = {spec: [_solve(system) for system in assemble_systems(cfg.problems, spec)]
@@ -336,6 +339,8 @@ def run_experiment(
         "metrics": list(cfg.metrics),
         "failed_columns": failed,
     }
+    if reference is not None:
+        meta["reference_error"] = reference_error
     table = ErrorTable(grid, columns, meta)
     return table, not failed
 

@@ -2,8 +2,11 @@
 
 The sequential RK4 sweep of :func:`fobw.reference.rk4_integrate` is a loop
 over plain Python floats, which avoids numpy's per-scalar overhead: about
-15 ms per 10^4 steps (the length of the h = 1e-4 reference) on an Intel
-Xeon core with Python 3.11.  ``warmup()``
+15-19 ms per 10^4 steps on an Intel Xeon core with Python 3.11.  The AE
+reference, :func:`fobw.reference.rk4_reference`, doubles the step count from
+100 until two successive runs, and a run of one step fewer, agree at the
+output grid to 1e-12 max(1, |y|), with a cap of 102400 steps; each preset
+settles at 800.  ``warmup()``
 and ``USING_NUMBA`` stay for the benchmark in ``perfbench/``, which calls
 and records them.
 """

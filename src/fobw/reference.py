@@ -1,9 +1,10 @@
 """Integer-order RK4 reference trajectories and the error metrics.
 
-The wavelet solutions of the integer-order cases are judged against a dense
-classical RK4 integration of the same oscillator; fractional cases, which
-have no closed-form solution, are judged by the residual of the governing
-equation evaluated on the approximant.
+The wavelet solutions of the integer-order cases are judged against a
+classical RK4 integration of the same oscillator, refined by step doubling
+until it checks its own accuracy (:func:`rk4_reference`); fractional cases,
+which have no closed-form solution, are judged by the residual of the
+governing equation evaluated on the approximant.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from .solver import collocation_systems, residual_vector
 
 __all__ = [
     "BlowupError",
+    "UnsettledError",
     "ReferenceTrajectory",
     "ErrorTable",
     "rk4_integrate",
+    "rk4_reference",
     "absolute_error",
     "residual_samples",
 ]
@@ -32,6 +35,16 @@ class BlowupError(RuntimeError):
     def __init__(self, message: str, last_good_t: float):
         super().__init__(message)
         self.last_good_t = last_good_t
+
+
+class UnsettledError(RuntimeError):
+    """Successive RK4 runs still disagree at the step cap of :func:`rk4_reference`."""
+
+
+#: step counts :func:`rk4_reference` tries, 100 doubled up to its cap of 102400
+REFERENCE_STEPS = tuple(100 * 2**j for j in range(11))
+#: how closely two successive runs must agree, relative to max(1, |y|)
+REFERENCE_TOLERANCE = 1e-12
 
 
 class ReferenceTrajectory(NamedTuple):
@@ -118,6 +131,57 @@ def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
     for arr in (times, ys, vs):
         arr.setflags(write=False)
     return ReferenceTrajectory(step, times, ys, vs)
+
+
+def rk4_reference(problem, points) -> tuple[ReferenceTrajectory, float]:
+    """The RK4 reference of ``problem`` at ``points``, and an estimate of its error.
+
+    Doubles the step count n over :data:`REFERENCE_STEPS` until the runs of
+    n/2 and n steps agree at every point to :data:`REFERENCE_TOLERANCE` times
+    max(1, |y|), and a run of n - 1 steps agrees with the n-step run too;
+    returns the n-step run with max |difference of the n/2 and n runs| / 15,
+    the Richardson estimate of a fourth-order method's error.  RK4 reads the
+    forcing only at its nodes and half-steps, and the doubled runs read it on
+    nested grids, so a forcing that is zero or constant on those grids alone
+    would look resolved; the n - 1 run reads it at new points, sharing only
+    t = 0, 1/2 and 1.  A run that blows up below the cap is passed over,
+    since a finer step can be stable where a coarser one is not; a blow-up
+    at the cap raises :class:`BlowupError`, and runs that still disagree
+    there raise :class:`UnsettledError`.
+    """
+    previous = gap = None
+    for n in REFERENCE_STEPS:
+        try:
+            run = rk4_integrate(problem, 1.0 / n)
+        except BlowupError:
+            if n == REFERENCE_STEPS[-1]:
+                raise
+            previous = gap = None
+            continue
+        values = run.value(points)
+        if previous is not None:
+            gap = np.abs(values - previous)
+            if _settled(gap, values):
+                check = np.abs(values - _values_or_nan(problem, n - 1, points))
+                if _settled(check, values):
+                    return run, float(gap.max()) / 15.0
+                gap = check
+        previous = values
+    detail = "" if gap is None else f"; the last two differ by up to {gap.max():.3e}"
+    raise UnsettledError(f"successive RK4 runs did not agree to {REFERENCE_TOLERANCE:g} "
+                         f"x max(1, |y|) by {n} steps{detail}")
+
+
+def _settled(gap, values) -> bool:
+    return bool(np.all(gap <= REFERENCE_TOLERANCE * np.maximum(1.0, np.abs(values))))
+
+
+def _values_or_nan(problem, n, points):
+    """The n-step RK4 run at ``points``, or NaN there if it blows up."""
+    try:
+        return rk4_integrate(problem, 1.0 / n).value(points)
+    except BlowupError:
+        return np.full(np.shape(points), np.nan)
 
 
 def absolute_error(approx, ref, t):

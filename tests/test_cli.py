@@ -147,7 +147,7 @@ class TestCommandErrors:
             raise AssertionError("no solve may run")
 
         monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
-        monkeypatch.setattr(fobw.experiments, "rk4_integrate", refuse)
+        monkeypatch.setattr(fobw.experiments, "rk4_reference", refuse)
         with pytest.raises(SystemExit) as exit_info:
             main(["preset", "example1-single", *flags])
         assert exit_info.value.code == 2
@@ -257,7 +257,7 @@ class TestCommandErrors:
             raise AssertionError("no solve may run")
 
         monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
-        monkeypatch.setattr(fobw.experiments, "rk4_integrate", refuse)
+        monkeypatch.setattr(fobw.experiments, "rk4_reference", refuse)
         path = tmp_path / "cfg.json"
         doc = {"a": 1.0, "init_value": 1.0, **raw} if isinstance(raw, dict) else raw
         path.write_text(json.dumps(doc))
@@ -301,6 +301,35 @@ class TestCommandErrors:
         argv = ["preset", "example1-single", f"--alpha={alpha}", "--gamma", "0.2", "--M", "3"]
         error = _assert_one_error_naming(caplog, "(at offset ", argv)
         assert error.startswith("invalid preset options: ")
+
+    @pytest.mark.parametrize(
+        "flags, item",
+        [(["--M", "٣", "--gamma", "5_0e-2,+1"], "--M: '٣'"),
+         (["--M", "3", "--gamma", "5_0e-2,+1"], "--gamma: '5_0e-2'"),
+         (["--gamma", "0.5,+1"], "--gamma: '+1'"),
+         (["--k", "1_0"], "--k: '1_0'"),
+         (["--M", "t"], "--M: 't'")],
+        ids=["arabic-indic-digit", "underscore", "unary-plus", "k-underscore", "not-a-number"],
+    )
+    def test_basis_numbers_are_read_by_the_expression_grammar(self, monkeypatch, capsys,
+                                                              flags, item):
+        import fobw.experiments
+
+        def refuse(*args):
+            raise AssertionError("no solve may run")
+
+        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["preset", "example1-single", *flags])
+        assert exit_info.value.code == 2
+        assert f"argument {item} is not an unsigned number" in capsys.readouterr().err
+
+    def test_basis_numbers_take_any_spelling_of_the_grammar(self, capsys):
+        assert main(["preset", "example1-single", "--M", "3", "--gamma", "0.5,1"]) == 0
+        table = capsys.readouterr().out
+        assert main(["preset", "example1-single", "--M", "(3.0)", "--gamma", "5e-1, 1.",
+                     "--k", "1e0"]) == 0
+        assert capsys.readouterr().out == table
 
     @pytest.mark.parametrize("signs, code", [(300, 0), (980, 2)])
     def test_an_expression_that_parses_also_runs(self, signs, code):

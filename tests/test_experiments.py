@@ -340,10 +340,10 @@ class TestRunExperiment:
         import fobw.experiments as experiments_module
         from fobw.reference import BlowupError
 
-        def blow_up(problem, h):
+        def blow_up(problem, points):
             raise BlowupError("integration became non-finite after t = 0.131300", 0.1313)
 
-        monkeypatch.setattr(experiments_module, "rk4_integrate", blow_up)
+        monkeypatch.setattr(experiments_module, "rk4_reference", blow_up)
         cfg = ExperimentConfig.from_dict(
             {"a": 1.0, "init_value": 1.0, "basis": [[1, 3, 1.0]],
              "metrics": ["AE", "MAE", "residual"]}

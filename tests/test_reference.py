@@ -1,16 +1,24 @@
+import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import fobw.reference
 from fobw.basis import WaveletBasisSpec
+from fobw.cli import main
+from fobw.expr import parse_expression
+from fobw.experiments import PRESET_PROBLEMS, TABLE_POINTS, preset_config, run_experiment
 from fobw.fracops import OrderFunction
 from fobw.reference import (
     BlowupError,
     ErrorTable,
+    UnsettledError,
     absolute_error,
     residual_samples,
     rk4_integrate,
+    rk4_reference,
 )
 from fobw.solver import OscillatorProblem, SolutionApproximant, solve_problem
 
@@ -60,6 +68,126 @@ class TestRK4:
         )
         with pytest.raises(ValueError):
             rk4_integrate(problem, 1e-3)
+
+
+def record_steps(monkeypatch, blow_up_at=()):
+    """Make :func:`rk4_reference` record the step count of each RK4 run it
+    asks for, and blow up the runs whose count is in ``blow_up_at``; returns
+    the list it records into."""
+    steps = []
+
+    def counted(problem, h):
+        n = round(1.0 / h)
+        steps.append(n)
+        if n in blow_up_at:
+            raise BlowupError(f"integration became non-finite after t = {n * 1e-6:.6f}", 0.5)
+        return rk4_integrate(problem, h)
+
+    monkeypatch.setattr(fobw.reference, "rk4_integrate", counted)
+    return steps
+
+
+class TestRK4Reference:
+    @pytest.mark.parametrize("preset", sorted(PRESET_PROBLEMS))
+    def test_preset_settles_at_800_steps_within_1e_13(self, monkeypatch, preset):
+        problem = preset_config(preset).problems[0]
+        steps = record_steps(monkeypatch)
+        reference, error = rk4_reference(problem, TABLE_POINTS)
+        assert steps == [100, 200, 400, 800, 799]
+        assert 0.0 < error <= 1e-13
+        fine = rk4_integrate(problem, 2.5e-5)
+        gap = absolute_error(reference, fine, np.array(TABLE_POINTS))
+        assert gap.max() <= 1e-13
+
+    def test_error_estimate_is_in_the_meta_of_ae_and_mae_tables_only(self):
+        for metrics in (("AE",), ("MAE",), ("AE", "residual")):
+            table, ok = run_experiment(preset_config("example2", metrics=metrics))
+            assert ok and 0.0 < table.meta["reference_error"] <= 1e-13
+        table, ok = run_experiment(preset_config("example2", metrics=("residual",)))
+        assert ok and "reference_error" not in table.meta
+
+    def test_blowup_of_the_coarsest_run_alone_still_settles(self, monkeypatch):
+        problem = preset_config("example1-single").problems[0]
+        expected, _ = rk4_reference(problem, TABLE_POINTS)
+        steps = record_steps(monkeypatch, blow_up_at={100})
+        reference, error = rk4_reference(problem, TABLE_POINTS)
+        assert steps == [100, 200, 400, 800, 799]
+        assert math.isfinite(error)
+        assert np.array_equal(reference.values, expected.values)
+
+    def test_blowup_of_the_confirming_run_moves_on(self, monkeypatch):
+        problem = preset_config("example1-single").problems[0]
+        steps = record_steps(monkeypatch, blow_up_at={799})
+        reference, _ = rk4_reference(problem, TABLE_POINTS)
+        assert steps == [100, 200, 400, 800, 799, 1600, 1599]
+        assert reference.times.size == 1601
+
+    @pytest.mark.parametrize("forcing", [
+        dict(forcing=parse_expression("sin(400*pi*t)")),
+        dict(forcing="forced", f=1.0, omega=3200 * math.pi),
+    ], ids=["zero-on-the-nested-grids", "constant-on-the-nested-grids"])
+    def test_forcing_the_nested_grids_miss_is_resolved(self, forcing):
+        # the doubled runs read sin(400 pi t) only where it is 0 up to 200
+        # steps, and cos(3200 pi t) only where it is 1 up to 800 steps, so
+        # two of them agree as if the forcing were that constant
+        problem = OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=ALPHA2, **forcing)
+        reference, _ = rk4_reference(problem, TABLE_POINTS)
+        fine = rk4_integrate(problem, 2.5e-5)
+        assert reference.times.size > 801
+        assert absolute_error(reference, fine, np.array(TABLE_POINTS)).max() <= 1e-12
+
+    def test_blowup_at_the_cap_raises(self, monkeypatch):
+        steps = record_steps(monkeypatch, blow_up_at={102400})
+        problem = OscillatorProblem(mu=0.0, a=1e6, b=0.0, alpha=ALPHA2, init_value=1.0)
+        with pytest.raises(BlowupError, match="t = 0.102400"):
+            rk4_reference(problem, TABLE_POINTS)
+        assert steps[-1] == 102400
+
+    def test_blowup_at_every_step_fails_the_ae_and_mae_columns(self, tmp_path, monkeypatch,
+                                                               capsys, caplog):
+        steps = record_steps(monkeypatch, blow_up_at=fobw.reference.REFERENCE_STEPS)
+        payload = _run_json(tmp_path, capsys, {"a": 1.0, "init_value": 1.0}, code=1)
+        assert steps == list(fobw.reference.REFERENCE_STEPS)
+        assert payload["meta"]["failed_columns"] == ["AE gamma=1 M=3", "MAE gamma=1 M=3"]
+        assert payload["columns"]["AE gamma=1 M=3"] == [None] * 5
+        assert payload["columns"]["MAE gamma=1 M=3"] == [None] * 5
+        assert all(payload["columns"]["residual gamma=1 M=3"])
+        assert "reference_error" not in payload["meta"]
+        assert _warnings(caplog) == ["RK4 reference failed, AE/MAE columns are NaN: "
+                                     "integration became non-finite after t = 0.102400"]
+
+    def test_reference_that_never_settles_fails_the_ae_and_mae_columns(self, tmp_path,
+                                                                       capsys, caplog):
+        # the solve converges, but RK4 resolves sin(10^4 t) to 1e-12 at no step
+        # count up to the cap: its last two runs differ by 3.7e-11
+        doc = {"a": 1.0, "init_value": 1.0, "forcing": "sin(10000*t)"}
+        payload = _run_json(tmp_path, capsys, doc, code=1)
+        assert payload["meta"]["failed_columns"] == ["AE gamma=1 M=3", "MAE gamma=1 M=3"]
+        assert payload["columns"]["AE gamma=1 M=3"] == [None] * 5
+        assert all(payload["columns"]["residual gamma=1 M=3"])
+        (warning,) = _warnings(caplog)
+        assert warning.startswith("RK4 reference failed, AE/MAE columns are NaN: successive "
+                                  "RK4 runs did not agree to 1e-12 x max(1, |y|) by 102400 steps")
+
+    def test_stiff_oscillator_never_settles(self):
+        # omega = 1000: RK4's error stays above 1e-12 even at the cap
+        problem = OscillatorProblem(mu=0.0, a=1e6, b=0.0, alpha=ALPHA2, init_value=1.0)
+        with pytest.raises(UnsettledError, match="by 102400 steps; the last two differ"):
+            rk4_reference(problem, TABLE_POINTS)
+
+
+def _run_json(tmp_path, capsys, doc, code):
+    """``fobw solve`` of ``doc`` on the basis (1, 3, 1) with the AE, MAE and
+    residual metrics, as parsed JSON; asserts the exit code."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**doc, "basis": [[1, 3, 1.0]],
+                                "metrics": ["AE", "MAE", "residual"]}))
+    assert main(["solve", "--config", str(path), "--format", "json"]) == code
+    return json.loads(capsys.readouterr().out)
+
+
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
 
 
 class TestAbsoluteError:
