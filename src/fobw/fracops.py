@@ -170,7 +170,10 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
         y = (tw[row] - hi[cell])[:, None] / beyond
         cut_factors = betainc(exps + 1.0, lw[entry][:, None], z, y)
 
-    distinct, inverse = np.unique(lw, return_inverse=True)
+    # the doubles of the orders are exact in long double, so they are
+    # deduplicated in double and only the distinct ones are widened
+    distinct, inverse = np.unique(orders[entries], return_inverse=True)
+    distinct = distinct.astype(wide)
     inverse = inverse.reshape(lw.shape)
     if np.all(inverse == inverse[..., :1]):
         # constant orders: one row of ratios per order, broadcast over points

@@ -6,7 +6,11 @@ and ``betainc`` work elementwise over arrays and keep the floating type of
 their arguments, so ``np.longdouble`` arguments give ``np.longdouble``
 results.  ``betainc`` and the whole-number routes of ``gamma_ratio`` compute
 in that type; the gamma values themselves are :func:`math.gamma`'s, good to
-double precision.  Scalar gamma values and binomials come from :mod:`math`."""
+double precision.  :func:`math.gamma` reads a double, so each array's
+arguments are deduplicated as doubles and it runs once per distinct double;
+``gamma_ratio`` takes gamma(x) on the shape of ``x`` and only gamma(x + d)
+per entry of the broadcast.  Scalar gamma values and binomials come from
+:mod:`math`."""
 
 from __future__ import annotations
 
@@ -30,32 +34,44 @@ def gamma_array(x) -> np.ndarray:
     result has the floating type and shape of ``x`` (at least double).
     """
     (x,) = _floating(x)
-    if np.any((x <= 0.0) & (x == np.floor(x))):
+    # math.gamma reads a double, and the callers repeat arguments (one
+    # exponent grid for every point): it runs once per distinct double of x,
+    # and the values are scattered back and cast to the type of x
+    doubles = x.astype(float, copy=False)
+    if np.any((doubles <= 0.0) & (doubles == np.floor(doubles))):
         raise ValueError("gamma pole in the argument array")
-    # the callers repeat arguments (one exponent grid for every point), so
-    # math.gamma runs once per distinct value and is scattered back
-    distinct, inverse = np.unique(x, return_inverse=True)
-    values = np.array([math.gamma(v) for v in distinct.tolist()], dtype=x.dtype)
-    return values[inverse].reshape(x.shape)
+    distinct, inverse = np.unique(doubles, return_inverse=True)
+    values = np.fromiter(map(math.gamma, distinct.tolist()), float, distinct.size)
+    return values[inverse].reshape(x.shape).astype(x.dtype, copy=False)
 
 
 def gamma_ratio(x, d) -> np.ndarray:
     """gamma(x) / gamma(x + d), elementwise, for x > 0 and x + d > 0.
 
     A whole number d >= 0 uses the exact finite product
-    1 / (x (x+1) ... (x+d-1)) instead of two gamma values.
+    1 / (x (x+1) ... (x+d-1)) instead of two gamma values.  ``x`` and ``d``
+    broadcast; gamma(x) is evaluated on the shape of ``x``, and only
+    gamma(x + d) per entry of the broadcast.
     """
-    x, d = np.broadcast_arrays(*_floating(x, d))
-    out = np.empty(x.shape, dtype=x.dtype)
+    x, d = _floating(x, d)
+    shape = np.broadcast_shapes(x.shape, d.shape)
     whole = (d == np.floor(d)) & (d >= 0.0)
+    out = np.empty(shape, dtype=x.dtype)
     if not whole.all():
-        out[~whole] = gamma_array(x[~whole]) / gamma_array(x[~whole] + d[~whole])
+        # gamma(x) only where x meets a fractional d, as a call of its own
+        # would take it: a whole d needs no gamma value, even past overflow
+        fractional = np.broadcast_to(~whole, shape)
+        # the axes along which x is broadcast
+        lead = len(shape) - x.ndim
+        axes = (*range(lead), *(lead + i for i, n in enumerate(x.shape) if n == 1))
+        needed = fractional.any(axis=axes).reshape(x.shape)
+        top = gamma_array(np.where(needed, x, 1.0))
+        np.divide(top, gamma_array(np.where(fractional, x + d, 1.0)), out=out)
     if whole.any():
-        xw, dw = x[whole], d[whole]
-        product = np.ones_like(xw)
-        for j in range(int(dw.max())):
-            product = np.where(j < dw, product * (xw + j), product)
-        out[whole] = 1.0 / product
+        product = np.ones(shape, dtype=x.dtype)
+        for j in range(int(d[whole].max())):
+            product = np.where(j < d, product * (x + j), product)
+        np.divide(1.0, product, out=out, where=whole)
     return out
 
 
@@ -115,7 +131,10 @@ def betainc(a, b, x, y=None) -> np.ndarray:
     is computed elementwise, so it equals a one-entry call bit for bit.  The
     result has the floating type of the arguments (at least double).
     """
-    a, b, x = np.broadcast_arrays(*_floating(a, b, x))
+    a, b, x = _floating(a, b, x)
+    finite = b == np.floor(b)  # on b's own shape, before the exponents broadcast it
+    a, b, x = np.broadcast_arrays(a, b, x)
+    finite = np.broadcast_to(finite, x.shape)
     y = 1.0 - x if y is None else np.broadcast_to(np.asarray(y, dtype=x.dtype), x.shape)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("incomplete beta parameters must be positive")
@@ -123,7 +142,6 @@ def betainc(a, b, x, y=None) -> np.ndarray:
         raise ValueError("incomplete beta argument must lie in [0, 1]")
     out = np.empty(x.shape, dtype=x.dtype)
 
-    finite = b == np.floor(b)
     if finite.any():
         af, xf, yf, nf = a[finite], x[finite], y[finite], b[finite]
         term = np.ones_like(af)
@@ -141,7 +159,8 @@ def betainc(a, b, x, y=None) -> np.ndarray:
     u = np.where(swap, y, x)[~finite]
     v = np.where(swap, x, y)[~finite]
     if p.size:
-        front = u**p * v**q * gamma_array(p + q) / (p * gamma_array(p) * gamma_array(q))
+        both, first, second = gamma_array(np.stack([p + q, p, q]))
+        front = u**p * v**q * both / (p * first * second)
         part = front * _beta_cf(p, q, u)
         out[~finite] = np.where(swap[~finite], 1.0 - part, part)
     return out

@@ -180,9 +180,28 @@ def test_one_image_call_makes_at_most_one_gamma_ratio_call(counted, points):
     assert ratios.calls <= 1
 
 
-def test_whole_offsets_skip_the_lanczos_sum(counted):
+def test_whole_offsets_take_no_gamma_values(counted):
     gammas = counted(special, "gamma_array")
     special.gamma_ratio(np.linspace(0.5, 3.0, 6), np.array([[1.0], [2.0]]))
     assert gammas.calls == 0
     special.gamma_ratio(np.linspace(0.5, 3.0, 6), 0.5)
     assert gammas.calls == 2
+
+
+def test_variable_order_images_take_gamma_once_per_exponent(counted):
+    # gamma(x) is taken on the M+1 exponents alone; only gamma(x + d) is
+    # taken per (distinct order, exponent) entry
+    gammas = counted(special, "gamma_array")
+    ts = np.linspace(0.0, 1.0, 402)[1:]
+    lams = np.stack(np.broadcast_arrays(1.0, 2.0, 2.0 - ORDERS["variable"](ts)))
+    spec = WaveletBasisSpec(1, 5, 0.2)
+    fracops.basis_images(spec, lams, ts)
+    (top,), (bottom,) = gammas.args
+    assert np.shape(top) == (spec.M + 1,)
+    assert np.shape(bottom) == (np.unique(lams).size, spec.M + 1) == (403, spec.M + 1)
+
+
+def test_incomplete_beta_takes_its_gamma_values_in_one_call(counted):
+    gammas = counted(special, "gamma_array")
+    special.betainc(np.linspace(0.5, 3.0, 6), np.array([[0.5], [1.0], [2.5]]), 0.4)
+    assert gammas.calls == 1

@@ -55,6 +55,35 @@ class TestGammaRatio:
         expected = [math.gamma(a) / math.gamma(a + b) for a, b in zip(x, d)]
         assert np.allclose(gamma_ratio(x, d), expected, rtol=1e-13, atol=0)
 
+    def test_whole_offsets_take_no_gamma_of_x(self):
+        # gamma(200) overflows a double; the products need no gamma value
+        assert np.array_equal(gamma_ratio([200.0, 0.5], [1.0, 0.5]),
+                              [1.0 / 200.0, math.gamma(0.5) / math.gamma(1.0)])
+        with pytest.raises(OverflowError):
+            gamma_ratio([200.0, 0.5], [[1.0], [0.5]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=st.lists(st.floats(0.05, 40.0), min_size=1, max_size=8),
+        d=st.lists(st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+                   min_size=1, max_size=12),
+        wide=st.booleans(),
+    )
+    def test_batch_entries_match_one_entry_calls(self, x, d, wide):
+        # gamma(x) is taken on the shape of x and the whole-number test on
+        # the shape of d, so every (order, exponent) entry of the broadcast
+        # must still equal a call of its own
+        dtype = np.longdouble if wide else float
+        x, d = np.array(x, dtype=dtype), np.array(d, dtype=dtype)
+        batch = gamma_ratio(x, d[:, None])
+        assert batch.dtype == dtype and batch.shape == (d.size, x.size)
+        for i, j in np.ndindex(batch.shape):
+            assert np.array_equal(batch[i, j], gamma_ratio(x[j:j + 1], d[i:i + 1])[0])
+        # elementwise pairs, whole and fractional offsets mixed in one row
+        n = min(x.size, d.size)
+        pairs = gamma_ratio(x[:n], d[:n])
+        assert np.array_equal(pairs, np.diagonal(gamma_ratio(x[:n], d[:n, None])))
+
 
 class TestBetainc:
     def test_against_scipy(self):
