@@ -8,10 +8,11 @@ The pieces compose bottom-up: special functions and the Chebyshev grid
 (`solver`), RK4 references and error metrics (`reference`), and
 config-driven experiment reproduction (`experiments`, `cli`).
 
->>> from fobw import OscillatorProblem, OrderFunction, WaveletBasisSpec, solve_problem
->>> problem = OscillatorProblem(mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79,
-...                             forcing="forced", alpha=OrderFunction.constant(2.0),
-...                             init_value=1.0)
+>>> from fobw import (OscillatorProblem, OrderFunction, WaveletBasisSpec,
+...                   parse_expression, solve_problem)
+>>> problem = OscillatorProblem(mu=0.1, a=0.5, b=0.5,
+...                             forcing=parse_expression("0.5*cos(0.79*t)"),
+...                             alpha=OrderFunction.constant(2.0), init_value=1.0)
 >>> approx = solve_problem(problem, WaveletBasisSpec(k=1, M=5, gamma=1.0))
 >>> round(approx.value(0.5), 4)
 0.9392

@@ -35,20 +35,16 @@ PRESET_SWEEP = {"k": 1, "M": (5,), "gamma": (0.5, 0.9, 1.0)}
 #: problem parameters behind each named preset, every one of the config's but alpha
 PRESET_PROBLEMS = {
     "example1-single": dict(
-        mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79, forcing="forced",
-        init_value=1.0, init_slope=0.0,
+        mu=0.1, a=0.5, b=0.5, forcing="0.5*cos(0.79*t)", init_value=1.0, init_slope=0.0,
     ),
     "example1-double": dict(
-        mu=0.1, a=-0.5, b=0.5, f=0.5, omega=0.79, forcing="forced",
-        init_value=1.0, init_slope=0.0,
+        mu=0.1, a=-0.5, b=0.5, forcing="0.5*cos(0.79*t)", init_value=1.0, init_slope=0.0,
     ),
     "example1-hump": dict(
-        mu=0.1, a=0.5, b=-0.5, f=0.5, omega=0.79, forcing="forced",
-        init_value=1.0, init_slope=0.0,
+        mu=0.1, a=0.5, b=-0.5, forcing="0.5*cos(0.79*t)", init_value=1.0, init_slope=0.0,
     ),
     "example2": dict(
-        mu=0.1, a=1.0, b=0.01, f=0.0, omega=0.0, forcing="force_free",
-        init_value=2.0, init_slope=0.0,
+        mu=0.1, a=1.0, b=0.01, forcing="0", init_value=2.0, init_slope=0.0,
     ),
 }
 
@@ -89,15 +85,13 @@ class ExperimentConfig:
     ``metrics`` left at None becomes ``("AE",)`` when every order is the
     constant 2 and ``("residual",)`` otherwise.  A config that names a
     ``preset`` must hold that preset's problem, every parameter of
-    :data:`PRESET_PROBLEMS` equal.  Where the table goes, and in which
-    format, is the command's to say, not the config's."""
+    :data:`PRESET_PROBLEMS` equal, ``forcing`` as text.  Where the table
+    goes, and in which format, is the command's to say, not the config's."""
 
     mu: float = 0.0
     a: float = 0.0
     b: float = 0.0
-    f: float = 0.0
-    omega: float = 0.0
-    forcing: str = "force_free"          # "forced" | "force_free" | expression in t
+    forcing: str = "0"                   # expression in t
     init_value: float = 0.0
     init_slope: float = 0.0
     alpha: tuple = (2.0,)                # constants and/or expression strings
@@ -126,18 +120,18 @@ class ExperimentConfig:
             raise ValueError("at least one alpha entry is required")
         if any(b <= a for a, b in zip(self.output_grid, self.output_grid[1:])):
             raise ValueError("output grid points must be strictly ascending")
-        forcing = self.forcing
-        if forcing not in ("forced", "force_free"):
-            forcing = parse_expression(forcing)
-            values = forcing(np.linspace(0.0, 1.0, 1001))
-            if not np.all(np.isfinite(values)):
-                raise ValueError(
-                    f"forcing expression {self.forcing!r} is not finite everywhere on [0, 1]"
-                )
+        # the run evaluates the forcing and each order at these points, which a probe may miss
+        points = np.concatenate([self.output_grid, *(collocation_grid(spec) for spec in specs)])
+        if not isinstance(self.forcing, str):
+            raise ValueError(f"forcing must be an expression in t, got {self.forcing!r}")
+        forcing = parse_expression(self.forcing)
+        if not np.all(np.isfinite(forcing(np.concatenate([np.linspace(0.0, 1.0, 1001), points])))):
+            raise ValueError(
+                f"forcing expression {self.forcing!r} is not finite everywhere on [0, 1]"
+            )
         problems = tuple(
             OscillatorProblem(
-                mu=self.mu, a=self.a, b=self.b, f=self.f, omega=self.omega,
-                forcing=forcing, alpha=build_order(entry),
+                mu=self.mu, a=self.a, b=self.b, forcing=forcing, alpha=build_order(entry),
                 init_value=self.init_value, init_slope=self.init_slope,
             )
             for entry in self.alpha
@@ -147,9 +141,11 @@ class ExperimentConfig:
         default = ("AE",) if integer_order else ("residual",)
         metrics = default if self.metrics is None else _entries(self.metrics)
         object.__setattr__(self, "metrics", metrics)
-        for metric in self.metrics:
+        for i, metric in enumerate(self.metrics):
             if metric not in VALID_METRICS:
                 raise ValueError(f"unknown metric {metric!r}; valid: {VALID_METRICS}")
+            if metric in self.metrics[:i]:
+                raise ValueError(f"duplicate metric: {metric!r}")
         if not self.metrics:
             raise ValueError("at least one metric is required")
         if self.preset is not None:
@@ -172,9 +168,6 @@ class ExperimentConfig:
                 "AE/MAE metrics compare against the integer-order reference; "
                 "they require alpha identically 2"
             )
-        # the run evaluates each order at these points, which its probe may miss
-        grids = [collocation_grid(spec) for spec in specs]
-        points = np.concatenate([self.output_grid, *grids])
         for problem in problems:
             order_values(problem.alpha, points)
         object.__setattr__(self, "problems", problems)
@@ -204,18 +197,12 @@ def build_order(entry) -> OrderFunction:
 
 
 def _spec(entry) -> WaveletBasisSpec:
-    """The basis of a ``basis`` entry, ``[k, M, gamma]`` or a mapping with
-    ``"M"``, ``"gamma"`` and optionally ``"k"`` (default 1).  Its numbers are
-    checked by :class:`WaveletBasisSpec` alone; an error names the entry."""
-    values = entry
-    if isinstance(entry, dict):
-        missing = [key for key in ("M", "gamma") if key not in entry]
-        if missing:
-            raise ValueError(f"basis entry {entry!r} lacks {' and '.join(map(repr, missing))}")
-        values = (entry.get("k", 1), entry["M"], entry["gamma"])
+    """The basis of a ``basis`` entry, a list of three numbers ``[k, M, gamma]``
+    that :class:`WaveletBasisSpec` alone checks; an error names the entry."""
+    values = entry if type(entry) in (list, tuple, np.ndarray) else ()
     try:
         return WaveletBasisSpec(*values)
-    except TypeError:  # not iterable, or not three values
+    except TypeError:  # not a list, or not of three values
         raise ValueError(f"basis entry {entry!r} is not three numbers [k, M, gamma]") from None
     except ValueError as exc:
         raise ValueError(f"basis entry {entry!r}: {exc}") from None

@@ -111,8 +111,8 @@ def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
     n = round(1.0 / h)
     step = 1.0 / n
     times = np.linspace(0.0, 1.0, n + 1)
-    phi_nodes = np.asarray(problem.forcing_at(times), dtype=float)
-    phi_half = np.asarray(problem.forcing_at(times[:-1] + 0.5 * step), dtype=float)
+    phi_nodes = np.asarray(problem.forcing(times), dtype=float)
+    phi_half = np.asarray(problem.forcing(times[:-1] + 0.5 * step), dtype=float)
     ys, vs, n_good = kernels.rk4_sweep(
         float(problem.init_value),
         float(problem.init_slope),

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .basis import WaveletBasisSpec, finite_real
+from .expr import parse_expression
 from .fracops import OrderFunction, basis_images, order_values
 from .special import chebyshev_grid
 
@@ -55,26 +56,16 @@ class OscillatorProblem:
     mu: float
     a: float
     b: float
-    f: float = 0.0
-    omega: float = 0.0
-    forcing: Union[str, Callable] = "force_free"
+    forcing: Callable = parse_expression("0")  # of an array of t, such as an Expression
     alpha: OrderFunction
     init_value: float = 0.0
     init_slope: float = 0.0
 
     def __post_init__(self):
-        for name in ("mu", "a", "b", "f", "omega", "init_value", "init_slope"):
+        for name in ("mu", "a", "b", "init_value", "init_slope"):
             finite_real(name, getattr(self, name))
-        if isinstance(self.forcing, str) and self.forcing not in ("forced", "force_free"):
-            raise ValueError("forcing must be 'forced', 'force_free', or a callable")
-
-    def forcing_at(self, t):
-        """Forcing term at scalar or array t."""
-        if self.forcing == "forced":
-            return self.f * np.cos(self.omega * np.asarray(t, dtype=float))
-        if self.forcing == "force_free":
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return self.forcing(t)
+        if not callable(self.forcing):
+            raise ValueError(f"forcing must be a callable of t, got {self.forcing!r}")
 
     def residual(self, d_alpha, slope, value, phi):
         """Left-hand side minus forcing, given the Caputo image, slope, value and forcing."""
@@ -118,7 +109,7 @@ def collocation_systems(problems, spec: WaveletBasisSpec, ts) -> list[Collocatio
     alphas = [order_values(p.alpha, ts) for p in problems]
     lams = np.broadcast_arrays(1.0, 2.0, *(2.0 - a for a in alphas))
     i1, i2, *caputo = basis_images(spec, np.stack(lams), ts)
-    phis = [np.asarray(p.forcing_at(ts), dtype=float) for p in problems]
+    phis = [np.asarray(p.forcing(ts), dtype=float) for p in problems]
     for arr in (i1, i2, *alphas, *caputo, *phis):
         arr.setflags(write=False)
     return [

@@ -45,11 +45,14 @@ def counted(monkeypatch):
 
 
 VARIABLE = "1.5 + 0.3*sin(4*t)"
+#: example1-single's problem parameters, its forcing parsed
+SINGLE_WELL = dict(PRESET_PROBLEMS["example1-single"],
+                   forcing=parse_expression(PRESET_PROBLEMS["example1-single"]["forcing"]))
 
 
 def _approximant(alpha, k=2, M=4):
     spec = WaveletBasisSpec(k, M, 0.5)
-    problem = OscillatorProblem(alpha=alpha, **PRESET_PROBLEMS["example1-single"])
+    problem = OscillatorProblem(alpha=alpha, **SINGLE_WELL)
     U = np.random.default_rng(k).normal(0.0, 1.0, spec.sigma_tilde)
     return SolutionApproximant(problem, spec, U, None)
 
@@ -73,7 +76,7 @@ def test_order_is_evaluated_once_per_point_set():
     fn = Counted(parse_expression(VARIABLE))
     alpha = OrderFunction.from_callable(fn, VARIABLE)
     fn.calls = 0
-    assemble(OscillatorProblem(alpha=alpha, **PRESET_PROBLEMS["example1-single"]),
+    assemble(OscillatorProblem(alpha=alpha, **SINGLE_WELL),
              WaveletBasisSpec(1, 5, 0.2))
     assert fn.calls == 1
     _approximant(alpha).evaluate(np.linspace(0.0, 1.0, 402)[1:])
@@ -93,7 +96,7 @@ def test_evaluate_makes_one_image_call(counted, name):
 @pytest.mark.parametrize("name", sorted(ORDERS))
 def test_assemble_makes_one_image_call(counted, name):
     images = counted(solver, "basis_images")
-    assemble(OscillatorProblem(alpha=ORDERS[name], **PRESET_PROBLEMS["example1-single"]),
+    assemble(OscillatorProblem(alpha=ORDERS[name], **SINGLE_WELL),
              WaveletBasisSpec(2, 3, 0.5))
     assert images.calls == 1
 

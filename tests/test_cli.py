@@ -199,15 +199,17 @@ class TestCommandErrors:
     @pytest.mark.parametrize(
         "entry, lacks",
         [
-            ({"k": 1, "gamma": 0.5}, "lacks 'M'"),
+            ({"k": 1, "gamma": 0.5}, "is not three numbers"),
             ([1, 3], "is not three numbers"),
             ([1, 3.7, 0.5], "M must be a nonnegative integer"),
             (5, "is not three numbers"),
             ([True, 5, 1.0], "k must be a finite real number, got True"),
             (["1", "5", "1"], "k must be a finite real number, got '1'"),
             ([1, 5, True], "gamma must be a finite real number, got True"),
-            ({"M": 5, "gamma": "0.5"}, "gamma must be a finite real number, got '0.5'"),
+            ([1, 5, "0.5"], "gamma must be a finite real number, got '0.5'"),
             ([1, math.nan, 0.5], "M must be a finite real number, got nan"),
+            ({"k": 1, "M": 5, "gamma": 0.5, "x": 3}, "is not three numbers"),
+            ("153", "is not three numbers"),
         ],
     )
     def test_malformed_basis_entry_is_one_error_line(self, tmp_path, caplog, entry, lacks):
@@ -225,8 +227,8 @@ class TestCommandErrors:
             ({"mu": "abc"}, "mu must be a finite real number"),
             ({"mu": None}, "mu must be a finite real number"),
             ({"init_value": "1"}, "init_value must be a finite real number"),
-            ({"omega": "x", "forcing": "forced"}, "omega must be a finite real number"),
-            ({"f": float("nan"), "forcing": "forced"}, "f must be a finite real number"),
+            ({"f": 0.5, "omega": 0.79}, "unknown config keys: ['f', 'omega']"),
+            ({"forcing": "forced"}, "unknown identifier 'forced'"),
             ({"output_grid": [0.5, "x"]}, "output_grid points must be numbers in (0, 1]"),
             ({"output_grid": [0.5, None]}, "output_grid points must be numbers in (0, 1]"),
             ({"reference": "rk4"}, "unknown config keys: ['reference']"),
@@ -247,6 +249,9 @@ class TestCommandErrors:
             ({"include_published": 1}, "unknown config keys: ['include_published']"),
             ({"basis": [[30, 5, 0.2]]}, "basis entry [30, 5, 0.2]: sigma_tilde = 2**29 * 6 "
                                         "exceeds 1024"),
+            ({"forcing": 0.5}, "forcing must be an expression in t, got 0.5"),
+            ({"forcing": "1/(t-0.1234)", "output_grid": [0.1234]},
+             "forcing expression '1/(t-0.1234)' is not finite"),
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,

@@ -1,5 +1,6 @@
-"""The package docstring's examples and the README's library example run, and
-the README's config table names exactly the config keys."""
+"""The package docstring's examples and the README's library example run, the
+README's config table names exactly the config keys, and its preset table
+shows each preset's forcing."""
 
 import doctest
 import re
@@ -7,7 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import fobw
-from fobw.experiments import ExperimentConfig
+from fobw.experiments import PRESET_PROBLEMS, ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +31,12 @@ def test_readme_config_table_names_every_config_key():
     first_cells = re.findall(r"^\| (.*?) \|", table, flags=re.M)
     documented = {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)}
     assert documented == {f.name for f in fields(ExperimentConfig) if f.init}
+
+
+def test_readme_preset_table_shows_each_preset_forcing():
+    (table,) = re.findall(r"^\| preset .*?\n\n", README.read_text(), flags=re.M | re.S)
+    header, _, *rows = ([cell.strip() for cell in line.split("|")[1:-1]]
+                        for line in table.strip().splitlines())
+    column = header.index("forcing")
+    shown = {row[0].strip("`"): row[column].strip("`") for row in rows}
+    assert shown == {name: problem["forcing"] for name, problem in PRESET_PROBLEMS.items()}

@@ -59,8 +59,9 @@ class TestConfig:
         [
             ("example1-single", {"mu": 3, "a": 2}, "has mu = 0.1, not 3"),
             ("example1-single", {"forcing": "0.5 * cos(0.79 * t)"},
-             "has forcing = 'forced', not '0.5 \\* cos"),
-            ("example2", {"f": 0.5}, "preset 'example2' has f = 0.0, not 0.5"),
+             "has forcing = '0.5\\*cos\\(0.79\\*t\\)', not '0.5 \\* cos"),
+            ("example2", {"forcing": "0.5*cos(0.79*t)"},
+             "preset 'example2' has forcing = '0', not '0.5\\*cos"),
         ],
     )
     def test_config_naming_a_preset_must_hold_its_problem(self, preset, raw, message):
@@ -70,8 +71,7 @@ class TestConfig:
 
     def test_from_dict_round_trip(self):
         raw = {
-            "mu": 0.1, "a": 0.5, "b": 0.5, "f": 0.5, "omega": 0.79,
-            "forcing": "forced", "init_value": 1.0,
+            "mu": 0.1, "a": 0.5, "b": 0.5, "forcing": "0.5*cos(0.79*t)", "init_value": 1.0,
             "alpha": [2.0], "basis": [[1, 5, 1.0]],
             "metrics": ["AE"],
         }
@@ -97,6 +97,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown metric"):
             ExperimentConfig.from_dict({"metrics": ["RMSE"]})
 
+    def test_repeated_metric_is_refused(self):
+        # it would be one column, listed twice in the table's meta
+        with pytest.raises(ValueError, match="duplicate metric: 'AE'"):
+            ExperimentConfig.from_dict({"metrics": ["AE", "AE", "MAE"]})
+
     def test_forcing_expression_must_be_total(self):
         raw = {
             "a": 1.0, "forcing": "1 / (t - 0.5)", "alpha": [2.0],
@@ -112,7 +117,7 @@ class TestConfig:
             "metrics": ["residual"],
         }
         cfg = ExperimentConfig.from_dict(raw)
-        assert cfg.problems[0].forcing_at(0.0) == pytest.approx(0.5)
+        assert cfg.problems[0].forcing(0.0) == pytest.approx(0.5)
 
     def test_direct_construction_is_checked(self):
         with pytest.raises(ValueError, match="unknown metric"):
@@ -123,11 +128,15 @@ class TestConfig:
             replace(preset_config("example1-single"), alpha=("1.5",))
 
     def test_direct_construction_normalizes_basis(self):
-        cfg = ExperimentConfig(basis=[[1, 3, 1], {"M": 5.0, "gamma": 0.5}], alpha="1.5",
+        cfg = ExperimentConfig(basis=[[1, 3, 1], (1, 5.0, 0.5)], alpha="1.5",
                                metrics=["residual"])
         assert cfg.basis == ((1, 3, 1.0), (1, 5, 0.5))
         assert [type(v) for v in cfg.basis[0]] == [int, int, float]
         assert cfg.alpha == ("1.5",) and cfg.metrics == ("residual",)
+        # a basis entry is a list of three numbers, never a mapping
+        with pytest.raises(ValueError, match="is not three numbers"):
+            ExperimentConfig(basis=[[1, 3, 1], {"M": 5.0, "gamma": 0.5}], alpha="1.5",
+                             metrics=["residual"])
 
     def test_lone_grid_point_and_metric_are_one_entry(self):
         cfg = ExperimentConfig.from_dict({"a": 1.0, "output_grid": 0.5, "metrics": "AE"})
@@ -164,8 +173,10 @@ def _entries_of(strategy):
 CONFIG = st.fixed_dictionaries(
     {},
     optional={
-        **{key: NUMBER for key in ("mu", "a", "b", "f", "omega", "init_value", "init_slope")},
-        "forcing": st.sampled_from(["forced", "force_free", "0.5 * cos(t)"]),
+        **{key: NUMBER for key in ("mu", "a", "b", "init_value", "init_slope")},
+        "forcing": st.sampled_from(
+            sorted({p["forcing"] for p in PRESET_PROBLEMS.values()}) + ["0.5 * cos(t)"]
+        ),
         "alpha": _entries_of(st.one_of(NUMBER, st.sampled_from(["1 + sin(t)", "2"]))),
         "basis": _entries_of(st.tuples(st.integers(1, 3), st.integers(0, 3), NUMBER)),
         "output_grid": _entries_of(NUMBER),
@@ -182,8 +193,9 @@ class TestAnyConfig:
     @example(raw={"mu": "abc"})
     @example(raw={"mu": None})
     @example(raw={"init_value": "1"})
-    @example(raw={"omega": "x", "forcing": "forced"})
-    @example(raw={"f": math.nan, "forcing": "forced"})
+    @example(raw={"f": 0.5, "omega": 0.79})
+    @example(raw={"forcing": "forced"})
+    @example(raw={"forcing": 0.5})
     @example(raw={"output_grid": [0.5, "x"]})
     @example(raw={"output_grid": [0.5, None]})
     @example(raw={"output_grid": 0.5})

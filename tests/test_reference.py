@@ -124,7 +124,7 @@ class TestRK4Reference:
 
     @pytest.mark.parametrize("forcing", [
         dict(forcing=parse_expression("sin(400*pi*t)")),
-        dict(forcing="forced", f=1.0, omega=3200 * math.pi),
+        dict(forcing=parse_expression("cos(3200*pi*t)")),
     ], ids=["zero-on-the-nested-grids", "constant-on-the-nested-grids"])
     def test_forcing_the_nested_grids_miss_is_resolved(self, forcing):
         # the doubled runs read sin(400 pi t) only where it is 0 up to 200
@@ -170,7 +170,7 @@ class TestRK4Reference:
                                   "RK4 runs did not agree to 1e-12 x max(1, |y|) by 102400 steps")
 
     def test_stiff_oscillator_never_settles(self):
-        # omega = 1000: RK4's error stays above 1e-12 even at the cap
+        # an angular frequency of 1000: RK4's error stays above 1e-12 even at the cap
         problem = OscillatorProblem(mu=0.0, a=1e6, b=0.0, alpha=ALPHA2, init_value=1.0)
         with pytest.raises(UnsettledError, match="by 102400 steps; the last two differ"):
             rk4_reference(problem, TABLE_POINTS)
@@ -241,7 +241,7 @@ class TestResidualSample:
 
     def test_fractional_magnitude(self):
         problem = OscillatorProblem(
-            mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79, forcing="forced",
+            mu=0.1, a=0.5, b=0.5, forcing=parse_expression("0.5*cos(0.79*t)"),
             alpha=OrderFunction.constant(1.5), init_value=1.0,
         )
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 0.2))

@@ -9,6 +9,7 @@ from fobw.basis import WaveletBasisSpec, fobw_matrix
 from fobw.fracops import OrderFunction, basis_images
 from fobw.reference import residual_samples, rk4_integrate, absolute_error
 from fobw.experiments import PRESET_PROBLEMS
+from fobw.expr import parse_expression
 from fobw.solver import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -30,9 +31,17 @@ ALPHA2 = OrderFunction.constant(2.0)
 SIN_ORDER = OrderFunction.from_callable(lambda t: 1.0 + np.sin(t), "1 + sin(t)")
 TABLE_POINTS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-SINGLE_WELL = dict(mu=0.1, a=0.5, b=0.5, f=0.5, omega=0.79, forcing="forced", init_value=1.0)
-DOUBLE_WELL = dict(mu=0.1, a=-0.5, b=0.5, f=0.5, omega=0.79, forcing="forced", init_value=1.0)
-DOUBLE_HUMP = dict(mu=0.1, a=0.5, b=-0.5, f=0.5, omega=0.79, forcing="forced", init_value=1.0)
+FORCING = parse_expression("0.5*cos(0.79*t)")
+SINGLE_WELL = dict(mu=0.1, a=0.5, b=0.5, forcing=FORCING, init_value=1.0)
+DOUBLE_WELL = dict(mu=0.1, a=-0.5, b=0.5, forcing=FORCING, init_value=1.0)
+DOUBLE_HUMP = dict(mu=0.1, a=0.5, b=-0.5, forcing=FORCING, init_value=1.0)
+
+
+def preset_problem(name, alpha):
+    """The problem of preset ``name`` with order ``alpha``, its forcing parsed."""
+    params = dict(PRESET_PROBLEMS[name])
+    params["forcing"] = parse_expression(params["forcing"])
+    return OscillatorProblem(alpha=alpha, **params)
 
 
 def manufactured_cos_problem():
@@ -173,8 +182,7 @@ def central_difference_jacobian(system, U, fd_step=1e-7):
 
 class TestExactJacobian:
     # every coefficient nonzero, so each term of the closed form is exercised
-    PROBLEM = dict(mu=0.3, a=0.7, b=-0.4, f=0.5, omega=0.79, forcing="forced",
-                   init_value=0.8, init_slope=-0.6)
+    PROBLEM = dict(mu=0.3, a=0.7, b=-0.4, forcing=FORCING, init_value=0.8, init_slope=-0.6)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("alpha", [ALPHA2, OrderFunction.constant(1.5), SIN_ORDER],
@@ -232,7 +240,7 @@ class TestCellRefinement:
     def test_error_falls_tenfold_per_step_of_k(self, preset, M):
         # alpha = 2, gamma = 1: the largest AE against RK4 at the table points
         # falls 14.7x to 29.4x per step of k = 1..5 on the per-cell grid
-        problem = OscillatorProblem(alpha=ALPHA2, **PRESET_PROBLEMS[preset])
+        problem = preset_problem(preset, ALPHA2)
         reference = rk4_integrate(problem, 1e-4)
         errors = [
             absolute_error(solve_problem(problem, WaveletBasisSpec(k, M, 1.0)), reference,
@@ -251,7 +259,7 @@ class TestCellRefinement:
     )
     def test_every_solve_converges_exactly_or_reports(self, preset, k, M, gamma, order):
         alpha = SIN_ORDER if order == "sin" else OrderFunction.constant(order)
-        problem = OscillatorProblem(alpha=alpha, **PRESET_PROBLEMS[preset])
+        problem = preset_problem(preset, alpha)
         system = assemble(problem, WaveletBasisSpec(k, M, gamma))
         try:
             approx = solve_system(system)
@@ -267,7 +275,7 @@ class TestCellRefinement:
 class TestMultistart:
     def test_single_reachable_root(self):
         # the criterion-05 combination: example2, alpha = 1.8, k = 1, M = 3, gamma = 0.2
-        problem = OscillatorProblem(alpha=OrderFunction.constant(1.8), **PRESET_PROBLEMS["example2"])
+        problem = preset_problem("example2", OrderFunction.constant(1.8))
         system = assemble(problem, WaveletBasisSpec(1, 3, 0.2))
         root = newton_solve(system).U
         rng = np.random.default_rng(0)
@@ -413,14 +421,7 @@ class TestConcurrency:
 
 
 class TestProblemValidation:
-    def test_forced_needs_finite_parameters(self):
-        with pytest.raises(ValueError):
-            OscillatorProblem(
-                mu=0.1, a=0.5, b=0.5, f=math.inf, omega=0.79,
-                forcing="forced", alpha=ALPHA2, init_value=1.0,
-            )
-
-    @pytest.mark.parametrize("field", ["mu", "a", "b", "f", "omega", "init_value", "init_slope"])
+    @pytest.mark.parametrize("field", ["mu", "a", "b", "init_value", "init_slope"])
     @pytest.mark.parametrize("value", ["1", None, math.nan, -math.inf,
                                        pytest.param(10**400, id="int-past-double")])
     def test_numeric_fields_must_be_finite_numbers(self, field, value):
@@ -429,11 +430,13 @@ class TestProblemValidation:
             OscillatorProblem(alpha=ALPHA2, **params)
 
     def test_unknown_forcing_string(self):
-        with pytest.raises(ValueError):
+        # a forcing is a callable of t; text is the config's, parsed there
+        with pytest.raises(ValueError, match="forcing must be a callable of t"):
             OscillatorProblem(mu=0.1, a=0.5, b=0.5, forcing="driven", alpha=ALPHA2)
 
     def test_forcing_evaluation(self):
         problem = OscillatorProblem(alpha=ALPHA2, **SINGLE_WELL)
-        assert problem.forcing_at(0.0) == pytest.approx(0.5)
+        assert problem.forcing(0.0) == pytest.approx(0.5)
         free = OscillatorProblem(mu=0.1, a=1.0, b=0.01, alpha=ALPHA2, init_value=2.0)
-        assert free.forcing_at(0.7) == 0.0
+        assert free.forcing(0.7) == 0.0
+        assert np.array_equal(free.forcing(np.linspace(0.0, 1.0, 5)), np.zeros(5))
