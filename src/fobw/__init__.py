@@ -8,11 +8,10 @@ The pieces compose bottom-up: special functions and the Chebyshev grid
 (`solver`), RK4 references and error metrics (`reference`), and
 config-driven experiment reproduction (`experiments`, `cli`).
 
->>> from fobw import (OscillatorProblem, OrderFunction, WaveletBasisSpec,
-...                   parse_expression, solve_problem)
+>>> from fobw import OscillatorProblem, WaveletBasisSpec, parse_expression, solve_problem
 >>> problem = OscillatorProblem(mu=0.1, a=0.5, b=0.5,
 ...                             forcing=parse_expression("0.5*cos(0.79*t)"),
-...                             alpha=OrderFunction.constant(2.0), init_value=1.0)
+...                             alpha=2.0, init_value=1.0)
 >>> approx = solve_problem(problem, WaveletBasisSpec(k=1, M=5, gamma=1.0))
 >>> round(approx.value(0.5), 4)
 0.9392
@@ -27,7 +26,7 @@ from .experiments import (
     preset_config,
     run_experiment,
 )
-from .fracops import OrderFunction, basis_images
+from .fracops import basis_images
 from .reference import (
     BlowupError,
     ErrorTable,

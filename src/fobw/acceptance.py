@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import WaveletBasisSpec, _local_values
 from .experiments import TABLE_POINTS, preset_config, run_experiment
-from .fracops import OrderFunction, basis_images
+from .fracops import basis_images
 from .oracles import rl_integral_quadrature, weighted_inner_product
 from .reference import rk4_integrate
 from .solver import OscillatorProblem, solve_problem
@@ -174,9 +174,7 @@ def criterion_08():
 
 def criterion_09():
     """Manufactured solution cos t (alpha=2, mu=0, b=0, a=1): MAE <= 1e-8."""
-    problem = OscillatorProblem(
-        mu=0.0, a=1.0, b=0.0, alpha=OrderFunction.constant(2.0), init_value=1.0
-    )
+    problem = OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=2.0, init_value=1.0)
     approx = solve_problem(problem, WaveletBasisSpec(1, 5, 1.0))
     grid = np.linspace(0.0, 1.0, 101)
     mae = float(np.abs(approx.value(grid) - np.cos(grid)).max())
@@ -185,9 +183,7 @@ def criterion_09():
 
 def criterion_10():
     """RK4 order: halving the step shrinks the cos-1 error by 12x to 20x."""
-    problem = OscillatorProblem(
-        mu=0.0, a=1.0, b=0.0, alpha=OrderFunction.constant(2.0), init_value=1.0
-    )
+    problem = OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=2.0, init_value=1.0)
     e_coarse = abs(rk4_integrate(problem, 0.01).value(1.0) - math.cos(1.0))
     e_fine = abs(rk4_integrate(problem, 0.005).value(1.0) - math.cos(1.0))
     ratio = e_coarse / e_fine

@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(table, ok: bool, fmt: str, out: str | None, plot=None) -> int:
     """Write the table and, if ``plot`` is given, ``emit_plot_data(*plot)``; exit
-    code 2 if a file cannot be written or an order function leaves (1, 2] at
+    code 2 if a file cannot be written or an order leaves (1, 2] at
     a plot point, else 1 if a column failed, else 0."""
     try:
         text = emit_table(table, fmt, out)

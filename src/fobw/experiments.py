@@ -1,6 +1,6 @@
 """Experiment configuration, sweeps, and table/plot-data emission.
 
-A configuration names one oscillator problem, one or more order functions,
+A configuration names one oscillator problem, one or more orders,
 a list of basis families to sweep, and the metrics to tabulate on an output
 grid.  Running it produces a labeled :class:`ErrorTable`; emission to CSV or
 JSON is deterministic, so identical configurations yield byte-identical
@@ -12,12 +12,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
 from .basis import WaveletBasisSpec, finite_real
 from .expr import parse_expression
-from .fracops import OrderFunction, order_values
+from .fracops import order_values
 from .reference import (
     BlowupError, ErrorTable, UnsettledError, absolute_error, residual_samples, rk4_reference,
 )
@@ -129,15 +130,22 @@ class ExperimentConfig:
             raise ValueError(
                 f"forcing expression {self.forcing!r} is not finite everywhere on [0, 1]"
             )
-        problems = tuple(
-            OscillatorProblem(
-                mu=self.mu, a=self.a, b=self.b, forcing=forcing, alpha=build_order(entry),
+        # an expression order is evaluated in one call, at a 1001-point probe of
+        # (0, 1] and at the points, which the probe may miss: the probe is
+        # checked as the order is built, the points after every other check
+        probe = np.linspace(0.0, 1.0, 1002)[1:]
+        problems, orders = [], []
+        for entry in self.alpha:
+            alpha = build_order(entry)
+            if callable(alpha):
+                orders.append(alpha(np.concatenate([probe, points])))
+                order_values(orders[-1][:probe.size], probe)
+            problems.append(OscillatorProblem(
+                mu=self.mu, a=self.a, b=self.b, forcing=forcing, alpha=alpha,
                 init_value=self.init_value, init_slope=self.init_slope,
-            )
-            for entry in self.alpha
-        )
+            ))
         # AE and MAE compare against the RK4 reference of the integer-order equation
-        integer_order = all(p.alpha.value == 2.0 for p in problems)
+        integer_order = all(p.alpha == 2.0 for p in problems)
         default = ("AE",) if integer_order else ("residual",)
         metrics = default if self.metrics is None else _entries(self.metrics)
         object.__setattr__(self, "metrics", metrics)
@@ -159,7 +167,7 @@ class ExperimentConfig:
         labels = set()
         for problem in problems:
             for spec in specs:
-                label = _combination_label(spec, problem.alpha.label, len(problems) > 1)
+                label = _combination_label(spec, order_label(problem.alpha), len(problems) > 1)
                 if label in labels:
                     raise ValueError(f"duplicate (basis, alpha) combination: {label!r}")
                 labels.add(label)
@@ -168,9 +176,9 @@ class ExperimentConfig:
                 "AE/MAE metrics compare against the integer-order reference; "
                 "they require alpha identically 2"
             )
-        for problem in problems:
-            order_values(problem.alpha, points)
-        object.__setattr__(self, "problems", problems)
+        for values in orders:
+            order_values(values[probe.size:], points)
+        object.__setattr__(self, "problems", tuple(problems))
         object.__setattr__(self, "specs", specs)
 
     @classmethod
@@ -183,17 +191,22 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def build_order(entry) -> OrderFunction:
-    """Order function from a constant or an expression string in t; an
-    expression that is one number, such as ``"1.5"`` or ``"(2)"``, is that
-    constant."""
-    if isinstance(entry, (int, float)):
-        return OrderFunction.constant(float(entry))
-    text = str(entry).strip()
-    expression = parse_expression(text)
-    if expression.number is not None:
-        return OrderFunction.constant(expression.number)
-    return OrderFunction.from_callable(expression, label=text)
+def build_order(entry):
+    """The order of an ``alpha`` entry, a number or an expression in t: a float,
+    also for an expression that is one number, such as ``"1.5"`` or ``"(2)"``,
+    and otherwise the parsed :class:`~fobw.expr.Expression`."""
+    if isinstance(entry, str):
+        expression = parse_expression(entry)
+        return expression if expression.number is None else expression.number
+    if isinstance(entry, bool) or not isinstance(entry, Real):
+        raise ValueError(f"alpha entry {entry!r} is not a number or an expression in t")
+    return finite_real("alpha", entry)
+
+
+def order_label(alpha) -> str:
+    """How an order reads in column labels and the ``alpha`` meta key: a
+    constant as ``f"{c:g}"``, an expression as its source text, stripped."""
+    return alpha.source.strip() if callable(alpha) else f"{alpha:g}"
 
 
 def _spec(entry) -> WaveletBasisSpec:
@@ -283,7 +296,7 @@ def run_experiment(
     outcomes = {spec: [_solve(system) for system in assemble_systems(cfg.problems, spec)]
                 for spec in cfg.specs}
     for j, problem in enumerate(cfg.problems):
-        alpha_label = problem.alpha.label
+        alpha_label = order_label(problem.alpha)
         for spec in cfg.specs:
             combination = _combination_label(spec, alpha_label, multi_alpha)
             labels = {metric: f"{metric} {combination}" for metric in cfg.metrics}
@@ -322,7 +335,7 @@ def run_experiment(
 
     meta = {
         "preset": cfg.preset,
-        "alpha": [problem.alpha.label for problem in cfg.problems],
+        "alpha": [order_label(problem.alpha) for problem in cfg.problems],
         "metrics": list(cfg.metrics),
         "failed_columns": failed,
     }

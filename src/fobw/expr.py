@@ -1,4 +1,4 @@
-"""A small arithmetic expression language for order functions and forcing terms.
+"""A small arithmetic expression language for orders and forcing terms.
 
 The language has numbers (``2``, ``007``, ``0.5``, ``.5``, ``3.``, ``1e-3``,
 digits 0-9 only), ``t``, ``pi``, ``+ - * / ^``, unary minus, parentheses, and

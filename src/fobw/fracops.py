@@ -22,82 +22,15 @@ order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .basis import WaveletBasisSpec, fobw_matrix, local_series_table
 from .special import betainc, gamma_ratio
 
 __all__ = [
-    "OrderFunction",
     "basis_images",
     "order_values",
 ]
-
-
-@dataclass(frozen=True)
-class OrderFunction:
-    """Differentiation order alpha(t), constrained to (1, 2] on [0, 1].
-
-    Either a constant or a callable of t.  A callable is evaluated over whole
-    arrays of points; one that only takes a float is wrapped to loop over
-    the array.  :meth:`from_callable` checks the range contract with
-    :func:`order_values` on a 1001-point probe of (0, 1].
-    """
-
-    fn: Callable | None
-    value: float | None
-    label: str
-
-    def __post_init__(self):
-        if self.fn is not None:
-            object.__setattr__(self, "fn", _vectorized(self.fn))
-
-    @classmethod
-    def constant(cls, c: float) -> "OrderFunction":
-        c = float(c)
-        if not (1.0 < c <= 2.0):
-            raise ValueError(f"order {c} outside (1, 2]")
-        return cls(fn=None, value=c, label=f"{c:g}")
-
-    @classmethod
-    def from_callable(cls, fn: Callable, label: str = "alpha(t)") -> "OrderFunction":
-        order = cls(fn=fn, value=None, label=label)
-        # Probe on (0, 1]: the fractional operators are only ever evaluated at
-        # t > 0, and orders like 1 + sin(t) touch 1 exactly at t = 0.
-        order_values(order, np.linspace(0.0, 1.0, 1002)[1:])
-        return order
-
-    @property
-    def is_constant(self) -> bool:
-        return self.value is not None
-
-    def __call__(self, t):
-        """alpha at a point (a float) or at an array of points (an array of its shape)."""
-        ts = np.asarray(t, dtype=float)
-        if self.value is not None:
-            values = np.full(ts.shape, self.value)
-        else:
-            values = np.asarray(self.fn(ts.ravel()), dtype=float).reshape(ts.shape)
-        return float(values) if ts.ndim == 0 else values
-
-
-def _vectorized(f):
-    probe = np.array([0.25, 0.75])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-
-    def wrapped(x):
-        x = np.atleast_1d(x)
-        return np.array([float(f(xi)) for xi in x])
-
-    return wrapped
 
 
 def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
@@ -194,10 +127,12 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     return images[..., 0, :] if ts.ndim == 0 else images
 
 
-def order_values(alpha: OrderFunction, ts) -> np.ndarray:
-    """alpha at every point of the 1-D array ``ts``, checked to lie in (1, 2]."""
+def order_values(alpha, ts) -> np.ndarray:
+    """alpha at every point of the 1-D array ``ts``, checked to lie in (1, 2]:
+    ``alpha`` is a constant order, a callable of an array of t called once on
+    the whole array, or the array of its values at ``ts``."""
     ts = np.asarray(ts, dtype=float)
-    alphas = alpha(ts)
+    alphas = np.full(ts.shape, alpha(ts) if callable(alpha) else alpha, dtype=float)
     outside = ~((alphas > 1.0) & (alphas <= 2.0))
     if outside.any():
         r = int(np.argmax(outside))

@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import WaveletBasisSpec, _local_values
-from .fracops import _vectorized
 
 __all__ = [
     "AccuracyError",
@@ -218,6 +217,24 @@ def rl_integral_quadrature(f, lam: float, t: float) -> float:
     g = lambda v: fv(t * (1.0 - v**inv))
     j = adaptive_unit_integral(g)
     return t**lam / math.gamma(lam + 1.0) * j
+
+
+def _vectorized(f):
+    """``f`` if it maps an array of points to an array of values, else ``f``
+    looped over the points one float at a time."""
+    probe = np.array([0.25, 0.75])
+    try:
+        out = np.asarray(f(probe), dtype=float)
+        if out.shape == probe.shape:
+            return f
+    except Exception:
+        pass
+
+    def wrapped(x):
+        x = np.atleast_1d(x)
+        return np.array([float(f(xi)) for xi in x])
+
+    return wrapped
 
 
 def _wavelet_image_quadrature(

@@ -104,7 +104,7 @@ def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
     Requires alpha identically 2; h is snapped to 1/n so uniform steps cover
     [0, 1] exactly.
     """
-    if not (problem.alpha.is_constant and problem.alpha.value == 2.0):
+    if problem.alpha != 2.0:
         raise ValueError("the RK4 reference is defined for alpha identically 2")
     if not (0.0 < h <= 0.01):
         raise ValueError("step must lie in (0, 0.01]")

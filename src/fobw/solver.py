@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import WaveletBasisSpec, finite_real
 from .expr import parse_expression
-from .fracops import OrderFunction, basis_images, order_values
+from .fracops import basis_images, order_values
 from .special import chebyshev_grid
 
 __all__ = [
@@ -57,11 +57,17 @@ class OscillatorProblem:
     a: float
     b: float
     forcing: Callable = parse_expression("0")  # of an array of t, such as an Expression
-    alpha: OrderFunction
+    alpha: float | Callable  # a constant in (1, 2], or a callable like the forcing
     init_value: float = 0.0
     init_slope: float = 0.0
 
     def __post_init__(self):
+        # the order first, so a config with a bad order and a bad number names the order
+        if not callable(self.alpha):
+            c = finite_real("alpha", self.alpha)
+            if not (1.0 < c <= 2.0):
+                raise ValueError(f"order {c} outside (1, 2]")
+            object.__setattr__(self, "alpha", c)
         for name in ("mu", "a", "b", "init_value", "init_slope"):
             finite_real(name, getattr(self, name))
         if not callable(self.forcing):

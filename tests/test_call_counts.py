@@ -11,10 +11,10 @@ import pytest
 from fobw import acceptance, fracops, solver, special
 from fobw.basis import WaveletBasisSpec
 from fobw.experiments import (
-    PRESET_PROBLEMS, TABLE_POINTS, emit_plot_data, preset_config, run_experiment,
+    PRESET_PROBLEMS, TABLE_POINTS, ExperimentConfig, emit_plot_data, preset_config,
+    run_experiment,
 )
-from fobw.expr import parse_expression
-from fobw.fracops import OrderFunction
+from fobw.expr import Expression, parse_expression
 from fobw.solver import OscillatorProblem, SolutionApproximant, assemble
 
 
@@ -58,29 +58,37 @@ def _approximant(alpha, k=2, M=4):
 
 
 ORDERS = {
-    "constant": OrderFunction.constant(1.5),
-    "two": OrderFunction.constant(2.0),
-    "variable": OrderFunction.from_callable(parse_expression(VARIABLE), VARIABLE),
+    "constant": 1.5,
+    "two": 2.0,
+    "variable": parse_expression(VARIABLE),
 }
 
 
-def test_from_callable_probes_in_one_array_call():
-    # one call to find out that the callable takes arrays, one for the
-    # 1001-point range probe
-    fn = Counted(parse_expression(VARIABLE))
-    OrderFunction.from_callable(fn, VARIABLE)
-    assert fn.calls == 2
+def test_config_checks_each_expression_order_in_one_array_call(monkeypatch):
+    calls = []
+    call = Expression.__call__
+
+    def counted(self, t):
+        calls.append((self.source, np.shape(t)))
+        return call(self, t)
+
+    monkeypatch.setattr(Expression, "__call__", counted)
+    cfg = ExperimentConfig(alpha=(VARIABLE, "1.5", "1 + sin(t)"), basis=((1, 3, 0.5), (2, 3, 0.2)))
+    # one call per expression order, at the 1001-point range probe of (0, 1]
+    # and at the points the probe may miss: the output grid and the 4 + 2*4
+    # collocation points of the two bases
+    shape = (1001 + len(cfg.output_grid) + 4 + 2 * 4,)
+    orders = [(source, n) for source, n in calls if source != cfg.forcing]
+    assert orders == [(VARIABLE, shape), ("1 + sin(t)", shape)]
 
 
 def test_order_is_evaluated_once_per_point_set():
-    fn = Counted(parse_expression(VARIABLE))
-    alpha = OrderFunction.from_callable(fn, VARIABLE)
-    fn.calls = 0
+    alpha = Counted(parse_expression(VARIABLE))
     assemble(OscillatorProblem(alpha=alpha, **SINGLE_WELL),
              WaveletBasisSpec(1, 5, 0.2))
-    assert fn.calls == 1
+    assert alpha.calls == 1
     _approximant(alpha).evaluate(np.linspace(0.0, 1.0, 402)[1:])
-    assert fn.calls == 2
+    assert alpha.calls == 2
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))

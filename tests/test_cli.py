@@ -252,6 +252,7 @@ class TestCommandErrors:
             ({"forcing": 0.5}, "forcing must be an expression in t, got 0.5"),
             ({"forcing": "1/(t-0.1234)", "output_grid": [0.1234]},
              "forcing expression '1/(t-0.1234)' is not finite"),
+            ({"alpha": 10**400}, "alpha must be a finite real number"),
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,
@@ -267,6 +268,19 @@ class TestCommandErrors:
         doc = {"a": 1.0, "init_value": 1.0, **raw} if isinstance(raw, dict) else raw
         path.write_text(json.dumps(doc))
         _assert_one_error_naming(caplog, message, ["solve", "--config", str(path)])
+
+    @pytest.mark.parametrize("entry", [True, None, {"x": 1}, [1.2]],
+                             ids=["true", "null", "object", "list"])
+    def test_alpha_entry_neither_number_nor_text_is_one_error_line(self, tmp_path, caplog,
+                                                                   entry):
+        # JSON true is not the number 1, nor null the text "None"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, "alpha": [entry]}))
+        error = _assert_one_error_naming(
+            caplog, "is not a number or an expression in t", ["solve", "--config", str(path)]
+        )
+        assert error == (f"invalid config: alpha entry {entry!r} "
+                         "is not a number or an expression in t")
 
     @pytest.mark.parametrize(
         "alpha, message",

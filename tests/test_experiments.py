@@ -13,10 +13,12 @@ from fobw.experiments import (
     build_order,
     emit_plot_data,
     emit_table,
+    order_label,
     preset_config,
     render_csv,
     run_experiment,
 )
+from fobw.expr import Expression, parse_expression
 from fobw.reference import ErrorTable, residual_samples
 
 # cells whose text a format could get wrong: subnormals, rounding ties near
@@ -48,7 +50,7 @@ class TestConfig:
 
     @settings(max_examples=20, deadline=None)
     @given(alpha=st.lists(st.sampled_from([2, "2.0", 1.5, "1 + sin(t)"]), min_size=1,
-                          max_size=3, unique_by=lambda a: build_order(a).label))
+                          max_size=3, unique_by=lambda a: order_label(build_order(a))))
     def test_default_metric_is_the_same_on_both_routes(self, alpha):
         expected = ("AE",) if set(alpha) <= {2, "2.0"} else ("residual",)
         assert ExperimentConfig(alpha=alpha).metrics == expected
@@ -149,16 +151,30 @@ class TestConfig:
     def test_holds_one_problem_per_alpha_and_one_spec_per_basis(self):
         cfg = preset_config("example2", alpha=("1.5", "1 + sin(t)"),
                             basis=((1, 3, 0.5), (2, 3, 0.2)))
-        assert [p.alpha.label for p in cfg.problems] == ["1.5", "1 + sin(t)"]
+        assert [order_label(p.alpha) for p in cfg.problems] == ["1.5", "1 + sin(t)"]
         assert all(p.b == 0.01 and p.init_value == 2.0 for p in cfg.problems)
         assert [(s.k, s.M, s.gamma) for s in cfg.specs] == [(1, 3, 0.5), (2, 3, 0.2)]
 
     def test_build_order_variants(self):
-        assert build_order(2.0).is_constant
-        assert build_order("1.5").value == 1.5
+        # a number, numpy's too, and an expression that is one number are a float
+        for entry in (2, 2.0, np.int64(2), "2", "(2)", " 2.0 "):
+            assert type(build_order(entry)) is float and build_order(entry) == 2.0
+        assert build_order(np.float64(1.5)) == build_order("1.5") == 1.5
         variable = build_order("1 + sin(t)")
-        assert not variable.is_constant
+        assert isinstance(variable, Expression) and variable == parse_expression("1 + sin(t)")
         assert variable(0.5) == pytest.approx(1.0 + math.sin(0.5))
+
+    def test_labels_of_each_kind_of_order(self):
+        # what the column labels and the alpha meta key read for each kind of
+        # entry; the golden presets only hold lone numbers and tidy expressions
+        cfg = preset_config("example1-single", basis=((1, 3, 0.5),),
+                            alpha=(2, "1.50", " 1 + sin(t) ", "(1.25)", 1.2345678, "2*0.9"))
+        table, ok = run_experiment(cfg)
+        labels = ["2", "1.5", "1 + sin(t)", "1.25", "1.23457", "2*0.9"]
+        assert ok and table.meta["alpha"] == labels
+        assert list(table.columns) == [f"residual gamma=0.5 M=3 alpha={a}" for a in labels]
+        with pytest.raises(ValueError, match="duplicate .* 'gamma=1 M=5 alpha=2'"):
+            ExperimentConfig(alpha=(2, "2.0"))
 
 
 # a value for a numeric config key: numbers of every size, NaN, +-inf, strings, None
@@ -249,24 +265,24 @@ class TestResolvedOnce:
         assert texts.count("1 + sin(t)") == 1
 
     def test_each_preset_run_builds_each_expression_order_once(self, monkeypatch, capsys):
+        import fobw.experiments
         from fobw.cli import main
-        from fobw.fracops import OrderFunction
 
-        labels = []
-        build = OrderFunction.from_callable
+        entries = []
+        build = fobw.experiments.build_order
 
-        def counted(fn, label="alpha(t)"):
-            labels.append(label)
-            return build(fn, label)
+        def counted(entry):
+            entries.append(entry)
+            return build(entry)
 
-        monkeypatch.setattr(OrderFunction, "from_callable", staticmethod(counted))
+        monkeypatch.setattr(fobw.experiments, "build_order", counted)
         argv = ["preset", "example1-single", "--alpha", "1.5,1 + sin(t),1.2 + 0.5*t",
                 "--gamma", "0.5", "--M", "3"]
         # twice in one process: no cache may stand in for building once per run
         for _ in range(2):
-            labels.clear()
+            entries.clear()
             assert main(argv) == 0
-            assert sorted(labels) == ["1 + sin(t)", "1.2 + 0.5*t"]
+            assert sorted(entries) == ["1 + sin(t)", "1.2 + 0.5*t", "1.5"]
 
 
 class TestRunExperiment:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fobw.basis import WaveletBasisSpec, _local_values, fobw_matrix, local_series_table
-from fobw.fracops import OrderFunction, basis_images
+from fobw.fracops import basis_images, order_values
 from fobw.oracles import (
     AccuracyError,
     BasisIndex,
@@ -24,7 +24,7 @@ def wavelet_at(spec, ups):
     return lambda x: _local_values(spec, x)[..., ups]
 
 
-def approximant(spec, U, init=(0.0, 0.0), alpha=OrderFunction.constant(2.0)):
+def approximant(spec, U, init=(0.0, 0.0), alpha=2.0):
     """Approximant with coefficients ``U`` for y'' = 0 (no solve)."""
     problem = OscillatorProblem(
         mu=0.0, a=0.0, b=0.0, alpha=alpha, init_value=init[0], init_slope=init[1]
@@ -32,28 +32,39 @@ def approximant(spec, U, init=(0.0, 0.0), alpha=OrderFunction.constant(2.0)):
     return SolutionApproximant(problem, spec, np.asarray(U, dtype=float), None)
 
 
-class TestOrderFunction:
-    def test_constant(self):
-        alpha = OrderFunction.constant(1.5)
-        assert alpha.is_constant
-        assert alpha(0.3) == 1.5
-        assert alpha.label == "1.5"
+#: the points an order is probed at: (0, 1], where the fractional operators act
+PROBE = np.linspace(0.0, 1.0, 1002)[1:]
 
-    @pytest.mark.parametrize("c", [1.0, 2.5, 0.9])
+
+class TestOrderFunction:
+    """An order alpha(t) is a constant in (1, 2] or a callable of an array of t."""
+
+    def test_constant(self):
+        alpha = OscillatorProblem(mu=0.0, a=0.0, b=0.0, alpha=np.float64(1.5)).alpha
+        assert type(alpha) is float and alpha == 1.5
+        assert np.array_equal(order_values(alpha, [0.0, 0.3, 1.0]), [1.5, 1.5, 1.5])
+
+    @pytest.mark.parametrize("c", [1.0, 2.5, 0.9, 1])
     def test_constant_out_of_range(self, c):
-        with pytest.raises(ValueError):
-            OrderFunction.constant(c)
+        with pytest.raises(ValueError, match=rf"order {float(c)} outside \(1, 2\]"):
+            OscillatorProblem(mu=0.0, a=0.0, b=0.0, alpha=c)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 10**400, True, "1.5"],
+                             ids=["nan", "inf", "huge-int", "bool", "text"])
+    def test_constant_that_is_not_a_finite_number(self, c):
+        with pytest.raises(ValueError, match="alpha must be a finite real number"):
+            OscillatorProblem(mu=0.0, a=0.0, b=0.0, alpha=c)
 
     def test_variable(self):
-        alpha = OrderFunction.from_callable(lambda t: 1.0 + math.sin(t), "1 + sin(t)")
-        assert not alpha.is_constant
-        assert alpha(0.5) == pytest.approx(1.0 + math.sin(0.5))
+        alpha = parse_expression("1 + sin(t)")
+        assert OscillatorProblem(mu=0.0, a=0.0, b=0.0, alpha=alpha).alpha is alpha
+        assert order_values(alpha, [0.5])[0] == pytest.approx(1.0 + math.sin(0.5))
 
     def test_range_violations_rejected(self):
-        with pytest.raises(ValueError):
-            OrderFunction.from_callable(lambda t: 1.5 + t)  # exceeds 2
-        with pytest.raises(ValueError):
-            OrderFunction.from_callable(lambda t: 0.5 + t)  # dips to 1 and below
+        with pytest.raises(ValueError, match=r"alpha\(0\.5005\) = 2\.0005 outside"):
+            order_values(parse_expression("1.5 + t"), PROBE)  # exceeds 2
+        with pytest.raises(ValueError, match=r"alpha\(0\.000999001\) = 0\.500999 outside"):
+            order_values(parse_expression("0.5 + t"), PROBE)  # dips to 1 and below
 
     @pytest.mark.parametrize(
         "fn, message",
@@ -65,7 +76,7 @@ class TestOrderFunction:
     )
     def test_non_finite_order_names_the_probe_point(self, fn, message):
         with pytest.raises(ValueError, match=message):
-            OrderFunction.from_callable(fn)
+            order_values(fn, PROBE)
 
 
 class TestSeriesIntegral:
@@ -291,7 +302,7 @@ class TestReconstruct:
 class TestCaputo:
     def test_zero_coefficients_any_order(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        approx = approximant(spec, np.zeros(4), (3.0, 0.0), OrderFunction.constant(1.5))
+        approx = approximant(spec, np.zeros(4), (3.0, 0.0), 1.5)
         assert approx.evaluate(0.5)[2] == 0.0
 
     def test_integer_branch(self):
@@ -307,7 +318,7 @@ class TestCaputo:
         spec = WaveletBasisSpec(1, 5, 1.0)
         psi = fobw_matrix(spec, chebyshev_grid(30))
         U, *_ = np.linalg.lstsq(psi, np.full(30, 2.0), rcond=None)
-        approx = approximant(spec, U, alpha=OrderFunction.constant(1.5))
+        approx = approximant(spec, U, alpha=1.5)
         scale = math.gamma(3.0) / math.gamma(1.5)
         assert scale == pytest.approx(2.2567583341910253, rel=1e-13)
         for t in (0.2, 0.5, 0.9):
@@ -317,18 +328,18 @@ class TestCaputo:
         rng = np.random.default_rng(8)
         spec = WaveletBasisSpec(1, 4, 1.0)
         U = rng.uniform(-1.0, 1.0, 5)
-        approx = approximant(spec, U, alpha=OrderFunction.constant(2.0 - 1e-6))
+        approx = approximant(spec, U, alpha=2.0 - 1e-6)
         for t in (0.3, 0.6, 0.9):
             exact = float(U @ fobw_matrix(spec, [t])[0])
             assert approx.evaluate(t)[2] == pytest.approx(exact, abs=1e-3)
 
     def test_order_outside_range_rejected(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        bad = OrderFunction(fn=lambda t: 2.5, value=None, label="bad")
-        with pytest.raises(ValueError):
+        bad = parse_expression("2.5 + 0*t")  # a callable is range-checked where it is evaluated
+        with pytest.raises(ValueError, match=r"alpha\(0\.5\) = 2\.5 outside"):
             approximant(spec, np.zeros(4), alpha=bad).evaluate(0.5)
         with pytest.raises(ValueError):
-            approximant(spec, np.zeros(3), alpha=OrderFunction.constant(1.5)).evaluate(0.5)
+            approximant(spec, np.zeros(3), alpha=1.5).evaluate(0.5)
 
 
 # orders for the shared-table tests: whole orders take the finite-product and
@@ -412,31 +423,22 @@ class TestSharedImageTable:
 
 
 class TestArrayOrders:
-    # each callable is called with a float in the pointwise oracle, the way
-    # the order used to be evaluated one point at a time
+    # order_values calls an order once on the whole array of points; the
+    # pointwise oracle calls it with one float at a time
     CALLABLES = {
-        "expression": (parse_expression("1.5 + 0.3*sin(4*t)"), OrderFunction.from_callable),
-        "scalar-only lambda": (lambda t: 1.0 + math.sin(t), OrderFunction.from_callable),
-        "constructed fn": (
-            lambda t: 1.5 + 0.25 * math.cos(3.0 * t),
-            lambda fn: OrderFunction(fn=fn, value=None, label="direct"),
-        ),
+        "expression": parse_expression("1.5 + 0.3*sin(4*t)"),
+        "array lambda": lambda t: 1.5 + 0.25 * np.cos(3.0 * t),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLABLES))
     @settings(max_examples=40, deadline=None)
     @given(ts=st.lists(st.floats(0.0, 1.0), max_size=30))
     def test_array_call_matches_pointwise_calls(self, name, ts):
-        fn, make = self.CALLABLES[name]
-        alpha = make(fn)
+        fn = self.CALLABLES[name]
         ts = np.array(ts, dtype=float)
         expected = np.array([float(fn(float(t))) for t in ts])
-        assert np.array_equal(alpha(ts), expected)
-        assert np.array_equal(alpha(ts.reshape(-1, 1)), expected.reshape(-1, 1))
-        for t, value in zip(ts[:3], expected):
-            assert alpha(float(t)) == value
+        assert np.array_equal(order_values(fn, ts), expected)
 
     def test_constant_over_an_array(self):
-        alpha = OrderFunction.constant(1.5)
-        out = alpha(np.linspace(0.0, 1.0, 4))
+        out = order_values(1.5, np.linspace(0.0, 1.0, 4))
         assert out.shape == (4,) and np.all(out == 1.5)

@@ -10,7 +10,6 @@ from fobw.basis import WaveletBasisSpec
 from fobw.cli import main
 from fobw.expr import parse_expression
 from fobw.experiments import PRESET_PROBLEMS, TABLE_POINTS, preset_config, run_experiment
-from fobw.fracops import OrderFunction
 from fobw.reference import (
     BlowupError,
     ErrorTable,
@@ -22,7 +21,7 @@ from fobw.reference import (
 )
 from fobw.solver import OscillatorProblem, SolutionApproximant, solve_problem
 
-ALPHA2 = OrderFunction.constant(2.0)
+ALPHA2 = 2.0
 
 
 def harmonic_problem():
@@ -63,11 +62,12 @@ class TestRK4:
             rk4_integrate(harmonic_problem(), 0.0)
 
     def test_requires_integer_order(self):
-        problem = OscillatorProblem(
-            mu=0.0, a=1.0, b=0.0, alpha=OrderFunction.constant(1.5), init_value=1.0
-        )
-        with pytest.raises(ValueError):
-            rk4_integrate(problem, 1e-3)
+        # an expression that is 2 everywhere is a callable all the same: only
+        # the constant 2 is the integer order
+        for alpha in (1.5, parse_expression("2 + 0*t")):
+            problem = OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=alpha, init_value=1.0)
+            with pytest.raises(ValueError, match="defined for alpha identically 2"):
+                rk4_integrate(problem, 1e-3)
 
 
 def record_steps(monkeypatch, blow_up_at=()):
@@ -242,7 +242,7 @@ class TestResidualSample:
     def test_fractional_magnitude(self):
         problem = OscillatorProblem(
             mu=0.1, a=0.5, b=0.5, forcing=parse_expression("0.5*cos(0.79*t)"),
-            alpha=OrderFunction.constant(1.5), init_value=1.0,
+            alpha=1.5, init_value=1.0,
         )
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 0.2))
         assert residual_samples([approx], 0.9)[0] <= 1.9e-4

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import fobw
 from fobw.basis import WaveletBasisSpec, fobw_matrix
-from fobw.fracops import OrderFunction, basis_images
+from fobw.fracops import basis_images, order_values
 from fobw.reference import residual_samples, rk4_integrate, absolute_error
-from fobw.experiments import PRESET_PROBLEMS
+from fobw.experiments import PRESET_PROBLEMS, order_label
 from fobw.expr import parse_expression
 from fobw.solver import (
     NEWTON_MAX_ITER,
@@ -27,8 +27,8 @@ from fobw.solver import (
     solve_system,
 )
 
-ALPHA2 = OrderFunction.constant(2.0)
-SIN_ORDER = OrderFunction.from_callable(lambda t: 1.0 + np.sin(t), "1 + sin(t)")
+ALPHA2 = 2.0
+SIN_ORDER = parse_expression("1 + sin(t)")
 TABLE_POINTS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 FORCING = parse_expression("0.5*cos(0.79*t)")
@@ -62,8 +62,7 @@ class TestAssemble:
             assert np.array_equal(system.caputo_images, fobw_matrix(spec, system.grid))
 
     def test_variable_order_rows_increase(self):
-        alpha = OrderFunction.from_callable(lambda t: 1.0 + math.sin(t), "1 + sin(t)")
-        problem = OscillatorProblem(alpha=alpha, **SINGLE_WELL)
+        problem = OscillatorProblem(alpha=SIN_ORDER, **SINGLE_WELL)
         system = assemble(problem, WaveletBasisSpec(1, 3, 1.0))
         assert np.all(np.diff(system.alphas) > 0)
 
@@ -78,7 +77,7 @@ class TestAssemble:
         spec = WaveletBasisSpec(k, 3, 0.2)
         problems = [
             OscillatorProblem(alpha=alpha, **SINGLE_WELL)
-            for alpha in (OrderFunction.constant(1.5), SIN_ORDER, ALPHA2)
+            for alpha in (1.5, SIN_ORDER, ALPHA2)
         ]
         systems = assemble_systems(problems, spec)
         at_grid = collocation_systems(problems, spec, collocation_grid(spec))
@@ -126,7 +125,7 @@ class TestNewton:
 
     def test_report_on_iteration_budget(self):
         # a basis on which Newton stalls at a residual of about 0.26
-        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        problem = OscillatorProblem(alpha=1.5, **SINGLE_WELL)
         spec = WaveletBasisSpec(1, 8, 2.0)
         report = newton_solve(assemble(problem, spec))
         assert not report.converged
@@ -144,7 +143,7 @@ class TestNewton:
         assert absolute_error(approx, reference, 0.1) <= 1e-6
 
     def test_fractional_order_residual_magnitude(self):
-        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        problem = OscillatorProblem(alpha=1.5, **SINGLE_WELL)
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 0.2))
         assert residual_samples([approx], 0.5)[0] <= 7.9e-4
 
@@ -185,8 +184,7 @@ class TestExactJacobian:
     PROBLEM = dict(mu=0.3, a=0.7, b=-0.4, forcing=FORCING, init_value=0.8, init_slope=-0.6)
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("alpha", [ALPHA2, OrderFunction.constant(1.5), SIN_ORDER],
-                             ids=lambda a: a.label)
+    @pytest.mark.parametrize("alpha", [ALPHA2, 1.5, SIN_ORDER], ids=order_label)
     def test_matches_central_differences(self, k, alpha):
         system = assemble(OscillatorProblem(alpha=alpha, **self.PROBLEM), WaveletBasisSpec(k, 4, 0.5))
         rng = np.random.default_rng(k)
@@ -202,7 +200,7 @@ class TestSingularity:
 
     def test_structurally_singular_raises_with_report(self):
         # two equal rows make every Jacobian of this system singular
-        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        problem = OscillatorProblem(alpha=1.5, **SINGLE_WELL)
         system = assemble(problem, WaveletBasisSpec(3, 3, 0.5))
         rows = np.arange(16)
         rows[1] = 0
@@ -222,7 +220,7 @@ class TestSingularity:
 
     def test_exact_jacobian_converges_where_differences_stalled(self):
         # a central-difference Jacobian stalls at a residual of 2.3e-10 here
-        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        problem = OscillatorProblem(alpha=1.5, **SINGLE_WELL)
         assert solve_problem(problem, WaveletBasisSpec(2, 8, 0.1)).report.converged
 
     def test_nonfinite_start_raises_with_report(self):
@@ -258,7 +256,7 @@ class TestCellRefinement:
         order=st.one_of(st.just(2.0), st.floats(1.0, 2.0, exclude_min=True), st.just("sin")),
     )
     def test_every_solve_converges_exactly_or_reports(self, preset, k, M, gamma, order):
-        alpha = SIN_ORDER if order == "sin" else OrderFunction.constant(order)
+        alpha = SIN_ORDER if order == "sin" else order
         problem = preset_problem(preset, alpha)
         system = assemble(problem, WaveletBasisSpec(k, M, gamma))
         try:
@@ -275,7 +273,7 @@ class TestCellRefinement:
 class TestMultistart:
     def test_single_reachable_root(self):
         # the criterion-05 combination: example2, alpha = 1.8, k = 1, M = 3, gamma = 0.2
-        problem = preset_problem("example2", OrderFunction.constant(1.8))
+        problem = preset_problem("example2", 1.8)
         system = assemble(problem, WaveletBasisSpec(1, 3, 0.2))
         root = newton_solve(system).U
         rng = np.random.default_rng(0)
@@ -323,7 +321,7 @@ class TestSolveProblem:
         assert np.abs(approx.value(grid) - np.cos(grid)).max() <= 1e-4
 
     def test_two_cell_basis_fractional_order(self):
-        problem = OscillatorProblem(alpha=OrderFunction.constant(1.5), **SINGLE_WELL)
+        problem = OscillatorProblem(alpha=1.5, **SINGLE_WELL)
         approx = solve_problem(problem, WaveletBasisSpec(2, 2, 1.0))
         assert approx.report.converged
         # converged at the nodes; sampled points between nodes stay bounded
@@ -332,9 +330,9 @@ class TestSolveProblem:
 
 class TestEvaluate:
     ORDERS = (
-        OrderFunction.constant(1.5),
+        1.5,
         ALPHA2,
-        OrderFunction.from_callable(lambda t: 1.0 + math.sin(t), "1 + sin(t)"),
+        SIN_ORDER,
     )
 
     @staticmethod
@@ -345,7 +343,7 @@ class TestEvaluate:
         return SolutionApproximant(problem, spec, U, None)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("alpha", ORDERS, ids=lambda a: a.label)
+    @pytest.mark.parametrize("alpha", ORDERS, ids=order_label)
     def test_matches_one_point_calls(self, k, alpha):
         approx = self._approximant(k, alpha)
         spec, U = approx.spec, approx.coefficients
@@ -356,7 +354,7 @@ class TestEvaluate:
             assert value[i] == pytest.approx(approx.value(t), abs=1e-13)
             expected_slope = basis_images(spec, 1.0, t) @ U + approx.problem.init_slope
             assert slope[i] == pytest.approx(expected_slope, abs=1e-13)
-            expected_caputo = basis_images(spec, 2.0 - alpha(t), t) @ U
+            expected_caputo = basis_images(spec, 2.0 - order_values(alpha, [t])[0], t) @ U
             assert caputo[i] == pytest.approx(expected_caputo, abs=1e-13)
 
     def test_return_types(self):
@@ -394,7 +392,7 @@ class TestRefinementMonotonicity:
     @pytest.mark.parametrize("well", [SINGLE_WELL, DOUBLE_WELL, DOUBLE_HUMP])
     @pytest.mark.parametrize("alpha", [1.2, 1.4, 1.6, 1.8])
     def test_coarse_to_fine(self, well, alpha):
-        problem = OscillatorProblem(alpha=OrderFunction.constant(alpha), **well)
+        problem = OscillatorProblem(alpha=alpha, **well)
         maxima = {}
         for M in (3, 5):
             approx = solve_problem(problem, WaveletBasisSpec(1, M, 0.2))
@@ -408,7 +406,7 @@ class TestConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         problems = [
-            OscillatorProblem(alpha=OrderFunction.constant(a), **well)
+            OscillatorProblem(alpha=a, **well)
             for a in (1.3, 1.7, 2.0)
             for well in (SINGLE_WELL, DOUBLE_WELL)
         ]

@@ -38,7 +38,5 @@ def test_preset_loads_only_what_it_runs():
     code, loaded, records, warmup = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == []
-    assert records == [
-        "ErrorTable", "ExperimentConfig", "OrderFunction", "OscillatorProblem", "WaveletBasisSpec",
-    ]
+    assert records == ["ErrorTable", "ExperimentConfig", "OscillatorProblem", "WaveletBasisSpec"]
     assert warmup
