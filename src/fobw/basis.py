@@ -24,6 +24,7 @@ table.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
@@ -33,13 +34,14 @@ import numpy as np
 
 def finite_real(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is a finite
-    real number, and a bool (JSON ``true``) is not one."""
+    real number, and a bool (JSON ``true``) is not one.  The error shows the
+    value abbreviated (:func:`reprlib.repr`), so a huge one stays one short line."""
     try:
         if not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an int past the range of a double
         pass
-    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    raise ValueError(f"{name} must be a finite real number, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)

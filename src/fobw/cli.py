@@ -6,14 +6,14 @@
 
 The config file is a JSON document whose keys match the ExperimentConfig
 field names; where the table goes, and in which format, only the flags
-say.  FOBW_LOG sets the log level (DEBUG, INFO, WARNING, ...).
+say.  The table is a run's whole outcome: the CLI writes its ``meta``
+warnings, then the table, and exits 1 if a column failed.  Every message
+goes to stderr as one ``[ERROR] fobw: ...`` or ``[WARNING] fobw: ...`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 
 from .expr import ExpressionError, parse_expression
@@ -29,13 +29,10 @@ from .experiments import (
     run_experiment,
 )
 
-log = logging.getLogger("fobw")
 
-
-def _configure_logging() -> None:
-    level_name = os.environ.get("FOBW_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="[%(levelname)s] %(name)s: %(message)s")
+def _say(level: str, message: object) -> None:
+    """One ``[LEVEL] fobw: message`` line on stderr."""
+    sys.stderr.write(f"[{level}] fobw: {message}\n")
 
 
 def _number(text: str) -> float:
@@ -94,24 +91,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(table, ok: bool, fmt: str, out: str | None, plot=None) -> int:
-    """Write the table and, if ``plot`` is given, ``emit_plot_data(*plot)``; exit
-    code 2 if a file cannot be written or an order leaves (1, 2] at
-    a plot point, else 1 if a column failed, else 0."""
+def _emit(table, fmt: str, out: str | None, plot=None) -> int:
+    """Write the table's warnings, the table and, if ``plot`` is given,
+    ``emit_plot_data(*plot)``; exit code 2 if a file cannot be written, else
+    1 if a column failed, else 0."""
+    for warning in table.meta["warnings"]:
+        _say("WARNING", warning)
     try:
         text = emit_table(table, fmt, out)
         if plot is not None:
             emit_plot_data(*plot)
-    except (OSError, ValueError) as exc:
-        log.error("%s", exc)
+    except OSError as exc:
+        _say("ERROR", exc)
         return 2
     if out is None:
         sys.stdout.write(text)
-    else:
-        log.info("wrote %s", out)
-    if plot is not None:
-        log.info("wrote %s", plot[1])
-    return 0 if ok else 1
+    return 1 if table.meta["failed_columns"] else 0
 
 
 def _cmd_solve(args) -> int:
@@ -121,15 +116,14 @@ def _cmd_solve(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
-        log.error("could not read config %s: %s", args.config, exc)
+        _say("ERROR", f"could not read config {args.config}: {exc}")
         return 2
     try:
         cfg = ExperimentConfig.from_dict(raw)
     except ValueError as exc:
-        log.error("invalid config: %s", exc)
+        _say("ERROR", f"invalid config: {exc}")
         return 2
-    table, ok = run_experiment(cfg)
-    return _emit(table, ok, args.format, args.out)
+    return _emit(run_experiment(cfg), args.format, args.out)
 
 
 def _cmd_preset(args) -> int:
@@ -141,12 +135,12 @@ def _cmd_preset(args) -> int:
     try:
         cfg = preset_config(args.name, **overrides)
     except ValueError as exc:
-        log.error("invalid preset options: %s", exc)
+        _say("ERROR", f"invalid preset options: {exc}")
         return 2
     labeled = [] if args.plot_data is not None else None
-    table, ok = run_experiment(cfg, approximants=labeled)
+    table = run_experiment(cfg, approximants=labeled)
     plot = None if labeled is None else (labeled, args.plot_data)
-    return _emit(table, ok, args.format, args.out, plot)
+    return _emit(table, args.format, args.out, plot)
 
 
 def _cmd_verify(args) -> int:
@@ -154,7 +148,7 @@ def _cmd_verify(args) -> int:
 
     results = run_all(idents=args.criterion, stream=sys.stdout)
     if not results:
-        log.error("no matching criteria")
+        _say("ERROR", "no matching criteria")
         return 2
     failed = [r for r in results if not r.passed]
     sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} criteria passed\n")
@@ -162,7 +156,6 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = _build_parser().parse_args(argv)
     if args.command == "solve":
         return _cmd_solve(args)

@@ -9,7 +9,6 @@ files.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, fields
 from numbers import Real
@@ -26,10 +25,9 @@ from .solver import (
     OscillatorProblem, SolverError, assemble_systems, collocation_grid, solve_system,
 )
 
-log = logging.getLogger("fobw")
-
 VALID_METRICS = ("AE", "MAE", "residual")
 PLOT_POINTS = 401  # uniform points on (0, 1] of every dense residual curve
+PLOT_GRID = np.linspace(0.0, 1.0, PLOT_POINTS + 1)[1:]
 #: a preset's basis sweep, and what `fobw preset` takes for an omitted --k, --M or --gamma
 PRESET_SWEEP = {"k": 1, "M": (5,), "gamma": (0.5, 0.9, 1.0)}
 
@@ -130,16 +128,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"forcing expression {self.forcing!r} is not finite everywhere on [0, 1]"
             )
-        # an expression order is evaluated in one call, at a 1001-point probe of
-        # (0, 1] and at the points, which the probe may miss: the probe is
-        # checked as the order is built, the points after every other check
-        probe = np.linspace(0.0, 1.0, 1002)[1:]
-        problems, orders = [], []
+        # an expression order is checked in one call, at a 1001-point probe of
+        # (0, 1], at the points and at the plot points, which the probe may miss
+        checked = np.concatenate([np.linspace(0.0, 1.0, 1002)[1:], points, PLOT_GRID])
+        problems = []
         for entry in self.alpha:
             alpha = build_order(entry)
             if callable(alpha):
-                orders.append(alpha(np.concatenate([probe, points])))
-                order_values(orders[-1][:probe.size], probe)
+                order_values(alpha, checked)
             problems.append(OscillatorProblem(
                 mu=self.mu, a=self.a, b=self.b, forcing=forcing, alpha=alpha,
                 init_value=self.init_value, init_slope=self.init_slope,
@@ -176,8 +172,6 @@ class ExperimentConfig:
                 "AE/MAE metrics compare against the integer-order reference; "
                 "they require alpha identically 2"
             )
-        for values in orders:
-            order_values(values[probe.size:], points)
         object.__setattr__(self, "problems", tuple(problems))
         object.__setattr__(self, "specs", specs)
 
@@ -223,9 +217,12 @@ def _spec(entry) -> WaveletBasisSpec:
 
 def _entries(value) -> tuple:
     """A list-valued field as a tuple of entries; a lone entry is a one-entry
-    tuple.  Only a plain list, tuple or numpy array holds entries: a record
-    such as an :class:`~fobw.expr.Expression` is a tuple too, but one entry."""
-    return tuple(value) if type(value) in (list, tuple, np.ndarray) else (value,)
+    tuple.  Only a plain list, tuple or numpy array holds entries, and a 0-d
+    array holds one: a record such as an :class:`~fobw.expr.Expression` is a
+    tuple too, but one entry."""
+    if type(value) is np.ndarray:
+        return tuple(np.atleast_1d(value))
+    return tuple(value) if type(value) in (list, tuple) else (value,)
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -259,17 +256,16 @@ def _combination_label(spec: WaveletBasisSpec, alpha_label: str, multi_alpha: bo
     return " ".join(parts)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, approximants: list | None = None
-) -> tuple[ErrorTable, bool]:
+def run_experiment(cfg: ExperimentConfig, approximants: list | None = None) -> ErrorTable:
     """Solve every (basis, alpha) combination and tabulate the metrics.
 
-    Returns the table and a success flag; a non-converged solve, or an RK4
+    The table is the whole outcome: a non-converged solve, or an RK4
     reference (:func:`rk4_reference`) that blows up or does not settle for
-    the AE/MAE columns, leaves NaN sentinel columns and flips the flag.  A
-    table with a reference carries its error estimate as the ``meta`` key
-    ``reference_error``.  When ``approximants`` is a list, every
-    converged solve is appended to it as ``(plot label, approximant)``,
+    the AE/MAE columns, leaves NaN sentinel columns, listed in the ``meta``
+    key ``failed_columns``, and the cause of each, in the order met, in
+    ``warnings``.  A table with a reference carries its error estimate as
+    the ``meta`` key ``reference_error``.  When ``approximants`` is a list,
+    every converged solve is appended to it as ``(plot label, approximant)``,
     ready for :func:`emit_plot_data`.  Every alpha of a basis is assembled
     together, one :func:`assemble_systems` call per basis, and the residual
     columns of all solves are sampled together, one :func:`residual_samples`
@@ -282,6 +278,7 @@ def run_experiment(
     nan_column = tuple(math.nan for _ in grid)
     columns: dict[str, tuple] = {}
     failed: list[str] = []
+    warnings: list[str] = []
     residual_columns: list[tuple] = []  # (label, approximant), sampled after the loop
     multi_alpha = len(cfg.problems) > 1
 
@@ -291,7 +288,7 @@ def run_experiment(
         try:
             reference, reference_error = rk4_reference(cfg.problems[0], points)
         except (BlowupError, UnsettledError) as exc:
-            log.warning("RK4 reference failed, AE/MAE columns are NaN: %s", exc)
+            warnings.append(f"RK4 reference failed, AE/MAE columns are NaN: {exc}")
     # each entry: an approximant, or the message of the SolverError its solve raised
     outcomes = {spec: [_solve(system) for system in assemble_systems(cfg.problems, spec)]
                 for spec in cfg.specs}
@@ -302,7 +299,7 @@ def run_experiment(
             labels = {metric: f"{metric} {combination}" for metric in cfg.metrics}
             approx = outcomes[spec][j]
             if isinstance(approx, str):
-                log.warning("solve failed for %s: %s", labels[cfg.metrics[0]], approx)
+                warnings.append(f"solve failed for {labels[cfg.metrics[0]]}: {approx}")
                 for metric in cfg.metrics:
                     columns[labels[metric]] = nan_column
                     failed.append(labels[metric])
@@ -338,11 +335,11 @@ def run_experiment(
         "alpha": [order_label(problem.alpha) for problem in cfg.problems],
         "metrics": list(cfg.metrics),
         "failed_columns": failed,
+        "warnings": warnings,
     }
     if reference is not None:
         meta["reference_error"] = reference_error
-    table = ErrorTable(grid, columns, meta)
-    return table, not failed
+    return ErrorTable(grid, columns, meta)
 
 
 def _solve(system):
@@ -394,18 +391,18 @@ def emit_table(table: ErrorTable, format: str, path: str | None) -> str:
 def emit_plot_data(labeled_approximants, path: str | None = None) -> str:
     """Dense residual curves as CSV, one column per labeled approximant.
 
-    The grid is :data:`PLOT_POINTS` uniform points on (0, 1]; the Caputo
-    operator is defined for t > 0, so 0 itself is excluded.  The columns on
-    one basis share its image tables (:func:`residual_samples`).
+    The grid is :data:`PLOT_GRID`, :data:`PLOT_POINTS` uniform points on
+    (0, 1]; the Caputo operator is defined for t > 0, so 0 itself is
+    excluded.  The columns on one basis share its image tables
+    (:func:`residual_samples`).
     """
-    grid = np.linspace(0.0, 1.0, PLOT_POINTS + 1)[1:]
     labels = [label for label, _ in labeled_approximants]
-    curves = residual_samples([approx for _, approx in labeled_approximants], grid)
+    curves = residual_samples([approx for _, approx in labeled_approximants], PLOT_GRID)
     # one format per row, of Python floats: faster than per-cell formats of
     # numpy scalars, and the same text
     row = ",".join(["%.8g"] + ["%.5e"] * len(curves))
     lines = [",".join(["t", *labels])]
-    lines += [row % cells for cells in zip(grid.tolist(), *(c.tolist() for c in curves))]
+    lines += [row % cells for cells in zip(PLOT_GRID.tolist(), *(c.tolist() for c in curves))]
     return _write("\n".join(lines) + "\n", path, "plot data")
 
 

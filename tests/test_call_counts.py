@@ -11,8 +11,8 @@ import pytest
 from fobw import acceptance, fracops, solver, special
 from fobw.basis import WaveletBasisSpec
 from fobw.experiments import (
-    PRESET_PROBLEMS, TABLE_POINTS, ExperimentConfig, emit_plot_data, preset_config,
-    run_experiment,
+    PLOT_POINTS, PRESET_PROBLEMS, TABLE_POINTS, ExperimentConfig, emit_plot_data,
+    preset_config, run_experiment,
 )
 from fobw.expr import Expression, parse_expression
 from fobw.solver import OscillatorProblem, SolutionApproximant, assemble
@@ -75,9 +75,9 @@ def test_config_checks_each_expression_order_in_one_array_call(monkeypatch):
     monkeypatch.setattr(Expression, "__call__", counted)
     cfg = ExperimentConfig(alpha=(VARIABLE, "1.5", "1 + sin(t)"), basis=((1, 3, 0.5), (2, 3, 0.2)))
     # one call per expression order, at the 1001-point range probe of (0, 1]
-    # and at the points the probe may miss: the output grid and the 4 + 2*4
-    # collocation points of the two bases
-    shape = (1001 + len(cfg.output_grid) + 4 + 2 * 4,)
+    # and at the points the probe may miss: the output grid, the 4 + 2*4
+    # collocation points of the two bases and the plot points
+    shape = (1001 + len(cfg.output_grid) + 4 + 2 * 4 + PLOT_POINTS,)
     orders = [(source, n) for source, n in calls if source != cfg.forcing]
     assert orders == [(VARIABLE, shape), ("1 + sin(t)", shape)]
 
@@ -138,8 +138,9 @@ def test_residual_table_makes_one_image_call_per_basis(counted):
     cfg = preset_config(
         "example1-single", alpha=("1.5", VARIABLE, "2"), basis=((1, 3, 0.5), (2, 3, 0.5)),
     )
-    table, ok = run_experiment(cfg)
-    assert ok and cfg.metrics == ("residual",) and len(table.columns) == 6
+    table = run_experiment(cfg)
+    assert not table.meta["failed_columns"]
+    assert cfg.metrics == ("residual",) and len(table.columns) == 6
     # the six solves assemble at their Chebyshev grids and the table's residual
     # columns are sampled at its grid, one call per basis each
     points = np.array(table.grid)
@@ -155,8 +156,8 @@ def test_constant_order_family_assembles_once_per_basis(counted):
     cfg = preset_config(
         "example1-single", alpha=("1.2", "1.4", "1.6", "1.8"), basis=((1, 3, 0.2), (1, 5, 0.2)),
     )
-    table, ok = run_experiment(cfg)
-    assert ok and len(table.columns) == 8
+    table = run_experiment(cfg)
+    assert not table.meta["failed_columns"] and len(table.columns) == 8
     assembly = [
         (spec, lam) for spec, lam, ts in images.args
         if np.array_equal(ts, solver.collocation_grid(spec))

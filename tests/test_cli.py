@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import os
 import subprocess
@@ -158,7 +157,7 @@ class TestCommandErrors:
         [([0.5, 0.1], "example1-single"), ([0.5, 0.5], "example1-single"), ([0.3, 0.2], None)],
         ids=["descending", "repeated", "config"],
     )
-    def test_unsorted_grid_rejected_before_any_solve(self, tmp_path, monkeypatch, caplog,
+    def test_unsorted_grid_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys,
                                                     grid, preset):
         import fobw.experiments
 
@@ -172,27 +171,28 @@ class TestCommandErrors:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**doc, "output_grid": grid}))
         argv = ["solve", "--config", str(path)]
-        _assert_one_error_naming(caplog, "output grid points must be strictly ascending", argv)
+        _assert_one_error_naming(capsys, "output grid points must be strictly ascending", argv)
 
     @pytest.mark.parametrize("target", ["--out", "--plot-data"])
-    def test_unwritable_output_path_is_one_error_line(self, tmp_path, caplog, target):
+    def test_unwritable_output_path_is_one_error_line(self, tmp_path, capsys, target):
         missing = str(tmp_path / "missing-dir" / "file.csv")
         paths = {"--out": str(tmp_path / "t.csv"), "--plot-data": str(tmp_path / "p.csv")}
         paths[target] = missing
         argv = ["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2", "--M", "3"]
         for flag, path in paths.items():
             argv += [flag, path]
-        _assert_one_error_naming(caplog, missing, argv)
+        _assert_one_error_naming(capsys, missing, argv)
 
-    def test_solve_unwritable_out_path(self, tmp_path, caplog):
+    def test_solve_unwritable_out_path(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, "basis": [[1, 3, 1.0]]}))
         missing = str(tmp_path / "missing-dir" / "t.csv")
-        _assert_one_error_naming(caplog, missing, ["solve", "--config", str(path), "--out", missing])
+        argv = ["solve", "--config", str(path), "--out", missing]
+        _assert_one_error_naming(capsys, missing, argv)
 
-    def test_duplicate_alpha_labels_are_one_error_line(self, caplog):
+    def test_duplicate_alpha_labels_are_one_error_line(self, capsys):
         _assert_one_error_naming(
-            caplog, "duplicate (basis, alpha) combination",
+            capsys, "duplicate (basis, alpha) combination",
             ["preset", "example1-single", "--alpha", "2,2.0"],
         )
 
@@ -212,13 +212,13 @@ class TestCommandErrors:
             ("153", "is not three numbers"),
         ],
     )
-    def test_malformed_basis_entry_is_one_error_line(self, tmp_path, caplog, entry, lacks):
+    def test_malformed_basis_entry_is_one_error_line(self, tmp_path, capsys, entry, lacks):
         # a lone entry stands for a list of one, so 5 is written as "basis": 5;
         # the error names the entry, then what is wrong with it
         basis = entry if isinstance(entry, int) else [entry]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"basis": basis, "metrics": ["residual"]}))
-        error = _assert_one_error_naming(caplog, lacks, ["solve", "--config", str(path)])
+        error = _assert_one_error_naming(capsys, lacks, ["solve", "--config", str(path)])
         assert error.startswith(f"invalid config: basis entry {entry!r}")
 
     @pytest.mark.parametrize(
@@ -256,7 +256,7 @@ class TestCommandErrors:
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,
-                                                                caplog, raw, message):
+                                                                capsys, raw, message):
         import fobw.experiments
 
         def refuse(*args):
@@ -267,17 +267,26 @@ class TestCommandErrors:
         path = tmp_path / "cfg.json"
         doc = {"a": 1.0, "init_value": 1.0, **raw} if isinstance(raw, dict) else raw
         path.write_text(json.dumps(doc))
-        _assert_one_error_naming(caplog, message, ["solve", "--config", str(path)])
+        _assert_one_error_naming(capsys, message, ["solve", "--config", str(path)])
+
+    @pytest.mark.parametrize("key", ["alpha", "mu"])
+    def test_huge_value_is_one_short_error_line(self, tmp_path, capsys, key):
+        # 10**400 has 401 digits; the line shows them abbreviated
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a": 1.0, key: 10**400}))
+        error = _assert_one_error_naming(capsys, f"{key} must be a finite real number, got 1000",
+                                         ["solve", "--config", str(path)])
+        assert len(f"[ERROR] fobw: {error}") < 120
 
     @pytest.mark.parametrize("entry", [True, None, {"x": 1}, [1.2]],
                              ids=["true", "null", "object", "list"])
-    def test_alpha_entry_neither_number_nor_text_is_one_error_line(self, tmp_path, caplog,
+    def test_alpha_entry_neither_number_nor_text_is_one_error_line(self, tmp_path, capsys,
                                                                    entry):
         # JSON true is not the number 1, nor null the text "None"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, "alpha": [entry]}))
         error = _assert_one_error_naming(
-            caplog, "is not a number or an expression in t", ["solve", "--config", str(path)]
+            capsys, "is not a number or an expression in t", ["solve", "--config", str(path)]
         )
         assert error == (f"invalid config: alpha entry {entry!r} "
                          "is not a number or an expression in t")
@@ -296,13 +305,13 @@ class TestCommandErrors:
         ids=["table", "plot"],
     )
     def test_order_leaving_its_range_between_probe_points_is_one_error_line(
-        self, tmp_path, caplog, alpha, message
+        self, tmp_path, capsys, alpha, message
     ):
-        plot = tmp_path / "p.csv"
+        table, plot = tmp_path / "t.csv", tmp_path / "p.csv"
         argv = ["preset", "example1-single", "--alpha", alpha, "--gamma", "0.2", "--M", "3",
-                "--plot-data", str(plot)]
-        _assert_one_error_naming(caplog, message, argv)
-        assert not plot.exists()
+                "--out", str(table), "--plot-data", str(plot)]
+        _assert_one_error_naming(capsys, message, argv)
+        assert not table.exists() and not plot.exists()
 
     @pytest.mark.parametrize(
         "alpha, message",
@@ -310,15 +319,15 @@ class TestCommandErrors:
          ("-" * 3000 + "t", "expression is nested too deeply")],
         ids=["division-by-zero", "nested-too-deeply"],
     )
-    def test_bad_alpha_expression_is_one_error_line(self, caplog, alpha, message):
+    def test_bad_alpha_expression_is_one_error_line(self, capsys, alpha, message):
         argv = ["preset", "example1-single", f"--alpha={alpha}", "--gamma", "0.2", "--M", "3"]
-        _assert_one_error_naming(caplog, message, argv)
+        _assert_one_error_naming(capsys, message, argv)
 
     @pytest.mark.parametrize("alpha", ["+1.5", "1.5_0", "\u0661.\u0665"],
                              ids=["unary-plus", "underscore", "arabic-indic-digits"])
-    def test_lone_number_is_read_by_the_expression_grammar(self, caplog, alpha):
+    def test_lone_number_is_read_by_the_expression_grammar(self, capsys, alpha):
         argv = ["preset", "example1-single", f"--alpha={alpha}", "--gamma", "0.2", "--M", "3"]
-        error = _assert_one_error_naming(caplog, "(at offset ", argv)
+        error = _assert_one_error_naming(capsys, "(at offset ", argv)
         assert error.startswith("invalid preset options: ")
 
     @pytest.mark.parametrize(
@@ -364,20 +373,21 @@ class TestCommandErrors:
     @pytest.mark.parametrize(
         "key, message", [("metrics", "at least one metric"), ("alpha", "at least one alpha entry")]
     )
-    def test_empty_column_list_is_one_error_line(self, tmp_path, caplog, key, message):
+    def test_empty_column_list_is_one_error_line(self, tmp_path, capsys, key, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: []}))
-        _assert_one_error_naming(caplog, message, ["solve", "--config", str(path)])
+        _assert_one_error_naming(capsys, message, ["solve", "--config", str(path)])
 
 
-def _assert_one_error_naming(caplog, name, argv):
-    """``main(argv)`` exits 2 with one error line, and that line holds ``name``;
-    returns the line."""
-    with caplog.at_level(logging.ERROR, logger="fobw"):
-        assert main(argv) == 2
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+def _assert_one_error_naming(capsys, name, argv):
+    """``main(argv)`` exits 2 with one error line on stderr, and that line
+    holds ``name``; returns the line's message."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    prefix = "[ERROR] fobw: "
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith(prefix)]
     assert len(errors) == 1 and name in errors[0]
-    return errors[0]
+    return errors[0][len(prefix):]
 
 
 class TestSolveCommand:
@@ -404,17 +414,19 @@ class TestSolveCommand:
         assert main(["preset", "example1-single", "--alpha", "1.5", "--gamma", "1", "--M", "5"]) == 0
         assert capsys.readouterr().out == solved
 
-    def test_reference_blowup_fails_the_ae_column(self, tmp_path, capsys, caplog):
+    def test_reference_blowup_fails_the_ae_column(self, tmp_path, capsys):
         cfg = {"mu": 0, "a": 0, "b": -50, "init_value": 2, "metrics": ["AE"],
                "basis": [[1, 5, 1.0]]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path), "--format", "json"]) == 1
-        payload = _strict_json(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        payload = _strict_json(captured.out)
         assert payload["meta"]["failed_columns"] == ["AE gamma=1 M=5"]
         assert payload["columns"]["AE gamma=1 M=5"] == [None] * 5
-        assert any("RK4 reference failed" in r.getMessage() and "t = 0.13" in r.getMessage()
-                   for r in caplog.records)
+        warnings = payload["meta"]["warnings"]
+        assert warnings[0].startswith("RK4 reference failed") and "t = 0.13" in warnings[0]
+        assert captured.err == "".join(f"[WARNING] fobw: {w}\n" for w in warnings)
 
     def test_constant_forcing_runs_like_its_t_form(self, tmp_path, capsys):
         tables = []
@@ -469,10 +481,10 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("content", [b"\xff", b"[" * 100000 + b"]" * 100000],
                              ids=["not-utf-8", "nested-past-the-recursion-limit"])
-    def test_unreadable_config_is_one_error_line(self, tmp_path, caplog, content):
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.json"
         path.write_bytes(content)
-        _assert_one_error_naming(caplog, f"could not read config {path}: ",
+        _assert_one_error_naming(capsys, f"could not read config {path}: ",
                                  ["solve", "--config", str(path)])
 
     def test_invalid_config(self, tmp_path):
@@ -480,7 +492,7 @@ class TestSolveCommand:
         path.write_text(json.dumps({"metrics": ["bogus"]}))
         assert main(["solve", "--config", str(path)]) == 2
 
-    def test_out_path_from_config(self, tmp_path, caplog):
+    def test_out_path_from_config(self, tmp_path, capsys):
         # the output path is the command's: --out writes it, a config's "out" is refused
         out = tmp_path / "from_flag.json"
         cfg = {
@@ -493,7 +505,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path), "--format", "json", "--out", str(out)]) == 0
         assert _strict_json(out.read_text())["columns"]["residual gamma=1 M=3"]
         path.write_text(json.dumps(dict(cfg, out=str(tmp_path / "from_cfg.json"))))
-        _assert_one_error_naming(caplog, "unknown config keys: ['out']",
+        _assert_one_error_naming(capsys, "unknown config keys: ['out']",
                                  ["solve", "--config", str(path)])
         assert not (tmp_path / "from_cfg.json").exists()
 
@@ -518,11 +530,10 @@ def _strict_json(text):
 
 
 def _run_fobw(argv):
-    """``python -m fobw *argv`` in a fresh interpreter, at the default log level."""
+    """``python -m fobw *argv`` in a fresh interpreter."""
     # the child imports the same fobw as this test, installed or not
     pythonpath = [str(Path(fobw.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    env.pop("FOBW_LOG", None)
     return subprocess.run([sys.executable, "-m", "fobw", *argv], capture_output=True, text=True,
                           timeout=180, env=env)
 

@@ -1,6 +1,6 @@
 """The package docstring's examples and the README's library example run, the
-README's config table names exactly the config keys, and its preset table
-shows each preset's forcing."""
+README's config table names exactly the config keys, its preset table
+shows each preset's forcing, and it names every key of a table's ``meta``."""
 
 import doctest
 import re
@@ -8,7 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import fobw
-from fobw.experiments import PRESET_PROBLEMS, ExperimentConfig
+from fobw.experiments import PRESET_PROBLEMS, ExperimentConfig, run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +40,12 @@ def test_readme_preset_table_shows_each_preset_forcing():
     column = header.index("forcing")
     shown = {row[0].strip("`"): row[column].strip("`") for row in rows}
     assert shown == {name: problem["forcing"] for name, problem in PRESET_PROBLEMS.items()}
+
+
+def test_readme_names_every_meta_key():
+    # an AE table carries every key a table can: reference_error too
+    table = run_experiment(ExperimentConfig(a=1.0, init_value=1.0, basis=((1, 3, 1.0),)))
+    assert set(table.meta) == {"preset", "alpha", "metrics", "failed_columns", "warnings",
+                               "reference_error"}
+    text = README.read_text()
+    assert [key for key in table.meta if f"`meta.{key}`" not in text] == []

@@ -41,7 +41,7 @@ class TestConfig:
     def test_fractional_alpha_switches_to_residual(self):
         cfg = preset_config("example1-single", alpha=("1.5",), basis=((1, 5, 0.2),))
         assert cfg.metrics == ("residual",)
-        table, _ = run_experiment(cfg)
+        table = run_experiment(cfg)
         assert not any(label.endswith("(published)") for label in table.columns)
 
     def test_unknown_preset(self):
@@ -148,6 +148,15 @@ class TestConfig:
         cfg = ExperimentConfig(a=1.0, output_grid=np.array([0.25, 0.75]))
         assert cfg.output_grid == (0.25, 0.75)
 
+    @pytest.mark.parametrize("key, value",
+                             [("alpha", 1.5), ("output_grid", 0.5), ("metrics", "residual")])
+    def test_zero_dimensional_array_is_one_entry(self, key, value):
+        # a fractional order, so the residual metric is valid
+        base = {"a": 1.0, "alpha": 1.5}
+        cfg = ExperimentConfig(**{**base, key: np.array(value)})
+        assert cfg == ExperimentConfig(**{**base, key: value})
+        assert getattr(cfg, key) == (value,)
+
     def test_holds_one_problem_per_alpha_and_one_spec_per_basis(self):
         cfg = preset_config("example2", alpha=("1.5", "1 + sin(t)"),
                             basis=((1, 3, 0.5), (2, 3, 0.2)))
@@ -169,9 +178,9 @@ class TestConfig:
         # entry; the golden presets only hold lone numbers and tidy expressions
         cfg = preset_config("example1-single", basis=((1, 3, 0.5),),
                             alpha=(2, "1.50", " 1 + sin(t) ", "(1.25)", 1.2345678, "2*0.9"))
-        table, ok = run_experiment(cfg)
+        table = run_experiment(cfg)
         labels = ["2", "1.5", "1 + sin(t)", "1.25", "1.23457", "2*0.9"]
-        assert ok and table.meta["alpha"] == labels
+        assert not table.meta["failed_columns"] and table.meta["alpha"] == labels
         assert list(table.columns) == [f"residual gamma=0.5 M=3 alpha={a}" for a in labels]
         with pytest.raises(ValueError, match="duplicate .* 'gamma=1 M=5 alpha=2'"):
             ExperimentConfig(alpha=(2, "2.0"))
@@ -233,8 +242,9 @@ class TestAnyConfig:
             cfg = ExperimentConfig.from_dict(raw)
         except ValueError:
             return
-        table, ok = run_experiment(cfg)
-        assert isinstance(table, ErrorTable) and ok in (True, False)
+        table = run_experiment(cfg)
+        assert isinstance(table, ErrorTable)
+        assert set(table.meta["failed_columns"]) <= set(table.columns)
 
 
 class TestResolvedOnce:
@@ -287,8 +297,8 @@ class TestResolvedOnce:
 
 class TestRunExperiment:
     def test_single_well_table_shape(self):
-        table, ok = run_experiment(preset_config("example1-single"))
-        assert ok
+        table = run_experiment(preset_config("example1-single"))
+        assert not table.meta["failed_columns"]
         assert table.grid == (0.1, 0.3, 0.5, 0.7, 0.9)
         labels = list(table.columns)
         assert labels[:3] == ["AE gamma=0.5 M=5", "AE gamma=0.9 M=5", "AE gamma=1 M=5"]
@@ -303,8 +313,8 @@ class TestRunExperiment:
             alpha=("1.5",),
             basis=tuple((1, 5, g) for g in (0.1, 0.2, 0.3, 0.5, 0.9, 1.0)),
         )
-        table, ok = run_experiment(cfg)
-        assert ok
+        table = run_experiment(cfg)
+        assert not table.meta["failed_columns"]
         assert len(table.columns) == 6
 
     def test_trivial_config_zero_residual(self):
@@ -315,8 +325,8 @@ class TestRunExperiment:
                 "metrics": ["residual"],
             }
         )
-        table, ok = run_experiment(cfg)
-        assert ok
+        table = run_experiment(cfg)
+        assert not table.meta["failed_columns"]
         assert max(next(iter(table.columns.values()))) <= 1e-13
 
     def test_mae_column_is_constant(self):
@@ -327,8 +337,8 @@ class TestRunExperiment:
                 "metrics": ["AE", "MAE"],
             }
         )
-        table, ok = run_experiment(cfg)
-        assert ok
+        table = run_experiment(cfg)
+        assert not table.meta["failed_columns"]
         mae_col = table.columns["MAE gamma=1 M=5"]
         ae_col = table.columns["AE gamma=1 M=5"]
         assert len(set(mae_col)) == 1
@@ -349,8 +359,8 @@ class TestRunExperiment:
                 "metrics": ["residual"],
             }
         )
-        table, ok = run_experiment(cfg)
-        assert not ok
+        table = run_experiment(cfg)
+        assert table.meta["failed_columns"]
         column = next(iter(table.columns.values()))
         assert all(math.isnan(v) for v in column)
         assert table.meta["failed_columns"]
@@ -364,7 +374,7 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert sum("a single collocation point" in str(w.message) for w in record) == 1
 
-    def test_reference_blowup_fails_the_ae_columns_only(self, monkeypatch, caplog):
+    def test_reference_blowup_fails_the_ae_columns_only(self, monkeypatch):
         import fobw.experiments as experiments_module
         from fobw.reference import BlowupError
 
@@ -376,14 +386,14 @@ class TestRunExperiment:
             {"a": 1.0, "init_value": 1.0, "basis": [[1, 3, 1.0]],
              "metrics": ["AE", "MAE", "residual"]}
         )
-        table, ok = run_experiment(cfg)
-        assert not ok
+        table = run_experiment(cfg)
+        assert table.meta["failed_columns"]
         assert table.meta["failed_columns"] == ["AE gamma=1 M=3", "MAE gamma=1 M=3"]
         for label in table.meta["failed_columns"]:
             assert all(math.isnan(v) for v in table.columns[label])
-        alone, _ = run_experiment(replace(cfg, metrics=("residual",)))
+        alone = run_experiment(replace(cfg, metrics=("residual",)))
         assert table.columns["residual gamma=1 M=3"] == alone.columns["residual gamma=1 M=3"]
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        warnings = table.meta["warnings"]
         assert len(warnings) == 1 and "t = 0.131300" in warnings[0]
 
     def test_collects_converged_approximants(self):
@@ -391,8 +401,8 @@ class TestRunExperiment:
             "example1-single", alpha=("1.5", "1.8"), basis=((1, 3, 0.2), (2, 3, 0.2))
         )
         approximants = []
-        _, ok = run_experiment(cfg, approximants=approximants)
-        assert ok
+        table = run_experiment(cfg, approximants=approximants)
+        assert not table.meta["failed_columns"]
         assert [label for label, _ in approximants] == [
             "residual gamma=0.2 M=3 alpha=1.5",
             "residual k=2 gamma=0.2 M=3 alpha=1.5",
@@ -431,7 +441,7 @@ class TestEmission:
         assert render_csv(table) == "\n".join(lines) + "\n"
 
     def test_csv_is_deterministic(self):
-        table, _ = run_experiment(preset_config("example1-single"))
+        table = run_experiment(preset_config("example1-single"))
         assert render_csv(table) == render_csv(table)
 
     def test_json_round_trip(self):
@@ -532,8 +542,8 @@ class TestPlotData:
             basis=((1, 3, 0.2), (2, 3, 0.2), (1, 5, 0.5)),
         )
         labeled = []
-        table, ok = run_experiment(cfg, approximants=labeled)
-        assert ok and len(labeled) == 9
+        table = run_experiment(cfg, approximants=labeled)
+        assert not table.meta["failed_columns"] and len(labeled) == 9
         approximants = [approx for _, approx in labeled]
         # the table's residual columns are sampled together as well
         points = np.array(table.grid)

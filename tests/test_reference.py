@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 
 import numpy as np
@@ -101,10 +100,11 @@ class TestRK4Reference:
 
     def test_error_estimate_is_in_the_meta_of_ae_and_mae_tables_only(self):
         for metrics in (("AE",), ("MAE",), ("AE", "residual")):
-            table, ok = run_experiment(preset_config("example2", metrics=metrics))
-            assert ok and 0.0 < table.meta["reference_error"] <= 1e-13
-        table, ok = run_experiment(preset_config("example2", metrics=("residual",)))
-        assert ok and "reference_error" not in table.meta
+            table = run_experiment(preset_config("example2", metrics=metrics))
+            assert not table.meta["failed_columns"]
+            assert 0.0 < table.meta["reference_error"] <= 1e-13
+        table = run_experiment(preset_config("example2", metrics=("residual",)))
+        assert not table.meta["failed_columns"] and "reference_error" not in table.meta
 
     def test_blowup_of_the_coarsest_run_alone_still_settles(self, monkeypatch):
         problem = preset_config("example1-single").problems[0]
@@ -144,28 +144,28 @@ class TestRK4Reference:
         assert steps[-1] == 102400
 
     def test_blowup_at_every_step_fails_the_ae_and_mae_columns(self, tmp_path, monkeypatch,
-                                                               capsys, caplog):
+                                                               capsys):
         steps = record_steps(monkeypatch, blow_up_at=fobw.reference.REFERENCE_STEPS)
-        payload = _run_json(tmp_path, capsys, {"a": 1.0, "init_value": 1.0}, code=1)
+        payload, warnings = _run_json(tmp_path, capsys, {"a": 1.0, "init_value": 1.0}, code=1)
         assert steps == list(fobw.reference.REFERENCE_STEPS)
         assert payload["meta"]["failed_columns"] == ["AE gamma=1 M=3", "MAE gamma=1 M=3"]
         assert payload["columns"]["AE gamma=1 M=3"] == [None] * 5
         assert payload["columns"]["MAE gamma=1 M=3"] == [None] * 5
         assert all(payload["columns"]["residual gamma=1 M=3"])
         assert "reference_error" not in payload["meta"]
-        assert _warnings(caplog) == ["RK4 reference failed, AE/MAE columns are NaN: "
-                                     "integration became non-finite after t = 0.102400"]
+        assert warnings == ["RK4 reference failed, AE/MAE columns are NaN: "
+                            "integration became non-finite after t = 0.102400"]
 
     def test_reference_that_never_settles_fails_the_ae_and_mae_columns(self, tmp_path,
-                                                                       capsys, caplog):
+                                                                       capsys):
         # the solve converges, but RK4 resolves sin(10^4 t) to 1e-12 at no step
         # count up to the cap: its last two runs differ by 3.7e-11
         doc = {"a": 1.0, "init_value": 1.0, "forcing": "sin(10000*t)"}
-        payload = _run_json(tmp_path, capsys, doc, code=1)
+        payload, warnings = _run_json(tmp_path, capsys, doc, code=1)
         assert payload["meta"]["failed_columns"] == ["AE gamma=1 M=3", "MAE gamma=1 M=3"]
         assert payload["columns"]["AE gamma=1 M=3"] == [None] * 5
         assert all(payload["columns"]["residual gamma=1 M=3"])
-        (warning,) = _warnings(caplog)
+        (warning,) = warnings
         assert warning.startswith("RK4 reference failed, AE/MAE columns are NaN: successive "
                                   "RK4 runs did not agree to 1e-12 x max(1, |y|) by 102400 steps")
 
@@ -178,16 +178,19 @@ class TestRK4Reference:
 
 def _run_json(tmp_path, capsys, doc, code):
     """``fobw solve`` of ``doc`` on the basis (1, 3, 1) with the AE, MAE and
-    residual metrics, as parsed JSON; asserts the exit code."""
+    residual metrics, as parsed JSON, and its warning lines on stderr, which
+    the table's ``meta`` holds too; asserts the exit code."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**doc, "basis": [[1, 3, 1.0]],
                                 "metrics": ["AE", "MAE", "residual"]}))
     assert main(["solve", "--config", str(path), "--format", "json"]) == code
-    return json.loads(capsys.readouterr().out)
-
-
-def _warnings(caplog):
-    return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    prefix = "[WARNING] fobw: "
+    warnings = [line[len(prefix):] for line in captured.err.splitlines()
+                if line.startswith(prefix)]
+    assert warnings == payload["meta"]["warnings"]
+    return payload, warnings
 
 
 class TestAbsoluteError:
