@@ -27,21 +27,44 @@ import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from numbers import Real
 
 import numpy as np
 
 
+class _Abbreviated(reprlib.Repr):
+    """:mod:`reprlib`'s abbreviations, with an int cut to 12 characters and a
+    mapping's keys in their own order, as ``repr`` shows them."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlong = 12
+
+    def repr_dict(self, x, level):
+        if level <= 0:
+            return "{" + self.fillvalue + "}"
+        pieces = [f"{self.repr1(key, level - 1)}: {self.repr1(value, level - 1)}"
+                  for key, value in islice(x.items(), self.maxdict)]
+        if len(x) > self.maxdict:
+            pieces.append(self.fillvalue)
+        return "{" + ", ".join(pieces) + "}"
+
+
+#: ``repr`` abbreviated, so that an error line naming a huge value stays short
+short_repr = _Abbreviated().repr
+
+
 def finite_real(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is a finite
     real number, and a bool (JSON ``true``) is not one.  The error shows the
-    value abbreviated (:func:`reprlib.repr`), so a huge one stays one short line."""
+    value abbreviated (:func:`short_repr`), so a huge one stays one short line."""
     try:
         if not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an int past the range of a double
         pass
-    raise ValueError(f"{name} must be a finite real number, got {reprlib.repr(value)}")
+    raise ValueError(f"{name} must be a finite real number, got {short_repr(value)}")
 
 
 @dataclass(frozen=True)

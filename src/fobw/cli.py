@@ -7,7 +7,9 @@
 The config file is a JSON document whose keys match the ExperimentConfig
 field names; where the table goes, and in which format, only the flags
 say.  The table is a run's whole outcome: the CLI writes its ``meta``
-warnings, then the table, and exits 1 if a column failed.  Every message
+warnings, then the table, and exits 1 if a column failed.  With
+``--plot-data``, the run also hands back the residual curve of each
+converged solve, and the CLI writes those curves.  Every message
 goes to stderr as one ``[ERROR] fobw: ...`` or ``[WARNING] fobw: ...`` line.
 """
 
@@ -92,9 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(table, fmt: str, out: str | None, plot=None) -> int:
-    """Write the table's warnings, the table and, if ``plot`` is given,
-    ``emit_plot_data(*plot)``; exit code 2 if a file cannot be written, else
-    1 if a column failed, else 0."""
+    """Write the table's warnings, the table and, if ``plot`` is given as
+    the run's ``(label, curve)`` list and a path, ``emit_plot_data(*plot)``;
+    exit code 2 if a file cannot be written, else 1 if a column failed, else 0."""
     for warning in table.meta["warnings"]:
         _say("WARNING", warning)
     try:
@@ -137,9 +139,9 @@ def _cmd_preset(args) -> int:
     except ValueError as exc:
         _say("ERROR", f"invalid preset options: {exc}")
         return 2
-    labeled = [] if args.plot_data is not None else None
-    table = run_experiment(cfg, approximants=labeled)
-    plot = None if labeled is None else (labeled, args.plot_data)
+    curves = [] if args.plot_data is not None else None
+    table = run_experiment(cfg, curves)
+    plot = None if curves is None else (curves, args.plot_data)
     return _emit(table, args.format, args.out, plot)
 
 

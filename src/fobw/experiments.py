@@ -2,9 +2,9 @@
 
 A configuration names one oscillator problem, one or more orders,
 a list of basis families to sweep, and the metrics to tabulate on an output
-grid.  Running it produces a labeled :class:`ErrorTable`; emission to CSV or
-JSON is deterministic, so identical configurations yield byte-identical
-files.
+grid.  Running it produces a labeled :class:`ErrorTable`, and on request
+the dense residual curves of its solves; emission to CSV or JSON is
+deterministic, so identical configurations yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from numbers import Real
+from warnings import warn
 
 import numpy as np
 
-from .basis import WaveletBasisSpec, finite_real
+from .basis import WaveletBasisSpec, finite_real, short_repr
 from .expr import parse_expression
 from .fracops import order_values
-from .reference import (
-    BlowupError, ErrorTable, UnsettledError, absolute_error, residual_samples, rk4_reference,
-)
+from .reference import BlowupError, ErrorTable, UnsettledError, rk4_reference
 from .solver import (
-    OscillatorProblem, SolverError, assemble_systems, collocation_grid, solve_system,
+    OscillatorProblem, SolverError, collocation_grid, collocation_systems, residual_vector,
+    solve_system,
 )
 
 VALID_METRICS = ("AE", "MAE", "residual")
@@ -110,7 +110,8 @@ class ExperimentConfig:
         except ValueError:
             grid = ()  # a point that is not a number is refused with the range below
         if not grid or not all(0.0 < t <= 1.0 for t in grid):
-            raise ValueError(f"output_grid points must be numbers in (0, 1]: {self.output_grid!r}")
+            raise ValueError("output_grid points must be numbers in (0, 1]: "
+                             f"{short_repr(self.output_grid)}")
         object.__setattr__(self, "output_grid", grid)
 
         if not self.basis:
@@ -210,9 +211,10 @@ def _spec(entry) -> WaveletBasisSpec:
     try:
         return WaveletBasisSpec(*values)
     except TypeError:  # not a list, or not of three values
-        raise ValueError(f"basis entry {entry!r} is not three numbers [k, M, gamma]") from None
+        raise ValueError(f"basis entry {short_repr(entry)} is not three numbers "
+                         "[k, M, gamma]") from None
     except ValueError as exc:
-        raise ValueError(f"basis entry {entry!r}: {exc}") from None
+        raise ValueError(f"basis entry {short_repr(entry)}: {exc}") from None
 
 
 def _entries(value) -> tuple:
@@ -256,7 +258,7 @@ def _combination_label(spec: WaveletBasisSpec, alpha_label: str, multi_alpha: bo
     return " ".join(parts)
 
 
-def run_experiment(cfg: ExperimentConfig, approximants: list | None = None) -> ErrorTable:
+def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTable:
     """Solve every (basis, alpha) combination and tabulate the metrics.
 
     The table is the whole outcome: a non-converged solve, or an RK4
@@ -264,14 +266,14 @@ def run_experiment(cfg: ExperimentConfig, approximants: list | None = None) -> E
     the AE/MAE columns, leaves NaN sentinel columns, listed in the ``meta``
     key ``failed_columns``, and the cause of each, in the order met, in
     ``warnings``.  A table with a reference carries its error estimate as
-    the ``meta`` key ``reference_error``.  When ``approximants`` is a list,
-    every converged solve is appended to it as ``(plot label, approximant)``,
-    ready for :func:`emit_plot_data`.  Every alpha of a basis is assembled
-    together, one :func:`assemble_systems` call per basis, and the residual
-    columns of all solves are sampled together, one :func:`residual_samples`
-    call per run.  A table carries the :data:`COMPARISON_COLUMNS` of the
-    config's ``preset`` exactly when it has an AE metric and the output grid
-    is :data:`TABLE_POINTS`.
+    the ``meta`` key ``reference_error``.  When ``curves`` is a list, the
+    dense residual curve of every converged solve, at :data:`PLOT_GRID`, is
+    appended to it as ``(plot label, curve)``, ready for
+    :func:`emit_plot_data`.  Each basis makes one image call per run
+    (:func:`_basis_outcomes`), whose rows serve the collocation solves, the
+    table columns and the curves of every alpha.  A table carries the
+    :data:`COMPARISON_COLUMNS` of the config's ``preset`` exactly when it
+    has an AE metric and the output grid is :data:`TABLE_POINTS`.
     """
     grid = cfg.output_grid
     points = np.array(grid)
@@ -279,50 +281,45 @@ def run_experiment(cfg: ExperimentConfig, approximants: list | None = None) -> E
     columns: dict[str, tuple] = {}
     failed: list[str] = []
     warnings: list[str] = []
-    residual_columns: list[tuple] = []  # (label, approximant), sampled after the loop
     multi_alpha = len(cfg.problems) > 1
 
-    reference = None
+    expected = None  # the reference's values at the points
     if any(m in ("AE", "MAE") for m in cfg.metrics):
         # AE/MAE require alpha identically 2, so every problem shares this reference
         try:
             reference, reference_error = rk4_reference(cfg.problems[0], points)
+            expected = reference.value(points)
         except (BlowupError, UnsettledError) as exc:
             warnings.append(f"RK4 reference failed, AE/MAE columns are NaN: {exc}")
-    # each entry: an approximant, or the message of the SolverError its solve raised
-    outcomes = {spec: [_solve(system) for system in assemble_systems(cfg.problems, spec)]
+    outcomes = {spec: _basis_outcomes(cfg, spec, points, expected, curves is not None)
                 for spec in cfg.specs}
     for j, problem in enumerate(cfg.problems):
         alpha_label = order_label(problem.alpha)
         for spec in cfg.specs:
             combination = _combination_label(spec, alpha_label, multi_alpha)
             labels = {metric: f"{metric} {combination}" for metric in cfg.metrics}
-            approx = outcomes[spec][j]
-            if isinstance(approx, str):
-                warnings.append(f"solve failed for {labels[cfg.metrics[0]]}: {approx}")
+            outcome = outcomes[spec][j]
+            if isinstance(outcome, str):
+                warnings.append(f"solve failed for {labels[cfg.metrics[0]]}: {outcome}")
                 for metric in cfg.metrics:
                     columns[labels[metric]] = nan_column
                     failed.append(labels[metric])
                 continue
-            if approximants is not None:
-                plot_label = f"residual {_combination_label(spec, alpha_label, True)}"
-                approximants.append((plot_label, approx))
+            residual, error, curve = outcome
+            if curves is not None:
+                curves.append((f"residual {_combination_label(spec, alpha_label, True)}", curve))
             for metric in cfg.metrics:
                 if metric == "residual":
-                    vals = None  # holds the column's place until it is sampled
-                    residual_columns.append((labels[metric], approx))
-                elif reference is None:
+                    vals = tuple(residual)
+                elif error is None:
                     vals = nan_column
                     failed.append(labels[metric])
                 elif metric == "AE":
-                    vals = tuple(absolute_error(approx, reference, points))
+                    vals = tuple(error)
                 else:
-                    mae = float(absolute_error(approx, reference, points).max())
+                    mae = float(error.max())
                     vals = tuple(mae for _ in grid)
                 columns[labels[metric]] = vals
-    samples = residual_samples([approx for _, approx in residual_columns], points)
-    for (label, _), vals in zip(residual_columns, samples):
-        columns[label] = tuple(vals)
 
     # the published values are absolute errors at the table points, comparable
     # only to AE columns there
@@ -337,18 +334,40 @@ def run_experiment(cfg: ExperimentConfig, approximants: list | None = None) -> E
         "failed_columns": failed,
         "warnings": warnings,
     }
-    if reference is not None:
+    if expected is not None:
         meta["reference_error"] = reference_error
     return ErrorTable(grid, columns, meta)
 
 
-def _solve(system):
-    """:func:`solve_system`'s approximant, or the message of its SolverError;
-    the message keeps no reference to the system, the exception's traceback would."""
-    try:
-        return solve_system(system)
-    except SolverError as exc:
-        return str(exc)
+def _basis_outcomes(cfg: ExperimentConfig, spec: WaveletBasisSpec, points: np.ndarray,
+                    expected: np.ndarray | None, plot: bool) -> list:
+    """Per problem of ``cfg`` on ``spec``: the message of the SolverError its
+    solve raised, or its residual at ``points`` (if a metric asks for it),
+    its absolute error against ``expected`` there (unless that is None) and
+    its residual curve at :data:`PLOT_GRID` (if ``plot``), None for each
+    left out.  The rows of one :func:`collocation_systems` call at the
+    collocation grid, ``points`` and the plot points serve them all; image
+    entries are elementwise, so each value is bit-identical to the
+    standalone route's (``residual_samples``, ``absolute_error``)."""
+    if spec.sigma_tilde == 1:
+        warn("a single collocation point cannot represent oscillation", stacklevel=2)
+    collocation = collocation_grid(spec)
+    ts = np.concatenate([collocation, points, PLOT_GRID] if plot else [collocation, points])
+    n, m = collocation.size, collocation.size + points.size
+    outcomes = []
+    for system in collocation_systems(cfg.problems, spec, ts):
+        try:
+            U = solve_system(system.rows(0, n)).coefficients
+        except SolverError as exc:  # its message: the traceback would keep the system
+            outcomes.append(str(exc))
+            continue
+        table = system.rows(n, m)
+        outcomes.append((
+            np.abs(residual_vector(table, U)) if "residual" in cfg.metrics else None,
+            None if expected is None else np.abs(table.value(U) - expected),
+            np.abs(residual_vector(system.rows(m, ts.size), U)) if plot else None,
+        ))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +407,20 @@ def emit_table(table: ErrorTable, format: str, path: str | None) -> str:
     return _write(text, path, "table")
 
 
-def emit_plot_data(labeled_approximants, path: str | None = None) -> str:
-    """Dense residual curves as CSV, one column per labeled approximant.
+def emit_plot_data(curves, path: str | None = None) -> str:
+    """Dense residual curves as CSV, one column per ``(label, curve)`` pair
+    of ``curves``, as :func:`run_experiment` collects them.
 
     The grid is :data:`PLOT_GRID`, :data:`PLOT_POINTS` uniform points on
     (0, 1]; the Caputo operator is defined for t > 0, so 0 itself is
-    excluded.  The columns on one basis share its image tables
-    (:func:`residual_samples`).
+    excluded.
     """
-    labels = [label for label, _ in labeled_approximants]
-    curves = residual_samples([approx for _, approx in labeled_approximants], PLOT_GRID)
+    labels = [label for label, _ in curves]
     # one format per row, of Python floats: faster than per-cell formats of
     # numpy scalars, and the same text
     row = ",".join(["%.8g"] + ["%.5e"] * len(curves))
     lines = [",".join(["t", *labels])]
-    lines += [row % cells for cells in zip(PLOT_GRID.tolist(), *(c.tolist() for c in curves))]
+    lines += [row % cells for cells in zip(PLOT_GRID.tolist(), *(c.tolist() for _, c in curves))]
     return _write("\n".join(lines) + "\n", path, "plot data")
 
 

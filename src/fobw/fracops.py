@@ -32,6 +32,9 @@ __all__ = [
     "order_values",
 ]
 
+#: the most (entry, cell, term) values one block of :func:`basis_images` forms
+IMAGE_BLOCK = 2**18
+
 
 def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     """Vector [I^lam of each wavelet](t), ordered like the basis vector.
@@ -41,9 +44,10 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     array holding one order per point, and any leading axes of ``lam`` ask
     for several orders at once: ``lam`` of shape (2, 1) gives the (2, n,
     sigma_tilde) images of two constant orders at n points.  All orders are
-    one pass of array work: shared powers of the points, one
-    :func:`gamma_ratio` call, one extended-precision contraction.  Each entry
-    is computed elementwise, so it does not depend on the rest of the call.
+    one pass of array work per block of points (:data:`IMAGE_BLOCK`):
+    shared powers of the points, one :func:`gamma_ratio` call, one
+    extended-precision contraction.  Each entry is computed elementwise, so
+    it does not depend on the rest of the call or on the blocks.
 
     Wavelet (eta, upsilon) on the cell [lo, hi] is sum_i c_i x**p_i in the
     local coordinate x = T*(tau - lo), T = 2**(k-1).  With s = t - lo and
@@ -65,6 +69,21 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     lams = np.broadcast_to(lams, lams.shape[:-1] + pts.shape)
     if np.any(lams < 0.0):
         raise ValueError("integral order must be nonnegative")
+    # (order, point) entries, in blocks of points whose (entry, cell, term)
+    # arrays of long doubles hold at most IMAGE_BLOCK values, so that memory
+    # stays bounded however many points a call asks for
+    orders = lams.reshape(int(np.prod(lams.shape[:-1])), pts.size)
+    images = np.empty(orders.shape + (spec.sigma_tilde,))
+    step = max(1, IMAGE_BLOCK // (orders.shape[0] * spec.translations * (spec.M + 1)))
+    for i in range(0, pts.size, step):
+        images[:, i:i + step] = _image_block(spec, orders[:, i:i + step], pts[i:i + step])
+    images = images.reshape(lams.shape + (spec.sigma_tilde,))
+    return images[..., 0, :] if ts.ndim == 0 else images
+
+
+def _image_block(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The images of :func:`basis_images` at the (order, point) entries of
+    ``orders``, one row per order and a column per point of ``pts``."""
     coeffs, exps = local_series_table(spec)
     # The terms of one wavelet cancel: for M = 5 their sum can be 1e3 times
     # smaller than the largest term, and an ill-conditioned collocation
@@ -79,8 +98,7 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     hi = lo + wide(1.0) / cells
     s = np.maximum(tw[:, None] - lo, 0.0)[:, :, None]
 
-    # (order, point) entries; order 0 is the identity, the basis vector
-    orders = lams.reshape(int(np.prod(lams.shape[:-1])), pts.size)
+    # order 0 is the identity, the basis vector
     zero = orders == 0.0
     some_zero = zero.any()
     if some_zero:
@@ -123,8 +141,7 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     images[entries] = sums.reshape(lw.shape + (sigma,))
     if some_zero:
         images[zero] = fobw_matrix(spec, pts[np.nonzero(zero)[1]])
-    images = images.reshape(lams.shape + (sigma,))
-    return images[..., 0, :] if ts.ndim == 0 else images
+    return images
 
 
 def order_values(alpha, ts) -> np.ndarray:

@@ -56,7 +56,8 @@ class ReferenceTrajectory(NamedTuple):
     slopes: np.ndarray
 
     def value(self, t):
-        """y(t) by cubic Hermite between the stored nodes."""
+        """y(t) by cubic Hermite between the stored nodes; inf where the sum
+        overflows, which :func:`rk4_reference` reads as runs that disagree."""
         ts = np.asarray(t, dtype=float)
         idx = np.clip((ts / self.step).astype(int), 0, self.times.size - 2)
         th = (ts - self.times[idx]) / self.step
@@ -64,12 +65,13 @@ class ReferenceTrajectory(NamedTuple):
         h10 = th * (1.0 - th) ** 2
         h01 = th**2 * (3.0 - 2.0 * th)
         h11 = th**2 * (th - 1.0)
-        out = (
-            h00 * self.values[idx]
-            + h10 * self.step * self.slopes[idx]
-            + h01 * self.values[idx + 1]
-            + h11 * self.step * self.slopes[idx + 1]
-        )
+        with np.errstate(over="ignore"):
+            out = (
+                h00 * self.values[idx]
+                + h10 * self.step * self.slopes[idx]
+                + h01 * self.values[idx + 1]
+                + h11 * self.step * self.slopes[idx + 1]
+            )
         return float(out) if np.ndim(t) == 0 else out
 
 
@@ -173,7 +175,9 @@ def rk4_reference(problem, points) -> tuple[ReferenceTrajectory, float]:
 
 
 def _settled(gap, values) -> bool:
-    return bool(np.all(gap <= REFERENCE_TOLERANCE * np.maximum(1.0, np.abs(values))))
+    # an infinite value would pass any gap; a run that overflows never settles
+    bound = REFERENCE_TOLERANCE * np.maximum(1.0, np.abs(values))
+    return bool(np.all(np.isfinite(values) & (gap <= bound)))
 
 
 def _values_or_nan(problem, n, points):

@@ -98,6 +98,18 @@ class CollocationSystem(NamedTuple):
     caputo_images: np.ndarray   # row r: I^(2-alpha(t_r)) images (basis vector when alpha == 2)
     phi: np.ndarray             # forcing at the grid
 
+    def rows(self, start: int, stop: int) -> "CollocationSystem":
+        """The system at the points ``grid[start:stop]`` alone: each row array
+        cut to those rows, as a view."""
+        cut = slice(start, stop)
+        return self._replace(grid=self.grid[cut], alphas=self.alphas[cut], i1=self.i1[cut],
+                             i2=self.i2[cut], caputo_images=self.caputo_images[cut],
+                             phi=self.phi[cut])
+
+    def value(self, U: np.ndarray) -> np.ndarray:
+        """y = U . I^2 Psi + y0 + t y1 at the grid, from the I^2 rows."""
+        return _value_from(self.problem, self.grid, self.i2, U)
+
 
 class SolveReport(NamedTuple):
     U: np.ndarray
@@ -159,8 +171,7 @@ def residual_vector(system: CollocationSystem, U: np.ndarray) -> np.ndarray:
 
 def _slope_value(system: CollocationSystem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y' = U . I^1 Psi + y1 and y from the system's I^1 and I^2 rows."""
-    p = system.problem
-    return system.i1 @ U + p.init_slope, _value_from(p, system.grid, system.i2, U)
+    return system.i1 @ U + system.problem.init_slope, system.value(U)
 
 
 def _value_from(p: OscillatorProblem, ts: np.ndarray, i2: np.ndarray, U: np.ndarray) -> np.ndarray:

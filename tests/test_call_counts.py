@@ -11,8 +11,8 @@ import pytest
 from fobw import acceptance, fracops, solver, special
 from fobw.basis import WaveletBasisSpec
 from fobw.experiments import (
-    PLOT_POINTS, PRESET_PROBLEMS, TABLE_POINTS, ExperimentConfig, emit_plot_data,
-    preset_config, run_experiment,
+    PLOT_GRID, PLOT_POINTS, PRESET_PROBLEMS, PRESET_SWEEP, TABLE_POINTS, ExperimentConfig,
+    emit_plot_data, preset_config, run_experiment,
 )
 from fobw.expr import Expression, parse_expression
 from fobw.solver import OscillatorProblem, SolutionApproximant, assemble
@@ -119,18 +119,29 @@ def test_one_point_methods_build_only_their_matrix(counted, method, image_calls,
     assert all(np.ndim(lam) <= 1 for _, lam, _ in images.args)
 
 
+def _rows(spec, plot=False):
+    """The points of a run's one image call on ``spec``: its collocation grid,
+    the table points, then the plot points."""
+    parts = [solver.collocation_grid(spec), TABLE_POINTS] + [PLOT_GRID] * plot
+    return np.concatenate(parts)
+
+
 def test_plot_data_makes_one_image_call_per_basis(counted):
     images = counted(solver, "basis_images")
-    labeled = [
-        (f"{k} {M} {name}", _approximant(ORDERS[name], k, M))
-        for k, M in ((1, 3), (2, 3), (1, 4))
-        for name in sorted(ORDERS)
-    ]
-    emit_plot_data(labeled)
-    # three bases, three alpha columns each
+    cfg = preset_config(
+        "example1-single", alpha=("1.5", VARIABLE, "2"),
+        basis=((1, 3, 0.5), (2, 3, 0.5), (1, 4, 0.5)),
+    )
+    curves = []
+    table = run_experiment(cfg, curves)
+    emit_plot_data(curves)
+    assert not table.meta["failed_columns"] and len(curves) == 9
+    # three bases, three alpha columns each: one call per basis serves the
+    # solves, the residual columns and the curves
     assert images.calls == 3
-    # I^1, I^2 and one Caputo order per column
-    assert all(np.shape(lam)[0] == 2 + len(ORDERS) for _, lam, _ in images.args)
+    assert all(np.array_equal(ts, _rows(spec, plot=True)) for spec, _, ts in images.args)
+    # I^1, I^2 and one Caputo order per alpha
+    assert all(np.shape(lam)[0] == 2 + 3 for _, lam, _ in images.args)
 
 
 def test_residual_table_makes_one_image_call_per_basis(counted):
@@ -141,13 +152,22 @@ def test_residual_table_makes_one_image_call_per_basis(counted):
     table = run_experiment(cfg)
     assert not table.meta["failed_columns"]
     assert cfg.metrics == ("residual",) and len(table.columns) == 6
-    # the six solves assemble at their Chebyshev grids and the table's residual
-    # columns are sampled at its grid, one call per basis each
-    points = np.array(table.grid)
-    at_table = [lam for _, lam, ts in images.args if np.array_equal(ts, points)]
-    assert images.calls == 2 + 2
+    # the six solves and the table's residual columns read the rows of one
+    # call per basis, at the Chebyshev grid and then at the table points
+    assert images.calls == 2
+    assert [spec for spec, _, _ in images.args] == list(cfg.specs)
+    assert all(np.array_equal(ts, _rows(spec)) for spec, _, ts in images.args)
     # I^1, I^2 and one Caputo order per alpha column
-    assert [np.shape(lam)[0] for lam in at_table] == [2 + 3, 2 + 3]
+    assert [np.shape(lam)[0] for _, lam, _ in images.args] == [2 + 3, 2 + 3]
+
+
+def test_ae_table_makes_one_image_call_per_basis(counted):
+    images = counted(solver, "basis_images")
+    table = run_experiment(preset_config("example1-single", metrics=("AE", "MAE", "residual")))
+    assert not table.meta["failed_columns"] and len(table.columns) == 9 + 2
+    # the AE and MAE values come from the I^2 rows of the same call
+    assert images.calls == len(PRESET_SWEEP["gamma"])
+    assert all(np.array_equal(ts, _rows(spec)) for spec, _, ts in images.args)
 
 
 def test_constant_order_family_assembles_once_per_basis(counted):
@@ -156,15 +176,13 @@ def test_constant_order_family_assembles_once_per_basis(counted):
     cfg = preset_config(
         "example1-single", alpha=("1.2", "1.4", "1.6", "1.8"), basis=((1, 3, 0.2), (1, 5, 0.2)),
     )
-    table = run_experiment(cfg)
-    assert not table.meta["failed_columns"] and len(table.columns) == 8
-    assembly = [
-        (spec, lam) for spec, lam, ts in images.args
-        if np.array_equal(ts, solver.collocation_grid(spec))
-    ]
-    assert [spec for spec, _ in assembly] == list(cfg.specs)
+    curves = []
+    table = run_experiment(cfg, curves)
+    assert not table.meta["failed_columns"] and len(table.columns) == 8 and len(curves) == 8
+    assert [spec for spec, _, _ in images.args] == list(cfg.specs)
+    assert all(np.array_equal(ts, _rows(spec, plot=True)) for spec, _, ts in images.args)
     # I^1, I^2 and one Caputo order per alpha
-    assert all(np.shape(lam)[0] == 2 + 4 for _, lam in assembly)
+    assert all(np.shape(lam)[0] == 2 + 4 for _, lam, _ in images.args)
 
 
 def test_refinement_criterion_runs_one_table_per_preset(counted):
@@ -172,10 +190,10 @@ def test_refinement_criterion_runs_one_table_per_preset(counted):
     images = counted(solver, "basis_images")
     acceptance.criterion_05()
     assert runs.calls == len(acceptance.ALL_PRESETS)
-    # one residual sample per preset and basis, each for the four alphas at once
-    points = np.array(TABLE_POINTS)
-    at_table = [lam for _, lam, ts in images.args if np.array_equal(ts, points)]
-    assert [np.shape(lam)[0] for lam in at_table] == [2 + 4] * 8
+    # one image call per preset and basis, each for the four alphas at once
+    assert images.calls == 2 * len(acceptance.ALL_PRESETS)
+    assert all(np.array_equal(ts, _rows(spec)) for spec, _, ts in images.args)
+    assert [np.shape(lam)[0] for _, lam, _ in images.args] == [2 + 4] * 8
 
 
 @pytest.mark.parametrize("points", [1, 7, 401])

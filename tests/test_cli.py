@@ -253,6 +253,8 @@ class TestCommandErrors:
             ({"forcing": "1/(t-0.1234)", "output_grid": [0.1234]},
              "forcing expression '1/(t-0.1234)' is not finite"),
             ({"alpha": 10**400}, "alpha must be a finite real number"),
+            ({"output_grid": [1.0, 10**400]}, "output_grid points must be numbers in (0, 1]"),
+            ({"basis": [[1, 3, 10**400]]}, "gamma must be a finite real number"),
         ],
     )
     def test_bad_config_value_is_one_error_line_before_any_solve(self, tmp_path, monkeypatch,
@@ -269,13 +271,23 @@ class TestCommandErrors:
         path.write_text(json.dumps(doc))
         _assert_one_error_naming(capsys, message, ["solve", "--config", str(path)])
 
-    @pytest.mark.parametrize("key", ["alpha", "mu"])
-    def test_huge_value_is_one_short_error_line(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"alpha": 10**400}, "alpha must be a finite real number, got 1000...00000"),
+            ({"mu": 10**400}, "mu must be a finite real number, got 1000...00000"),
+            ({"output_grid": [1.0, 10**400]},
+             "output_grid points must be numbers in (0, 1]: [1.0, 1000...00000]"),
+            ({"basis": [[1, 3, 10**400]]}, "basis entry [1, 3, 1000...00000]: "
+                                           "gamma must be a finite real number, got 1000...00000"),
+        ],
+        ids=["alpha", "mu", "output_grid", "basis"],
+    )
+    def test_huge_value_is_one_short_error_line(self, tmp_path, capsys, raw, message):
         # 10**400 has 401 digits; the line shows them abbreviated
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"a": 1.0, key: 10**400}))
-        error = _assert_one_error_naming(capsys, f"{key} must be a finite real number, got 1000",
-                                         ["solve", "--config", str(path)])
+        path.write_text(json.dumps({"a": 1.0, **raw}))
+        error = _assert_one_error_naming(capsys, message, ["solve", "--config", str(path)])
         assert len(f"[ERROR] fobw: {error}") < 120
 
     @pytest.mark.parametrize("entry", [True, None, {"x": 1}, [1.2]],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fobw.experiments import (
+    PLOT_GRID,
     PLOT_POINTS,
     PRESET_PROBLEMS,
     ExperimentConfig,
@@ -19,7 +20,8 @@ from fobw.experiments import (
     run_experiment,
 )
 from fobw.expr import Expression, parse_expression
-from fobw.reference import ErrorTable, residual_samples
+from fobw.reference import ErrorTable, absolute_error, residual_samples, rk4_reference
+from fobw.solver import solve_problem
 
 # cells whose text a format could get wrong: subnormals, rounding ties near
 # a power of ten, neighbours of 1, signed zero and the non-finite values
@@ -237,6 +239,7 @@ class TestAnyConfig:
     @example(raw={"reference_step": 0})
     @example(raw=[])
     @example(raw=None)
+    @example(raw={"init_value": 1.7976931348623157e+308})
     def test_rejected_or_runs(self, raw):
         try:
             cfg = ExperimentConfig.from_dict(raw)
@@ -396,20 +399,25 @@ class TestRunExperiment:
         warnings = table.meta["warnings"]
         assert len(warnings) == 1 and "t = 0.131300" in warnings[0]
 
-    def test_collects_converged_approximants(self):
+    def test_collects_converged_curves(self):
+        # example1-single at alpha = 1.5 stalls on k = 1, M = 8, gamma = 2
         cfg = preset_config(
-            "example1-single", alpha=("1.5", "1.8"), basis=((1, 3, 0.2), (2, 3, 0.2))
+            "example1-single", alpha=("1.5", "1.8"),
+            basis=((1, 3, 0.2), (2, 3, 0.2), (1, 8, 2.0)),
         )
-        approximants = []
-        table = run_experiment(cfg, approximants=approximants)
-        assert not table.meta["failed_columns"]
-        assert [label for label, _ in approximants] == [
+        curves = []
+        table = run_experiment(cfg, curves)
+        assert table.meta["failed_columns"] == ["residual gamma=2 M=8 alpha=1.5"]
+        # a curve per converged solve, in the order of the table's columns
+        assert [label for label, _ in curves] == [
             "residual gamma=0.2 M=3 alpha=1.5",
             "residual k=2 gamma=0.2 M=3 alpha=1.5",
             "residual gamma=0.2 M=3 alpha=1.8",
             "residual k=2 gamma=0.2 M=3 alpha=1.8",
+            "residual gamma=2 M=8 alpha=1.8",
         ]
-        assert all(approx.report.converged for _, approx in approximants)
+        assert all(curve.shape == (PLOT_POINTS,) and np.all(np.isfinite(curve))
+                   for _, curve in curves)
 
     def test_duplicate_combination_rejected(self):
         raw = {
@@ -488,14 +496,12 @@ class TestEmission:
 
 class TestPlotData:
     def test_single_configuration(self):
-        from fobw.basis import WaveletBasisSpec
-        from fobw.solver import solve_problem
-
         cfg = preset_config("example1-single", alpha=("1.5",), basis=((1, 5, 0.2),))
-        approx = solve_problem(cfg.problems[0], WaveletBasisSpec(1, 5, 0.2))
-        text = emit_plot_data([("residual", approx)])
+        curves = []
+        run_experiment(cfg, curves)
+        text = emit_plot_data(curves)
         lines = text.strip().split("\n")
-        assert lines[0] == "t,residual"
+        assert lines[0] == "t,residual gamma=0.2 M=5 alpha=1.5"
         assert len(lines) == 402
         last_t = float(lines[-1].split(",")[0])
         assert last_t == pytest.approx(1.0)
@@ -506,13 +512,10 @@ class TestPlotData:
         assert lines[-2:] == ["1", ""]
         assert len(lines) == PLOT_POINTS + 2 and not any("," in line for line in lines)
 
-    def test_cells_format_as_numpy_scalars_do(self, monkeypatch):
-        import fobw.experiments as experiments_module
-
+    def test_cells_format_as_numpy_scalars_do(self):
         values = np.resize(EDGE_VALUES, PLOT_POINTS)
         curves = [values, values[::-1].copy()]
-        monkeypatch.setattr(experiments_module, "residual_samples", lambda approx, t: curves)
-        text = emit_plot_data([("a", None), ("b", None)])
+        text = emit_plot_data([("a", curves[0]), ("b", curves[1])])
         grid = np.linspace(0.0, 1.0, PLOT_POINTS + 1)[1:]
         lines = ["t,a,b"] + [
             ",".join([format(t, ".8g")] + [format(np.float64(c[i]), ".5e") for c in curves])
@@ -521,41 +524,46 @@ class TestPlotData:
         assert text == "\n".join(lines) + "\n"
 
     def test_four_order_family(self):
-        from fobw.basis import WaveletBasisSpec
-        from fobw.solver import solve_problem
-
-        cfg = preset_config("example1-single", alpha=("1.2", "1.4", "1.6", "1.8"))
-        labeled = [
-            (f"alpha={alpha}", solve_problem(problem, WaveletBasisSpec(1, 5, 0.2)))
-            for alpha, problem in zip(cfg.alpha, cfg.problems)
-        ]
-        text = emit_plot_data(labeled)
-        header = text.split("\n", 1)[0]
+        cfg = preset_config("example1-single", alpha=("1.2", "1.4", "1.6", "1.8"),
+                            basis=((1, 5, 0.2),))
+        curves = []
+        run_experiment(cfg, curves)
+        header = emit_plot_data(curves).split("\n", 1)[0]
         assert header.count(",") == 4
 
-    def test_batched_columns_equal_their_own_residual_samples(self):
+    @pytest.mark.parametrize(
+        "alpha, metrics",
+        [(("1.5", "1 + sin(t)", "2"), ("residual",)), (("2",), ("AE", "MAE", "residual"))],
+        ids=["fractional", "integer"],
+    )
+    def test_one_call_columns_and_curves_equal_the_standalone_route(self, alpha, metrics):
         # constant, variable and integer order on k = 1 and k = 2 bases: the
-        # columns of one basis are evaluated in one image call, and each must
-        # come out exactly as if evaluated on its own
-        cfg = preset_config(
-            "example1-single", alpha=("1.5", "1 + sin(t)", "2"),
-            basis=((1, 3, 0.2), (2, 3, 0.2), (1, 5, 0.5)),
-        )
-        labeled = []
-        table = run_experiment(cfg, approximants=labeled)
-        assert not table.meta["failed_columns"] and len(labeled) == 9
-        approximants = [approx for _, approx in labeled]
-        # the table's residual columns are sampled together as well
+        # run reads its solves, columns and curves of one basis from the rows
+        # of one image call, and each must come out exactly as the standalone
+        # route gives it, from an approximant solved and evaluated on its own
+        cfg = preset_config("example1-single", alpha=alpha, metrics=metrics,
+                            basis=((1, 3, 0.2), (2, 3, 0.2), (1, 5, 0.5)))
+        curves = []
+        table = run_experiment(cfg, curves)
+        assert not table.meta["failed_columns"]
+        assert len(curves) == len(cfg.problems) * len(cfg.specs)
         points = np.array(table.grid)
-        assert list(table.columns) == [label for label, _ in labeled]
-        for label, approx in labeled:
-            expected = tuple(residual_samples([approx], points)[0])
-            assert table.columns[label] == expected
-        grid = np.linspace(0.0, 1.0, 402)[1:]
-        for curve, approx in zip(residual_samples(approximants, grid), approximants):
-            assert np.array_equal(curve, residual_samples([approx], grid)[0])
-        lines = ["t," + ",".join(label for label, _ in labeled)]
-        single = [residual_samples([approx], grid)[0] for approx in approximants]
-        for i, t in enumerate(grid):
+        reference = rk4_reference(cfg.problems[0], points)[0] if "AE" in metrics else None
+        columns = iter(table.columns.values())  # problem-major, then basis, then metric
+        single = []
+        for problem in cfg.problems:
+            for spec in cfg.specs:
+                approx = solve_problem(problem, spec)
+                alone = {"residual": tuple(residual_samples([approx], points)[0])}
+                if reference is not None:
+                    error = absolute_error(approx.value, reference, points)
+                    alone["AE"] = tuple(error)
+                    alone["MAE"] = (float(error.max()),) * len(points)
+                assert [next(columns) for _ in metrics] == [alone[m] for m in metrics]
+                single.append(residual_samples([approx], PLOT_GRID)[0])
+        for (_, curve), alone in zip(curves, single):
+            assert np.array_equal(curve, alone)
+        lines = ["t," + ",".join(label for label, _ in curves)]
+        for i, t in enumerate(PLOT_GRID):
             lines.append(",".join([f"{t:.8g}"] + [f"{c[i]:.5e}" for c in single]))
-        assert emit_plot_data(labeled) == "\n".join(lines) + "\n"
+        assert emit_plot_data(curves) == "\n".join(lines) + "\n"

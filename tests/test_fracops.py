@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fobw import fracops
 from fobw.basis import WaveletBasisSpec, _local_values, fobw_matrix, local_series_table
 from fobw.fracops import basis_images, order_values
 from fobw.oracles import (
@@ -420,6 +422,31 @@ class TestSharedImageTable:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             basis_images(WaveletBasisSpec(1, 3, 0.5), -0.5, 0.5)
+
+    @pytest.mark.parametrize("points", [7, 64])
+    def test_blocks_of_points_join_bit_identically(self, monkeypatch, points):
+        # a call takes its points in blocks of IMAGE_BLOCK // (orders * cells
+        # * terms); the entries are elementwise, so any block size gives the
+        # same images, here 401 points in blocks of 7 or 64
+        spec = WaveletBasisSpec(2, 5, 0.2)
+        ts = np.linspace(0.0, 1.0, 402)[1:]
+        lams = np.stack(np.broadcast_arrays(1.0, 2.0, 0.0, 0.5 - 0.3 * np.sin(4 * ts)))
+        whole = basis_images(spec, lams, ts)
+        monkeypatch.setattr(fracops, "IMAGE_BLOCK", points * 4 * 2 * 6)
+        assert np.array_equal(basis_images(spec, lams, ts), whole)
+
+    def test_a_large_call_takes_bounded_memory(self):
+        # 1000 points on 16 cells: 43 MB at its peak in one block
+        spec = WaveletBasisSpec(5, 7, 0.5)
+        ts = np.linspace(0.0, 1.0, 1001)[1:]
+        lams = np.stack(np.broadcast_arrays(1.0, 2.0, 0.5 - 0.3 * np.sin(4 * ts)))
+        tracemalloc.start()
+        try:
+            basis_images(spec, lams, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestArrayOrders:
