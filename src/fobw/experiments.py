@@ -121,7 +121,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.output_grid, self.output_grid[1:])):
             raise ValueError("output grid points must be strictly ascending")
         # the run evaluates the forcing and each order at these points, which a probe may miss
-        points = np.concatenate([self.output_grid, *(collocation_grid(spec) for spec in specs)])
+        points = np.concatenate([self.output_grid, *map(collocation_grid, specs), PLOT_GRID])
         if not isinstance(self.forcing, str):
             raise ValueError(f"forcing must be an expression in t, got {self.forcing!r}")
         forcing = parse_expression(self.forcing)
@@ -130,8 +130,8 @@ class ExperimentConfig:
                 f"forcing expression {self.forcing!r} is not finite everywhere on [0, 1]"
             )
         # an expression order is checked in one call, at a 1001-point probe of
-        # (0, 1], at the points and at the plot points, which the probe may miss
-        checked = np.concatenate([np.linspace(0.0, 1.0, 1002)[1:], points, PLOT_GRID])
+        # (0, 1] and at the points
+        checked = np.concatenate([np.linspace(0.0, 1.0, 1002)[1:], points])
         problems = []
         for entry in self.alpha:
             alpha = build_order(entry)

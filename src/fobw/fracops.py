@@ -11,10 +11,10 @@ and beyond the cell the same term is cut by a regularized incomplete beta
 function (DLMF 8.17), because the wavelet's integral stops at the cell end.
 :func:`basis_images` evaluates these closed forms over arrays of points, with
 one order per point for variable order, and for several orders in one call
-that shares the powers of the points.  The quadrature route in
-:mod:`fobw.oracles` integrates the defining singular integral directly; it
-is the independent oracle that the closed forms are tested against, not used
-to compute them.
+that shares the powers of the points and, beyond a cell, the incomplete
+beta's z**(p+1).  The quadrature route in :mod:`fobw.oracles` integrates the
+defining singular integral directly; it is the independent oracle that the
+closed forms are tested against, not used to compute them.
 
 Variable order is frozen pointwise: at an evaluation point t the operator of
 order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
@@ -112,14 +112,7 @@ def _image_block(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     # beta, formed before the terms so the two largest transients do not add up
     point = np.broadcast_to(np.arange(pts.size), orders.shape)[entries]
     cut = np.nonzero(tw[point, None] > hi)
-    cut_factors = 1.0
-    if cut[-1].size:
-        entry, cell = cut[:-1], cut[-1]
-        row = point[entry]
-        beyond = s[row, cell]
-        z = (hi[cell] - lo[cell])[:, None] / beyond
-        y = (tw[row] - hi[cell])[:, None] / beyond
-        cut_factors = betainc(exps + 1.0, lw[entry][:, None], z, y)
+    cut_factors = _cut_factors(exps, orders, tw, lo, hi) if cut[-1].size else 1.0
 
     # the doubles of the orders are exact in long double, so they are
     # deduplicated in double and only the distinct ones are widened
@@ -142,6 +135,23 @@ def _image_block(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     if some_zero:
         images[zero] = fobw_matrix(spec, pts[np.nonzero(zero)[1]])
     return images
+
+
+def _cut_factors(exps, orders, tw, lo, hi) -> np.ndarray:
+    """I_z(p+1, lam) of :func:`basis_images`, a row of terms per (order, point,
+    cell) entry of nonzero order whose cell ends before the point, row-major.
+    z and y get one axis of (point, cell) pairs and a constant order one row,
+    so z**(p+1) is formed per (point, cell, term), gamma per (order, term)."""
+    point, cell = np.nonzero(tw[:, None] > hi)
+    beyond = (tw[point] - lo[cell])[:, None]
+    z = (hi[cell] - lo[cell])[:, None] / beyond
+    y = (tw[point] - hi[cell])[:, None] / beyond
+    live = orders[:, point] != 0.0
+    rows = live.any(axis=1)
+    lam = orders[rows][:, point]
+    # order 0 (the identity) takes a placeholder order, its factors dropped below
+    lam = lam[:, :1] if np.all(lam == lam[:, :1]) else np.where(lam == 0.0, 1.0, lam)
+    return betainc(exps + 1.0, lam[..., None].astype(exps.dtype), z, y)[live[rows]]
 
 
 def order_values(alpha, ts) -> np.ndarray:

@@ -80,6 +80,8 @@ def test_config_checks_each_expression_order_in_one_array_call(monkeypatch):
     shape = (1001 + len(cfg.output_grid) + 4 + 2 * 4 + PLOT_POINTS,)
     orders = [(source, n) for source, n in calls if source != cfg.forcing]
     assert orders == [(VARIABLE, shape), ("1 + sin(t)", shape)]
+    # the forcing at a 1001-point probe of [0, 1] and at the same points
+    assert (cfg.forcing, shape) in calls
 
 
 def test_order_is_evaluated_once_per_point_set():
@@ -208,6 +210,26 @@ def test_one_image_call_makes_at_most_one_gamma_ratio_call(counted, points):
     ratios.calls = 0
     fracops.basis_images(spec, 0.0, ts)
     assert ratios.calls <= 1
+
+
+def test_cut_factors_form_z_powers_once_per_point_cell_and_term(counted):
+    # z and y depend on the (point, cell) pair alone, and a constant order on
+    # its row alone: betainc takes them on axes of their own, so z**(p+1),
+    # formed on the broadcast of z and the exponents, has one entry per
+    # (point, cell, term) however many orders share the call, and the gamma
+    # values one per (order, term)
+    betas = counted(fracops, "betainc")
+    spec = WaveletBasisSpec(3, 4, 0.5)
+    ts = np.linspace(0.0, 1.0, 41)[1:]
+    pairs = int(np.sum(ts[:, None] > np.arange(1, 4) / 4))
+    for lams in ([[0.5]], [[1.0], [2.0], [0.0], [0.3], [0.5], [0.7]]):
+        fracops.basis_images(spec, lams, ts)
+    assert betas.calls == 2
+    for exps, lam, z, y in betas.args:
+        assert np.broadcast_shapes(exps.shape, z.shape) == (pairs, spec.M + 1)
+        assert z.shape == y.shape == (pairs, 1)
+    # one row per order but order 0, the identity, which has no factors
+    assert [lam.shape for _, lam, _, _ in betas.args] == [(1, 1, 1), (5, 1, 1)]
 
 
 def test_whole_offsets_take_no_gamma_values(counted):

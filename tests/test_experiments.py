@@ -114,6 +114,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="not finite"):
             ExperimentConfig.from_dict(raw)
 
+    def test_forcing_pole_at_a_plot_point_is_refused(self):
+        # the first plot point, which no other checked point meets: the run's
+        # curve would start with inf
+        with pytest.raises(ValueError, match=r"not finite everywhere on \[0, 1\]"):
+            ExperimentConfig(a=1.0, init_value=1.0, alpha=1.5, basis=((1, 3, 0.5),),
+                             forcing="1/(t-0.0024937655860349127)")
+
     def test_forcing_expression_accepted(self):
         raw = {
             "a": 1.0, "forcing": "0.5 * cos(0.79 * t)", "alpha": [2.0],

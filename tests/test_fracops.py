@@ -18,7 +18,7 @@ from fobw.oracles import (
 )
 from fobw.expr import parse_expression
 from fobw.solver import OscillatorProblem, SolutionApproximant
-from fobw.special import chebyshev_grid
+from fobw.special import betainc, chebyshev_grid
 
 
 def wavelet_at(spec, ups):
@@ -447,6 +447,57 @@ class TestSharedImageTable:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestCutFactors:
+    """The incomplete-beta factors of the cells that end before a point,
+    against one-entry :func:`betainc` calls of each (order, point, cell,
+    term) entry."""
+
+    @staticmethod
+    def one_entry_factors(exps, orders, tw, lo, hi):
+        rows = []
+        for o, p, c in np.ndindex(orders.shape + hi.shape):
+            if orders[o, p] != 0.0 and tw[p] > hi[c]:
+                beyond = tw[p] - lo[c]
+                z, y = (hi[c] - lo[c]) / beyond, (tw[p] - hi[c]) / beyond
+                lam = np.longdouble(orders[o, p])
+                rows.append([betainc([e + 1.0], [lam], [z], [y])[0] for e in exps])
+        return np.array(rows, dtype=np.longdouble).reshape(-1, exps.size)
+
+    @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+    @pytest.mark.parametrize("k, M, blocks", [(2, 5, 1), (3, 4, 1), (5, 3, 1), (3, 4, 3)])
+    def test_equal_one_entry_calls(self, monkeypatch, k, M, blocks, variable):
+        # whole, constant fractional and zero orders in one call, with or
+        # without a variable row and a variable row with zeros among its
+        # entries, and points on cell ends (0.25, 0.5, 0.75, 1), which no
+        # cell before them cuts
+        spec = WaveletBasisSpec(k, M, 0.5)
+        ts = np.concatenate([np.linspace(0.0, 1.0, 5), np.linspace(0.03, 0.97, 9)])
+        varying = 0.5 - 0.3 * np.sin(4 * ts)
+        rows = [1.0, 2.0, 0.0, 0.5, 0.3]
+        rows += [varying, np.where(ts > 0.6, 0.0, varying)] if variable else []
+        lams = np.stack(np.broadcast_arrays(*rows, ts)[:-1])
+        whole = basis_images(spec, lams, ts)
+        calls = []
+        cut_factors = fracops._cut_factors
+
+        def recorded(*args):
+            calls.append((args, cut_factors(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fracops, "_cut_factors", recorded)
+        # blocks of about ts.size / blocks points
+        step = -(-ts.size // blocks)
+        monkeypatch.setattr(fracops, "IMAGE_BLOCK",
+                            step * lams.shape[0] * spec.translations * (M + 1))
+        assert np.array_equal(basis_images(spec, lams, ts), whole)
+        assert len(calls) == blocks
+        for args, factors in calls:
+            expected = self.one_entry_factors(*args)
+            # long doubles carry padding bytes, so the bits are compared by value and sign
+            assert np.array_equal(factors, expected)
+            assert np.array_equal(np.signbit(factors), np.signbit(expected))
 
 
 class TestArrayOrders:

@@ -17,6 +17,13 @@ class TestGammaArray:
         with pytest.raises(ValueError):
             gamma_array(np.array([1.5, -2.0]))
 
+    def test_masked_entries_take_no_gamma_value(self):
+        # a pole and an overflow outside the mask are never evaluated
+        x = np.array([[1.5, -2.0], [200.0, 4.0]], dtype=np.longdouble)
+        out = gamma_array(x, where=[[True, False], [False, True]])
+        assert out.dtype == np.longdouble
+        assert np.array_equal(out, [[math.gamma(1.5), 1.0], [1.0, 6.0]])
+
     def test_keeps_extended_precision(self):
         x = np.array([1.5, 2.25], dtype=np.longdouble)
         assert gamma_array(x).dtype == np.longdouble
@@ -129,6 +136,56 @@ class TestBetainc:
         assert batch.dtype == dtype
         for i in range(len(entries)):
             assert np.array_equal(batch[i:i + 1], betainc(a[i:i + 1], b[i:i + 1], x[i:i + 1]))
+
+    @staticmethod
+    def one_entry(a, b, x, y):
+        """I_x(a, b) of one long-double entry, each operation in the order
+        the array code takes it: the reference that pins its bits."""
+        one, tiny = np.longdouble(1.0), np.longdouble(1e-300)
+        if b == math.floor(b):
+            term = total = one
+            for j in range(1, int(b)):
+                term = term * (a + j - 1.0) / j * y
+                total = total + term
+            return x**a * total
+        swap = not x < (a + 1.0) / (a + b + 2.0)
+        p, q, u, v = (b, a, y, x) if swap else (a, b, x, y)
+        gamma = [np.longdouble(math.gamma(float(w))) for w in (p + q, p, q)]
+        front = u**p * v**q * gamma[0] / (p * gamma[1] * gamma[2])
+
+        def guard(w):
+            return tiny if abs(w) < tiny else w
+
+        c, d = one, one / guard(1.0 - (p + q) * u / (p + 1.0))
+        h = d
+        for m in range(1, 501):
+            even = m * (q - m) * u / ((p + 2 * m - 1.0) * (p + 2 * m))
+            d = one / guard(1.0 + even * d)
+            c = guard(1.0 + even / c)
+            step = d * c
+            odd = -(p + m) * (p + q + m) * u / ((p + 2 * m) * (p + 2 * m + 1.0))
+            d = one / guard(1.0 + odd * d)
+            c = guard(1.0 + odd / c)
+            last = d * c
+            h = h * step * last
+            if not abs(last - 1.0) > 4.0 * np.finfo(np.longdouble).eps:
+                part = front * h
+                return 1.0 - part if swap else part
+        raise AssertionError("no convergence")
+
+    def test_operands_on_their_own_axes_match_the_one_entry_formula(self):
+        # the layout of the images' cut factors: exponents, then one order per
+        # row, then (point, cell) pairs with z and its exact complement y
+        a = 1.0 + 0.5 * np.arange(6, dtype=np.longdouble)
+        b = np.array([1.0, 2.0, 0.5, 0.3, 1.7], dtype=np.longdouble)[:, None, None]
+        s = np.linspace(1.05, 9.0, 23, dtype=np.longdouble)[:, None]
+        z, y = 1.0 / s, (s - 1.0) / s
+        batch = betainc(a, b, z, y)
+        assert batch.dtype == np.longdouble and batch.shape == (5, 23, 6)
+        expected = np.array([self.one_entry(a[i], b[o, 0, 0], z[r, 0], y[r, 0])
+                             for o, r, i in np.ndindex(batch.shape)]).reshape(batch.shape)
+        assert np.array_equal(batch, expected)
+        assert np.array_equal(np.signbit(batch), np.signbit(expected))
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 0.5), (1.0, -0.5, 0.5), (1.0, 1.0, 1.5)])
     def test_rejects_bad_arguments(self, args):
