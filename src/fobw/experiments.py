@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from numbers import Real
-from warnings import warn
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .expr import parse_expression
 from .fracops import order_values
 from .reference import BlowupError, ErrorTable, UnsettledError, rk4_reference
 from .solver import (
-    OscillatorProblem, SolverError, collocation_grid, collocation_systems, residual_vector,
+    OscillatorProblem, SolverError, assemble_systems, collocation_grid, residual_vector,
     solve_system,
 )
 
@@ -269,9 +268,10 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
     the ``meta`` key ``reference_error``.  When ``curves`` is a list, the
     dense residual curve of every converged solve, at :data:`PLOT_GRID`, is
     appended to it as ``(plot label, curve)``, ready for
-    :func:`emit_plot_data`.  Each basis makes one image call per run
-    (:func:`_basis_outcomes`), whose rows serve the collocation solves, the
-    table columns and the curves of every alpha.  A table carries the
+    :func:`emit_plot_data`.  The bases of each (k, gamma) family share one
+    term pass per run (:func:`_family_outcomes`), and each basis's rows at
+    its collocation grid, the output grid and the plot points serve its
+    solves, table columns and curves for every alpha.  A table carries the
     :data:`COMPARISON_COLUMNS` of the config's ``preset`` exactly when it
     has an AE metric and the output grid is :data:`TABLE_POINTS`.
     """
@@ -291,8 +291,12 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
             expected = reference.value(points)
         except (BlowupError, UnsettledError) as exc:
             warnings.append(f"RK4 reference failed, AE/MAE columns are NaN: {exc}")
-    outcomes = {spec: _basis_outcomes(cfg, spec, points, expected, curves is not None)
-                for spec in cfg.specs}
+    families: dict = {}
+    for spec in cfg.specs:
+        families.setdefault((spec.k, spec.gamma), []).append(spec)
+    outcomes = {}
+    for specs in families.values():
+        outcomes.update(_family_outcomes(cfg, specs, points, expected, curves is not None))
     for j, problem in enumerate(cfg.problems):
         alpha_label = order_label(problem.alpha)
         for spec in cfg.specs:
@@ -339,34 +343,32 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
     return ErrorTable(grid, columns, meta)
 
 
-def _basis_outcomes(cfg: ExperimentConfig, spec: WaveletBasisSpec, points: np.ndarray,
-                    expected: np.ndarray | None, plot: bool) -> list:
-    """Per problem of ``cfg`` on ``spec``: the message of the SolverError its
-    solve raised, or its residual at ``points`` (if a metric asks for it),
-    its absolute error against ``expected`` there (unless that is None) and
-    its residual curve at :data:`PLOT_GRID` (if ``plot``), None for each
-    left out.  The rows of one :func:`collocation_systems` call at the
-    collocation grid, ``points`` and the plot points serve them all; image
-    entries are elementwise, so each value is bit-identical to the
-    standalone route's (``residual_samples``, ``absolute_error``)."""
-    if spec.sigma_tilde == 1:
-        warn("a single collocation point cannot represent oscillation", stacklevel=2)
-    collocation = collocation_grid(spec)
-    ts = np.concatenate([collocation, points, PLOT_GRID] if plot else [collocation, points])
-    n, m = collocation.size, collocation.size + points.size
-    outcomes = []
-    for system in collocation_systems(cfg.problems, spec, ts):
-        try:
-            U = solve_system(system.rows(0, n)).coefficients
-        except SolverError as exc:  # its message: the traceback would keep the system
-            outcomes.append(str(exc))
-            continue
-        table = system.rows(n, m)
-        outcomes.append((
-            np.abs(residual_vector(table, U)) if "residual" in cfg.metrics else None,
-            None if expected is None else np.abs(table.value(U) - expected),
-            np.abs(residual_vector(system.rows(m, ts.size), U)) if plot else None,
-        ))
+def _family_outcomes(cfg: ExperimentConfig, specs: list, points: np.ndarray,
+                     expected: np.ndarray | None, plot: bool) -> dict:
+    """Per basis of ``specs``, which share k and gamma, and per problem of
+    ``cfg``: the message of the SolverError its solve raised, or its residual
+    at ``points`` (if a metric asks for it), its absolute error against
+    ``expected`` there (unless that is None) and its residual curve at
+    :data:`PLOT_GRID` (if ``plot``), None for each left out.  One
+    :func:`assemble_systems` call serves them all, each value bit-identical
+    to the standalone route's (``residual_samples``, ``absolute_error``)."""
+    shared = np.concatenate([points, PLOT_GRID] if plot else [points])
+    outcomes = {}
+    for spec, systems in zip(specs, assemble_systems(cfg.problems, specs, shared)):
+        n, m = spec.sigma_tilde, spec.sigma_tilde + points.size
+        outcomes[spec] = []
+        for system in systems:
+            try:
+                U = solve_system(system.rows(0, n)).coefficients
+            except SolverError as exc:  # its message: the traceback would keep the system
+                outcomes[spec].append(str(exc))
+                continue
+            table = system.rows(n, m)
+            outcomes[spec].append((
+                np.abs(residual_vector(table, U)) if "residual" in cfg.metrics else None,
+                None if expected is None else np.abs(table.value(U) - expected),
+                np.abs(residual_vector(system.rows(m, len(system.grid)), U)) if plot else None,
+            ))
     return outcomes
 
 

@@ -12,7 +12,8 @@ function (DLMF 8.17), because the wavelet's integral stops at the cell end.
 :func:`basis_images` evaluates these closed forms over arrays of points, with
 one order per point for variable order, and for several orders in one call
 that shares the powers of the points and, beyond a cell, the incomplete
-beta's z**(p+1).  The quadrature route in :mod:`fobw.oracles` integrates the
+beta's z**(p+1), and :func:`family_images` shares these terms among the
+bases of a (k, gamma) family.  The quadrature route in :mod:`fobw.oracles` integrates the
 defining singular integral directly; it is the independent oracle that the
 closed forms are tested against, not used to compute them.
 
@@ -22,6 +23,8 @@ order alpha(t) is the constant-order operator with lam = 2 - alpha(t).
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .basis import WaveletBasisSpec, fobw_matrix, local_series_table
@@ -29,6 +32,7 @@ from .special import betainc, gamma_ratio
 
 __all__ = [
     "basis_images",
+    "family_images",
     "order_values",
 ]
 
@@ -37,7 +41,8 @@ IMAGE_BLOCK = 2**18
 
 
 def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
-    """Vector [I^lam of each wavelet](t), ordered like the basis vector.
+    """Vector [I^lam of each wavelet](t), ordered like the basis vector: the
+    one-spec family of :func:`family_images`.
 
     ``t`` may also be a 1-D array of points; the result then has one row per
     point.  Every point must lie in [0, 1].  ``lam`` broadcasts against the points, so it is one order, or an
@@ -63,78 +68,114 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     """
     ts = np.asarray(t, dtype=float)
     pts = np.atleast_1d(ts)
+    (images,) = family_images([spec], lam, pts, [pts.size])
+    return images[..., 0, :] if ts.ndim == 0 else images
+
+
+def family_images(specs, lam, t, own):
+    """The :func:`basis_images` of each basis of ``specs``, which share k and
+    gamma, one basis at a time: at the ``own[i]`` points of ``t`` for basis
+    i, in order, then at the rest of ``t``.  All the family's wavelets are
+    sums of x**(gamma*s), s <= M, so one term pass at its largest M forms
+    each point's powers, gamma ratios and cut factors, held until the last
+    basis that reads them, and each basis contracts its first M+1 term
+    columns: bit-identical to a lone :func:`basis_images` call."""
+    pts = np.asarray(t, dtype=float)
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
     lams = np.asarray(lam, dtype=float)
     lams = np.broadcast_to(lams, lams.shape[:-1] + pts.shape)
     if np.any(lams < 0.0):
         raise ValueError("integral order must be nonnegative")
+    largest = max(specs, key=lambda spec: spec.M)
+    if any((spec.k, spec.gamma) != (largest.k, largest.gamma) for spec in specs):
+        raise ValueError("the bases of a family must share k and gamma")
     # (order, point) entries, in blocks of points whose (entry, cell, term)
     # arrays of long doubles hold at most IMAGE_BLOCK values, so that memory
     # stays bounded however many points a call asks for
     orders = lams.reshape(int(np.prod(lams.shape[:-1])), pts.size)
-    images = np.empty(orders.shape + (spec.sigma_tilde,))
-    step = max(1, IMAGE_BLOCK // (orders.shape[0] * spec.translations * (spec.M + 1)))
-    for i in range(0, pts.size, step):
-        images[:, i:i + step] = _image_block(spec, orders[:, i:i + step], pts[i:i + step])
-    images = images.reshape(lams.shape + (spec.sigma_tilde,))
-    return images[..., 0, :] if ts.ndim == 0 else images
+    step = max(1, IMAGE_BLOCK // (orders.shape[0] * largest.translations * (largest.M + 1)))
+    ends = [0, *accumulate(own)]
+    # a family that fits in one block forms its terms in one call; a larger
+    # one forms each basis's own points in blocks of their own
+    spans = [(0, pts.size)] if pts.size <= step else [*zip(ends, ends[1:]), (ends[-1], pts.size)]
+    blocks = [slice(i, min(i + step, b)) for a, b in spans for i in range(a, b, step)]
+    # each basis's points in each block, as positions in the block
+    at = [np.arange(b.start, b.stop) for b in blocks]
+    reads = [[np.flatnonzero((a >= start) & (a < stop) | (a >= ends[-1])) for a in at]
+             for start, stop in zip(ends, ends[1:])]
+    held = {}  # the terms of each block that a later basis reads
+    for i, spec in enumerate(specs):
+        images = np.empty((orders.shape[0], own[i] + pts.size - ends[-1], spec.sigma_tilde))
+        done = 0
+        for j, (block, mine) in enumerate(zip(blocks, reads[i])):
+            if not mine.size:
+                continue
+            block_orders, block_pts = orders[:, block], pts[block]
+            live, terms = held.pop(j) if j in held else _image_terms(largest, block_orders,
+                                                                      block_pts)
+            if any(later[j].size for later in reads[i + 1:]):
+                held[j] = live, terms
+            sub = slice(None) if mine.size == block_pts.size else mine
+            _contract(spec, block_orders[:, sub], block_pts[sub], live, terms[:, sub],
+                      images[:, done:done + mine.size])
+            done += mine.size
+            del terms  # the largest array of a block, not to be held through the next
+        yield images.reshape(lams.shape[:-1] + images.shape[1:])
 
 
-def _image_block(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The images of :func:`basis_images` at the (order, point) entries of
-    ``orders``, one row per order and a column per point of ``pts``."""
-    coeffs, exps = local_series_table(spec)
+def _image_terms(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) -> tuple:
+    """The mask of the rows of ``orders`` (one column per point of ``pts``)
+    with a nonzero order, and their (row, point, cell, term) long doubles."""
+    _, exps = local_series_table(spec)
     # The terms of one wavelet cancel: for M = 5 their sum can be 1e3 times
     # smaller than the largest term, and an ill-conditioned collocation
     # system (k = 2) amplifies the rounding further.  So the terms are formed
     # and summed in extended precision, where the platform has it.
     wide = np.longdouble
     exps = exps.astype(wide)
-    weights = coeffs.T.astype(wide)
     tw = pts.astype(wide)
     cells = spec.translations
     lo = np.arange(cells, dtype=wide) / cells
     hi = lo + wide(1.0) / cells
     s = np.maximum(tw[:, None] - lo, 0.0)[:, :, None]
 
-    # order 0 is the identity, the basis vector
+    # order 0 is the identity, whose rows _contract fills: a zero among
+    # other orders takes the placeholder order 1
     zero = orders == 0.0
-    some_zero = zero.any()
-    if some_zero:
-        entries = np.nonzero(~zero)
-        at = entries[1]
-    else:
-        # every entry: plain slices, so the point arrays broadcast uncopied
-        entries = at = slice(None)
-    lw = orders[entries].astype(wide)
+    live = ~zero.all(axis=1)
+    lw = np.where(zero, 1.0, orders)[live]
     # cells that end before the entry's point cut its terms by the incomplete
     # beta, formed before the terms so the two largest transients do not add up
-    point = np.broadcast_to(np.arange(pts.size), orders.shape)[entries]
-    cut = np.nonzero(tw[point, None] > hi)
+    cut = np.nonzero(~zero[live][..., None] & (tw[:, None] > hi))
     cut_factors = _cut_factors(exps, orders, tw, lo, hi) if cut[-1].size else 1.0
 
     # the doubles of the orders are exact in long double, so they are
     # deduplicated in double and only the distinct ones are widened
-    distinct, inverse = np.unique(orders[entries], return_inverse=True)
+    distinct, inverse = np.unique(lw, return_inverse=True)
     distinct = distinct.astype(wide)
     inverse = inverse.reshape(lw.shape)
     if np.all(inverse == inverse[..., :1]):
         # constant orders: one row of ratios per order, broadcast over points
         inverse = inverse[..., :1]
     powers = (cells * s) ** exps
-    terms = gamma_ratio(exps + 1.0, distinct[:, None])[inverse][..., None, :] * powers[at]
-    terms *= s[at] ** lw[..., None, None]
+    terms = gamma_ratio(exps + 1.0, distinct[:, None])[inverse][..., None, :] * powers
+    terms *= s ** lw.astype(wide)[..., None, None]
     terms[cut] *= cut_factors
-    sums = terms.reshape(-1, exps.size) @ weights
-    del terms  # the largest array of the call
+    return live, terms
 
-    sigma = spec.sigma_tilde
-    images = np.empty(orders.shape + (sigma,))
-    images[entries] = sums.reshape(lw.shape + (sigma,))
-    if some_zero:
-        images[zero] = fobw_matrix(spec, pts[np.nonzero(zero)[1]])
-    return images
+
+def _contract(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray, live: np.ndarray,
+              terms: np.ndarray, out: np.ndarray) -> None:
+    """Write the images of ``spec`` from :func:`_image_terms` into ``out``, by
+    the first M+1 columns of the terms, which may be those of a larger M."""
+    coeffs, _ = local_series_table(spec)
+    terms = terms[..., :spec.M + 1]
+    sums = terms.reshape(-1, spec.M + 1) @ coeffs.T.astype(np.longdouble)
+    out[live] = sums.reshape(terms.shape[:2] + (spec.sigma_tilde,))
+    zero = orders == 0.0
+    if zero.any():
+        out[zero] = fobw_matrix(spec, pts[np.nonzero(zero)[1]])
 
 
 def _cut_factors(exps, orders, tw, lo, hi) -> np.ndarray:

@@ -215,7 +215,8 @@ def residual_samples(approximants, t) -> list[np.ndarray]:
     samples = [None] * len(approximants)
     for spec, members in by_spec.items():
         problems = [approximants[j].problem for j in members]
-        for j, system in zip(members, collocation_systems(problems, spec, ts.ravel())):
+        (systems,) = collocation_systems(problems, [spec], [ts.ravel()])
+        for j, system in zip(members, systems):
             residual = residual_vector(system, approximants[j].coefficients)
             samples[j] = np.abs(residual).reshape(ts.shape)
     return samples

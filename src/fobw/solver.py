@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .basis import WaveletBasisSpec, finite_real
 from .expr import parse_expression
-from .fracops import basis_images, order_values
+from .fracops import basis_images, family_images, order_values
 from .special import chebyshev_grid
 
 __all__ = [
@@ -118,22 +119,29 @@ class SolveReport(NamedTuple):
     converged: bool
 
 
-def collocation_systems(problems, spec: WaveletBasisSpec, ts) -> list[CollocationSystem]:
-    """One system per problem at the points of the 1-D array ``ts``, all on
-    ``spec``, from one :func:`basis_images` call: the I^1 and I^2 rows once,
-    plus one Caputo order per problem.  Image entries are computed
-    elementwise, so each system is bit-identical to a lone call's."""
-    ts = np.asarray(ts, dtype=float)
+def collocation_systems(problems, specs, grids, shared=()):
+    """Per basis of ``specs``, which share k and gamma, the list of one system
+    per problem at ``grids[i]`` for basis i, then at the ``shared`` points:
+    a generator, one basis at a time, over one :func:`family_images` pass,
+    with the I^1 and I^2 rows plus one Caputo order per problem.  The forcing
+    and each order are evaluated once at all the points.  Each system holds
+    its own basis's rows alone, bit-identical to a lone call's."""
+    ts = np.concatenate([*grids, shared]).astype(float, copy=False)
     alphas = [order_values(p.alpha, ts) for p in problems]
     lams = np.broadcast_arrays(1.0, 2.0, *(2.0 - a for a in alphas))
-    i1, i2, *caputo = basis_images(spec, np.stack(lams), ts)
     phis = [np.asarray(p.forcing(ts), dtype=float) for p in problems]
-    for arr in (i1, i2, *alphas, *caputo, *phis):
-        arr.setflags(write=False)
-    return [
-        CollocationSystem(spec, p, ts, a, i1, i2, ica, phi)
-        for p, a, ica, phi in zip(problems, alphas, caputo, phis)
-    ]
+    own = [len(grid) for grid in grids]
+    ends = [0, *accumulate(own)]
+    images = family_images(specs, np.stack(lams), ts, own)
+    for spec, start, stop, (i1, i2, *caputo) in zip(specs, ends, ends[1:], images):
+        rows = slice(start, None) if stop == ends[-1] else np.r_[start:stop, ends[-1]:ts.size]
+        points, *values = (arr[rows] for arr in (ts, *alphas, *phis))
+        for arr in (points, i1, i2, *values, *caputo):
+            arr.setflags(write=False)
+        yield [
+            CollocationSystem(spec, p, points, a, i1, i2, ica, phi)
+            for p, a, ica, phi in zip(problems, values[:len(problems)], caputo, values[len(problems):])
+        ]
 
 
 def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
@@ -144,19 +152,19 @@ def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
     return ((eta + np.arange(cells)[:, None]) / cells).ravel()
 
 
-def assemble_systems(problems, spec: WaveletBasisSpec) -> list[CollocationSystem]:
-    """The collocation system of each of ``problems`` on ``spec``: their image
-    rows at :func:`collocation_grid`, from one :func:`collocation_systems` call."""
-    if spec.sigma_tilde == 1:
-        warnings.warn(
-            "a single collocation point cannot represent oscillation", stacklevel=2
-        )
-    return collocation_systems(problems, spec, collocation_grid(spec))
+def assemble_systems(problems, specs, shared=()):
+    """:func:`collocation_systems` at each basis's :func:`collocation_grid`,
+    then at the ``shared`` points, where a run reads its table and curves."""
+    for spec in specs:
+        if spec.sigma_tilde == 1:
+            warnings.warn("a single collocation point cannot represent oscillation",
+                          stacklevel=2)
+    return collocation_systems(problems, specs, [collocation_grid(s) for s in specs], shared)
 
 
 def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationSystem:
     """The collocation system: ``problem``'s image rows at :func:`collocation_grid`."""
-    (system,) = assemble_systems([problem], spec)
+    ((system,),) = assemble_systems([problem], [spec])
     return system
 
 
@@ -279,7 +287,7 @@ class SolutionApproximant(NamedTuple):
         floats, an array of points three arrays of its shape.
         """
         ts = np.asarray(ts, dtype=float)
-        (system,) = collocation_systems([self.problem], self.spec, ts.ravel())
+        ((system,),) = collocation_systems([self.problem], [self.spec], [ts.ravel()])
         slope, value = _slope_value(system, self.coefficients)
         caputo = system.caputo_images @ self.coefficients
         return tuple(_shaped(v, ts) for v in (value, slope, caputo))

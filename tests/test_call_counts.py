@@ -95,7 +95,7 @@ def test_order_is_evaluated_once_per_point_set():
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
 def test_evaluate_makes_one_image_call(counted, name):
-    images = counted(solver, "basis_images")
+    images = counted(solver, "family_images")
     matrices = counted(fracops, "fobw_matrix")
     _approximant(ORDERS[name]).evaluate(np.linspace(0.0, 1.0, 402)[1:])
     assert images.calls == 1
@@ -105,7 +105,7 @@ def test_evaluate_makes_one_image_call(counted, name):
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
 def test_assemble_makes_one_image_call(counted, name):
-    images = counted(solver, "basis_images")
+    images = counted(solver, "family_images")
     assemble(OscillatorProblem(alpha=ORDERS[name], **SINGLE_WELL),
              WaveletBasisSpec(2, 3, 0.5))
     assert images.calls == 1
@@ -122,14 +122,32 @@ def test_one_point_methods_build_only_their_matrix(counted, method, image_calls,
 
 
 def _rows(spec, plot=False):
-    """The points of a run's one image call on ``spec``: its collocation grid,
-    the table points, then the plot points."""
+    """The points of a run's images of ``spec``: its collocation grid, the
+    table points, then the plot points."""
     parts = [solver.collocation_grid(spec), TABLE_POINTS] + [PLOT_GRID] * plot
     return np.concatenate(parts)
 
 
-def test_plot_data_makes_one_image_call_per_basis(counted):
-    images = counted(solver, "basis_images")
+def _passes(images):
+    """Per recorded :func:`fracops.family_images` call: its bases, the points
+    each basis reads (its own, then the shared ones) and its orders."""
+    passes = []
+    for specs, lam, ts, own in images.args:
+        ends = np.cumsum([0, *own])
+        rows = [np.concatenate([ts[a:b], ts[ends[-1]:]]) for a, b in zip(ends, ends[1:])]
+        passes.append((list(specs), rows, lam))
+    return passes
+
+
+def _check_rows(passes, plot=False):
+    """Each basis of each pass reads exactly its own rows of a run."""
+    for specs, rows, _ in passes:
+        assert len(rows) == len(specs)
+        assert all(np.array_equal(r, _rows(spec, plot)) for spec, r in zip(specs, rows))
+
+
+def test_plot_data_makes_one_term_pass_per_family(counted):
+    images = counted(solver, "family_images")
     cfg = preset_config(
         "example1-single", alpha=("1.5", VARIABLE, "2"),
         basis=((1, 3, 0.5), (2, 3, 0.5), (1, 4, 0.5)),
@@ -138,16 +156,17 @@ def test_plot_data_makes_one_image_call_per_basis(counted):
     table = run_experiment(cfg, curves)
     emit_plot_data(curves)
     assert not table.meta["failed_columns"] and len(curves) == 9
-    # three bases, three alpha columns each: one call per basis serves the
-    # solves, the residual columns and the curves
-    assert images.calls == 3
-    assert all(np.array_equal(ts, _rows(spec, plot=True)) for spec, _, ts in images.args)
+    # three bases in two (k, gamma) families, three alpha columns each: one
+    # pass per family serves the solves, the residual columns and the curves
+    passes = _passes(images)
+    assert [specs for specs, _, _ in passes] == [[cfg.specs[0], cfg.specs[2]], [cfg.specs[1]]]
+    _check_rows(passes, plot=True)
     # I^1, I^2 and one Caputo order per alpha
-    assert all(np.shape(lam)[0] == 2 + 3 for _, lam, _ in images.args)
+    assert all(np.shape(lam)[0] == 2 + 3 for _, _, lam in passes)
 
 
-def test_residual_table_makes_one_image_call_per_basis(counted):
-    images = counted(solver, "basis_images")
+def test_residual_table_makes_one_term_pass_per_family(counted):
+    images = counted(solver, "family_images")
     cfg = preset_config(
         "example1-single", alpha=("1.5", VARIABLE, "2"), basis=((1, 3, 0.5), (2, 3, 0.5)),
     )
@@ -155,47 +174,80 @@ def test_residual_table_makes_one_image_call_per_basis(counted):
     assert not table.meta["failed_columns"]
     assert cfg.metrics == ("residual",) and len(table.columns) == 6
     # the six solves and the table's residual columns read the rows of one
-    # call per basis, at the Chebyshev grid and then at the table points
-    assert images.calls == 2
-    assert [spec for spec, _, _ in images.args] == list(cfg.specs)
-    assert all(np.array_equal(ts, _rows(spec)) for spec, _, ts in images.args)
+    # pass per family, at the Chebyshev grid and then at the table points
+    passes = _passes(images)
+    assert [specs for specs, _, _ in passes] == [[spec] for spec in cfg.specs]
+    _check_rows(passes)
     # I^1, I^2 and one Caputo order per alpha column
-    assert [np.shape(lam)[0] for _, lam, _ in images.args] == [2 + 3, 2 + 3]
+    assert [np.shape(lam)[0] for _, _, lam in passes] == [2 + 3, 2 + 3]
 
 
-def test_ae_table_makes_one_image_call_per_basis(counted):
-    images = counted(solver, "basis_images")
+def test_ae_table_makes_one_term_pass_per_family(counted):
+    images = counted(solver, "family_images")
     table = run_experiment(preset_config("example1-single", metrics=("AE", "MAE", "residual")))
     assert not table.meta["failed_columns"] and len(table.columns) == 9 + 2
-    # the AE and MAE values come from the I^2 rows of the same call
-    assert images.calls == len(PRESET_SWEEP["gamma"])
-    assert all(np.array_equal(ts, _rows(spec)) for spec, _, ts in images.args)
+    # one basis per gamma, each a family of its own; the AE and MAE values
+    # come from the I^2 rows of the same pass
+    passes = _passes(images)
+    assert [[spec.gamma for spec in specs] for specs, _, _ in passes] == [
+        [gamma] for gamma in PRESET_SWEEP["gamma"]
+    ]
+    _check_rows(passes)
 
 
-def test_constant_order_family_assembles_once_per_basis(counted):
-    # the curves_const shape: four constant orders on two bases
-    images = counted(solver, "basis_images")
+def test_constant_order_family_makes_one_term_pass(counted):
+    # the curves_const shape: four constant orders on two bases of one family
+    images = counted(solver, "family_images")
     cfg = preset_config(
         "example1-single", alpha=("1.2", "1.4", "1.6", "1.8"), basis=((1, 3, 0.2), (1, 5, 0.2)),
     )
     curves = []
     table = run_experiment(cfg, curves)
     assert not table.meta["failed_columns"] and len(table.columns) == 8 and len(curves) == 8
-    assert [spec for spec, _, _ in images.args] == list(cfg.specs)
-    assert all(np.array_equal(ts, _rows(spec, plot=True)) for spec, _, ts in images.args)
+    passes = _passes(images)
+    assert [specs for specs, _, _ in passes] == [list(cfg.specs)]
+    _check_rows(passes, plot=True)
     # I^1, I^2 and one Caputo order per alpha
-    assert all(np.shape(lam)[0] == 2 + 4 for _, lam, _ in images.args)
+    assert all(np.shape(lam)[0] == 2 + 4 for _, _, lam in passes)
 
 
 def test_refinement_criterion_runs_one_table_per_preset(counted):
     runs = counted(acceptance, "run_experiment")
-    images = counted(solver, "basis_images")
+    images = counted(solver, "family_images")
     acceptance.criterion_05()
     assert runs.calls == len(acceptance.ALL_PRESETS)
-    # one image call per preset and basis, each for the four alphas at once
-    assert images.calls == 2 * len(acceptance.ALL_PRESETS)
-    assert all(np.array_equal(ts, _rows(spec)) for spec, _, ts in images.args)
-    assert [np.shape(lam)[0] for _, lam, _ in images.args] == [2 + 4] * 8
+    # M = 3 and M = 5 at gamma = 0.2 are one family: one pass per preset,
+    # for both bases and the four alphas at once
+    passes = _passes(images)
+    assert [[(s.k, s.M, s.gamma) for s in specs] for specs, _, _ in passes] == [
+        [(1, 3, 0.2), (1, 5, 0.2)]
+    ] * len(acceptance.ALL_PRESETS)
+    _check_rows(passes)
+    assert [np.shape(lam)[0] for _, _, lam in passes] == [2 + 4] * 4
+
+
+@pytest.mark.parametrize("block", [None, 40], ids=["one block", "blocks of 40 points"])
+def test_a_family_forms_each_power_once_at_its_largest_M(counted, monkeypatch, block):
+    # the terms, and with them every long-double power (T s)**p and s**lam,
+    # are formed once per (point, cell, term) of the family, at its largest
+    # M: in one call when they fit in one block, and otherwise each basis's
+    # own points in blocks of their own and the shared points once for all
+    # three bases
+    terms = counted(fracops, "_image_terms")
+    cfg = preset_config(
+        "example1-single", alpha=("1.5", VARIABLE), basis=((2, 5, 0.5), (2, 1, 0.5), (2, 3, 0.5)),
+    )
+    if block is not None:
+        monkeypatch.setattr(fracops, "IMAGE_BLOCK", block * (2 + 2) * 2 * 6)
+    run_experiment(cfg, [])
+    specs = cfg.specs
+    expected = np.concatenate([*map(solver.collocation_grid, specs), TABLE_POINTS, PLOT_GRID])
+    assert all(spec == WaveletBasisSpec(2, 5, 0.5) for spec, _, _ in terms.args)
+    formed = np.concatenate([pts for _, _, pts in terms.args])
+    assert np.array_equal(np.sort(formed), np.sort(expected))
+    # the own points of the three bases, then the table and plot points
+    sizes = (24, 8, 16, len(TABLE_POINTS) + PLOT_POINTS)
+    assert terms.calls == (1 if block is None else sum(-(-n // block) for n in sizes))
 
 
 @pytest.mark.parametrize("points", [1, 7, 401])

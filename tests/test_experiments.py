@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from fobw.experiments import (
     PLOT_POINTS,
     PRESET_PROBLEMS,
     ExperimentConfig,
+    basis_sweep,
     build_order,
     emit_plot_data,
     emit_table,
@@ -316,6 +318,23 @@ class TestRunExperiment:
         for vals in table.columns.values():
             assert all(np.isfinite(vals))
         assert max(table.columns["AE gamma=1 M=5"]) < 1e-5
+
+    def test_a_wide_M_sweep_takes_bounded_memory(self):
+        # eight bases of one (k, gamma) family with curves: the family holds
+        # the terms of the shared table and plot points and one basis's
+        # images at a time.  One image call per basis peaked at 17.6 MiB
+        # here; one term pass per family takes 12.4 MiB.
+        cfg = preset_config("example1-single", alpha=("1.5",),
+                            basis=basis_sweep(4, range(1, 16, 2), (0.5,)))
+        curves = []
+        tracemalloc.start()
+        try:
+            table = run_experiment(cfg, curves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not table.meta["failed_columns"] and len(curves) == 8
+        assert peak < 16 * 2**20
 
     def test_residual_sweep_shape(self):
         cfg = preset_config(

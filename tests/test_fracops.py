@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fobw import fracops
 from fobw.basis import WaveletBasisSpec, _local_values, fobw_matrix, local_series_table
-from fobw.fracops import basis_images, order_values
+from fobw.fracops import basis_images, family_images, order_values
 from fobw.oracles import (
     AccuracyError,
     BasisIndex,
@@ -447,6 +447,43 @@ class TestSharedImageTable:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestFamilyImages:
+    """One term pass for the bases of a (k, gamma) family, at its largest M,
+    against a lone :func:`basis_images` call for each basis."""
+
+    @pytest.mark.parametrize("block", [None, 3], ids=["one block", "blocks of 3 points"])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("Ms", [(3, 5), (0, 2, 4), (7, 1)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_basis_equals_a_lone_call(self, monkeypatch, k, Ms, gamma, block):
+        # whole, zero and fractional constant orders and a variable row with
+        # zeros; points of each basis alone, then shared points on every
+        # cell end (multiples of 1/4) and between them
+        specs = [WaveletBasisSpec(k, M, gamma) for M in Ms]
+        own = [np.linspace(0.02 + 0.01 * M, 0.97, M + 2) for M in Ms]
+        shared = np.concatenate([np.linspace(0.0, 1.0, 9), [0.37, 0.61]])
+        ts = np.concatenate([*own, shared])
+        varying = 0.5 - 0.3 * np.sin(4 * ts)
+        lams = np.stack(np.broadcast_arrays(1.0, 2.0, 0.0, 0.5, np.where(ts > 0.6, 0.0, varying)))
+        alone = []
+        for i, spec in enumerate(specs):
+            start = sum(p.size for p in own[:i])
+            rows = np.r_[start:start + own[i].size, ts.size - shared.size:ts.size]
+            alone.append(basis_images(spec, lams[:, rows], ts[rows]))
+        if block is not None:
+            monkeypatch.setattr(fracops, "IMAGE_BLOCK", block * 5 * 2 ** (k - 1) * (max(Ms) + 1))
+        family = family_images(specs, lams, ts, [p.size for p in own])
+        for images, expected in zip(family, alone, strict=True):
+            # long doubles are summed, doubles compared: by value and sign
+            assert np.array_equal(images, expected)
+            assert np.array_equal(np.signbit(images), np.signbit(expected))
+
+    def test_bases_must_share_k_and_gamma(self):
+        specs = [WaveletBasisSpec(1, 3, 0.5), WaveletBasisSpec(2, 3, 0.5)]
+        with pytest.raises(ValueError, match="share k and gamma"):
+            next(family_images(specs, 1.0, np.array([0.5]), [0, 0]))
 
 
 class TestCutFactors:

@@ -79,8 +79,8 @@ class TestAssemble:
             OscillatorProblem(alpha=alpha, **SINGLE_WELL)
             for alpha in (1.5, SIN_ORDER, ALPHA2)
         ]
-        systems = assemble_systems(problems, spec)
-        at_grid = collocation_systems(problems, spec, collocation_grid(spec))
+        (systems,) = assemble_systems(problems, [spec])
+        (at_grid,) = collocation_systems(problems, [spec], [collocation_grid(spec)])
         for problem, system, same in zip(problems, systems, at_grid, strict=True):
             alone = assemble(problem, spec)
             for name in ("grid", "alphas", "i1", "i2", "caputo_images", "phi"):
