@@ -5,8 +5,10 @@ The pieces compose bottom-up: special functions and the Chebyshev grid
 (`special`), the wavelet basis and its table of monomial coefficients
 (`basis`), closed-form variable-order fractional images of the basis
 (`fracops`), the collocation solve and the approximant it returns
-(`solver`), RK4 references and error metrics (`reference`), and
-config-driven experiment reproduction (`experiments`, `cli`).
+(`solver`), the integer-order RK4 reference (`reference`), and
+config-driven experiment reproduction and its error tables
+(`experiments`, `cli`).  A solved approximant is read through its
+``evaluate`` and ``value`` alone, its residual and error too.
 
 >>> from fobw import OscillatorProblem, WaveletBasisSpec, parse_expression, solve_problem
 >>> problem = OscillatorProblem(mu=0.1, a=0.5, b=0.5,
@@ -15,11 +17,15 @@ config-driven experiment reproduction (`experiments`, `cli`).
 >>> approx = solve_problem(problem, WaveletBasisSpec(k=1, M=5, gamma=1.0))
 >>> round(approx.value(0.5), 4)
 0.9392
+>>> v, s, c = approx.evaluate(0.5)
+>>> bool(abs(problem.residual(c, s, v, problem.forcing(0.5))) < 1e-4)
+True
 """
 
 from .basis import WaveletBasisSpec, fobw_matrix
 from .expr import Expression, ExpressionError, parse_expression
 from .experiments import (
+    ErrorTable,
     ExperimentConfig,
     emit_plot_data,
     emit_table,
@@ -29,11 +35,8 @@ from .experiments import (
 from .fracops import basis_images
 from .reference import (
     BlowupError,
-    ErrorTable,
     ReferenceTrajectory,
     UnsettledError,
-    absolute_error,
-    residual_samples,
     rk4_integrate,
     rk4_reference,
 )

@@ -3,7 +3,9 @@
 A configuration names one oscillator problem, one or more orders,
 a list of basis families to sweep, and the metrics to tabulate on an output
 grid.  Running it produces a labeled :class:`ErrorTable`, and on request
-the dense residual curves of its solves; emission to CSV or JSON is
+the dense residual curves of its solves, each value bit-identical to the
+one read from its solved approximant (see
+:meth:`fobw.solver.SolutionApproximant.evaluate`); emission to CSV or JSON is
 deterministic, so identical configurations yield byte-identical files.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 from .basis import WaveletBasisSpec, finite_real, short_repr
 from .expr import parse_expression
 from .fracops import order_values
-from .reference import BlowupError, ErrorTable, UnsettledError, rk4_reference
+from .reference import BlowupError, UnsettledError, rk4_reference
 from .solver import (
     OscillatorProblem, SolverError, assemble_systems, collocation_grid, residual_vector,
     solve_system,
@@ -257,6 +259,32 @@ def _combination_label(spec: WaveletBasisSpec, alpha_label: str, multi_alpha: bo
     return " ".join(parts)
 
 
+@dataclass(frozen=True)
+class ErrorTable:
+    """Rows of t against labeled value columns, ready for CSV or JSON emission;
+    only a column that ``meta["failed_columns"]`` lists may hold non-finite cells."""
+
+    grid: tuple[float, ...]
+    columns: dict[str, tuple[float, ...]]
+    meta: dict
+
+    def __post_init__(self):
+        grid = tuple(float(t) for t in self.grid)
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid must be strictly ascending")
+        cols = {}
+        failed = set(self.meta.get("failed_columns", ()))
+        for label, vals in self.columns.items():
+            vals = tuple(float(v) for v in vals)
+            if len(vals) != len(grid):
+                raise ValueError(f"column {label!r} length does not match the grid")
+            if label not in failed and not all(np.isfinite(vals)):
+                raise ValueError(f"column {label!r} has non-finite entries")
+            cols[label] = vals
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "columns", cols)
+
+
 def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTable:
     """Solve every (basis, alpha) combination and tabulate the metrics.
 
@@ -351,7 +379,7 @@ def _family_outcomes(cfg: ExperimentConfig, specs: list, points: np.ndarray,
     ``expected`` there (unless that is None) and its residual curve at
     :data:`PLOT_GRID` (if ``plot``), None for each left out.  One
     :func:`assemble_systems` call serves them all, each value bit-identical
-    to the standalone route's (``residual_samples``, ``absolute_error``)."""
+    to the one read from the solved approximant."""
     shared = np.concatenate([points, PLOT_GRID] if plot else [points])
     outcomes = {}
     for spec, systems in zip(specs, assemble_systems(cfg.problems, specs, shared)):

@@ -1,31 +1,25 @@
-"""Integer-order RK4 reference trajectories and the error metrics.
+"""The integer-order RK4 reference trajectory.
 
 The wavelet solutions of the integer-order cases are judged against a
 classical RK4 integration of the same oscillator, refined by step doubling
-until it checks its own accuracy (:func:`rk4_reference`); fractional cases,
-which have no closed-form solution, are judged by the residual of the
-governing equation evaluated on the approximant.
+until it checks its own accuracy (:func:`rk4_reference`).  An approximant's
+absolute error at points t is ``abs(approx.value(t) - ref.value(t))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .solver import collocation_systems, residual_vector
 
 __all__ = [
     "BlowupError",
     "UnsettledError",
     "ReferenceTrajectory",
-    "ErrorTable",
     "rk4_integrate",
     "rk4_reference",
-    "absolute_error",
-    "residual_samples",
 ]
 
 
@@ -73,31 +67,6 @@ class ReferenceTrajectory(NamedTuple):
                 + h11 * self.step * self.slopes[idx + 1]
             )
         return float(out) if np.ndim(t) == 0 else out
-
-
-@dataclass(frozen=True)
-class ErrorTable:
-    """Rows of t against labeled value columns, ready for CSV or JSON emission."""
-
-    grid: tuple[float, ...]
-    columns: dict[str, tuple[float, ...]]
-    meta: dict
-
-    def __post_init__(self):
-        grid = tuple(float(t) for t in self.grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be strictly ascending")
-        cols = {}
-        failed = set(self.meta.get("failed_columns", ()))
-        for label, vals in self.columns.items():
-            vals = tuple(float(v) for v in vals)
-            if len(vals) != len(grid):
-                raise ValueError(f"column {label!r} length does not match the grid")
-            if label not in failed and not all(np.isfinite(vals)):
-                raise ValueError(f"column {label!r} has non-finite entries")
-            cols[label] = vals
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "columns", cols)
 
 
 def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
@@ -186,37 +155,3 @@ def _values_or_nan(problem, n, points):
         return rk4_integrate(problem, 1.0 / n).value(points)
     except BlowupError:
         return np.full(np.shape(points), np.nan)
-
-
-def absolute_error(approx, ref, t):
-    """|approx(t) - ref(t)|; either side may be an approximant or a plain callable.
-
-    An array ``t`` gives an array, when both sides accept arrays.
-    """
-    err = np.abs(
-        np.asarray(getattr(approx, "value", approx)(t), dtype=float)
-        - np.asarray(getattr(ref, "value", ref)(t), dtype=float)
-    )
-    return float(err) if np.ndim(t) == 0 else err
-
-
-def residual_samples(approximants, t) -> list[np.ndarray]:
-    """Magnitude of the governing equation evaluated on each approximant at
-    the points ``t``, as an array of ``t``'s shape.
-
-    An approximant's residual is that of the collocation system of its
-    ``problem`` at ``t``.  The approximants on one basis share one
-    :func:`fobw.solver.collocation_systems` call, and each sample is
-    bit-identical to a lone call's."""
-    ts = np.asarray(t, dtype=float)
-    by_spec: dict = {}
-    for j, approx in enumerate(approximants):
-        by_spec.setdefault(approx.spec, []).append(j)
-    samples = [None] * len(approximants)
-    for spec, members in by_spec.items():
-        problems = [approximants[j].problem for j in members]
-        (systems,) = collocation_systems(problems, [spec], [ts.ravel()])
-        for j, system in zip(members, systems):
-            residual = residual_vector(system, approximants[j].coefficients)
-            samples[j] = np.abs(residual).reshape(ts.shape)
-    return samples

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import fobw
 from fobw.basis import WaveletBasisSpec, fobw_matrix
 from fobw.fracops import basis_images, order_values
-from fobw.reference import residual_samples, rk4_integrate, absolute_error
+from fobw.reference import rk4_integrate
 from fobw.experiments import PRESET_PROBLEMS, order_label
 from fobw.expr import parse_expression
 from fobw.solver import (
@@ -49,10 +49,16 @@ def manufactured_cos_problem():
     return OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=ALPHA2, init_value=1.0)
 
 
+def residual(approx, t):
+    """|equation| on ``approx`` at ``t``, read from its ``evaluate``."""
+    v, s, c = approx.evaluate(t)
+    return abs(approx.problem.residual(c, s, v, approx.problem.forcing(t)))
+
+
 class TestAssemble:
     def test_shapes(self):
         system = assemble(manufactured_cos_problem(), WaveletBasisSpec(1, 3, 1.0))
-        assert system.grid.shape == system.alphas.shape == system.phi.shape == (4,)
+        assert system.grid.shape == system.phi.shape == (4,)
         for mat in (system.i1, system.i2, system.caputo_images):
             assert mat.shape == (4, 4)
 
@@ -62,9 +68,12 @@ class TestAssemble:
             assert np.array_equal(system.caputo_images, fobw_matrix(spec, system.grid))
 
     def test_variable_order_rows_increase(self):
+        # row r holds the images of order 2 - alpha(t_r) at its own point t_r
         problem = OscillatorProblem(alpha=SIN_ORDER, **SINGLE_WELL)
-        system = assemble(problem, WaveletBasisSpec(1, 3, 1.0))
-        assert np.all(np.diff(system.alphas) > 0)
+        spec = WaveletBasisSpec(1, 3, 1.0)
+        system = assemble(problem, spec)
+        for t, row in zip(system.grid, system.caputo_images, strict=True):
+            assert np.array_equal(row, basis_images(spec, 2.0 - SIN_ORDER(t), t))
 
     def test_single_point_basis_warns(self):
         with pytest.warns(UserWarning):
@@ -83,7 +92,7 @@ class TestAssemble:
         (at_grid,) = collocation_systems(problems, [spec], [collocation_grid(spec)])
         for problem, system, same in zip(problems, systems, at_grid, strict=True):
             alone = assemble(problem, spec)
-            for name in ("grid", "alphas", "i1", "i2", "caputo_images", "phi"):
+            for name in ("grid", "i1", "i2", "caputo_images", "phi"):
                 assert np.array_equal(getattr(system, name), getattr(alone, name)), name
                 assert np.array_equal(getattr(same, name), getattr(alone, name)), name
             approx = solve_system(system)
@@ -140,12 +149,12 @@ class TestNewton:
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 1.0))
         assert approx.report.converged
         reference = rk4_integrate(problem, 1e-4)
-        assert absolute_error(approx, reference, 0.1) <= 1e-6
+        assert abs(approx.value(0.1) - reference.value(0.1)) <= 1e-6
 
     def test_fractional_order_residual_magnitude(self):
         problem = OscillatorProblem(alpha=1.5, **SINGLE_WELL)
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 0.2))
-        assert residual_samples([approx], 0.5)[0] <= 7.9e-4
+        assert residual(approx, 0.5) <= 7.9e-4
 
     def test_permutation_invariance(self):
         problem = OscillatorProblem(alpha=ALPHA2, **SINGLE_WELL)
@@ -155,7 +164,6 @@ class TestNewton:
         perm = rng.permutation(6)
         shuffled = system._replace(
             grid=system.grid[perm],
-            alphas=system.alphas[perm],
             i1=system.i1[perm],
             i2=system.i2[perm],
             caputo_images=system.caputo_images[perm],
@@ -205,7 +213,7 @@ class TestSingularity:
         rows = np.arange(16)
         rows[1] = 0
         system = system._replace(**{name: getattr(system, name)[rows] for name in
-                                    ("grid", "alphas", "i1", "i2", "caputo_images", "phi")})
+                                    ("grid", "i1", "i2", "caputo_images", "phi")})
         with pytest.raises(SolverError, match="singular") as info:
             solve_system(system)
         report = info.value.report
@@ -239,12 +247,12 @@ class TestCellRefinement:
         # alpha = 2, gamma = 1: the largest AE against RK4 at the table points
         # falls 14.7x to 29.4x per step of k = 1..5 on the per-cell grid
         problem = preset_problem(preset, ALPHA2)
-        reference = rk4_integrate(problem, 1e-4)
-        errors = [
-            absolute_error(solve_problem(problem, WaveletBasisSpec(k, M, 1.0)), reference,
-                           np.array(TABLE_POINTS)).max()
-            for k in range(1, 6)
-        ]
+        points = np.array(TABLE_POINTS)
+        expected = rk4_integrate(problem, 1e-4).value(points)
+        errors = []
+        for k in range(1, 6):
+            approx = solve_problem(problem, WaveletBasisSpec(k, M, 1.0))
+            errors.append(np.abs(approx.value(points) - expected).max())
         assert all(fine * 10 <= coarse for coarse, fine in zip(errors, errors[1:])), errors
 
     @settings(max_examples=60, deadline=None)
@@ -312,7 +320,7 @@ class TestSolveProblem:
         )
         approx = solve_problem(problem, WaveletBasisSpec(1, 5, 1.0))
         reference = rk4_integrate(problem, 1e-4)
-        assert absolute_error(approx, reference, 0.5) <= 5e-4
+        assert abs(approx.value(0.5) - reference.value(0.5)) <= 5e-4
 
     def test_two_cell_basis_integer_order(self):
         # k = 2 uses the incomplete-beta images beyond the first cell
@@ -325,7 +333,30 @@ class TestSolveProblem:
         approx = solve_problem(problem, WaveletBasisSpec(2, 2, 1.0))
         assert approx.report.converged
         # converged at the nodes; sampled points between nodes stay bounded
-        assert residual_samples([approx], 0.9)[0] <= 1.0
+        assert residual(approx, 0.9) <= 1.0
+
+
+class TestManufacturedSolution:
+    # y = 1 + t^3/6 solves the example1-single equation with the forcing
+    # t^(3-alpha(t))/Gamma(4-alpha(t)) - mu y' + mu y' y^2 + a y + b y^3;
+    # y'' = t lies in the span of each basis, so the solve returns y at rounding
+    @pytest.mark.parametrize("basis", [(1, 5, 0.2), (1, 2, 0.5), (1, 3, 1.0), (2, 3, 1.0),
+                                       (3, 2, 0.5)], ids=str)
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, ALPHA2,
+                                       parse_expression("1.5 + 0.3*sin(3*t)")], ids=order_label)
+    def test_solution_in_the_basis_span_is_exact(self, alpha, basis):
+        mu, a, b = SINGLE_WELL["mu"], SINGLE_WELL["a"], SINGLE_WELL["b"]
+
+        def forcing(t):
+            order = order_values(alpha, t)
+            y, slope = 1.0 + t**3 / 6.0, t**2 / 2.0
+            caputo = t ** (3.0 - order) / np.vectorize(math.gamma)(4.0 - order)
+            return caputo - mu * slope + mu * slope * y**2 + a * y + b * y**3
+
+        problem = OscillatorProblem(**dict(SINGLE_WELL, forcing=forcing), alpha=alpha)
+        approx = solve_problem(problem, WaveletBasisSpec(*basis))
+        grid = np.linspace(0.0, 1.0, 101)
+        assert np.abs(approx.value(grid) - (1.0 + grid**3 / 6.0)).max() <= 1e-12
 
 
 class TestEvaluate:
@@ -367,20 +398,21 @@ class TestEvaluate:
         assert all(v.shape == ts.shape for v in approx.evaluate(ts))
 
     def test_evaluate_and_value_are_the_only_evaluators(self):
-        # value, slope and Caputo image come from evaluate, the residual from
-        # residual_samples, y'' from fobw_matrix
+        # value, slope and Caputo image come from evaluate, and so does the
+        # residual, through OscillatorProblem.residual; y'' from fobw_matrix
         methods = {name for name in dir(SolutionApproximant) if not name.startswith("_")}
         extra = methods - set(SolutionApproximant._fields) - {"count", "index"}
         assert extra == {"evaluate", "value"}
-        assert not hasattr(fobw, "residual_sample")
-        assert not hasattr(fobw.reference, "residual_sample")
+        for name in ("residual_sample", "residual_samples", "absolute_error"):
+            assert not hasattr(fobw, name)
+            assert not hasattr(fobw.reference, name)
 
     @pytest.mark.parametrize("t", [1.5, -0.2, np.array([0.5, 1.0 + 1e-12]), math.nan])
     def test_points_outside_the_unit_interval_raise(self, t):
         # the images check their points in basis_images, the basis vectors in fobw_matrix
         approx = self._approximant(2, self.ORDERS[1])
         for evaluate in (
-            approx.value, approx.evaluate, lambda ts: residual_samples([approx], ts)[0],
+            approx.value, approx.evaluate,
             lambda ts: fobw_matrix(approx.spec, np.atleast_1d(ts)) @ approx.coefficients,
         ):
             with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
@@ -396,7 +428,7 @@ class TestRefinementMonotonicity:
         maxima = {}
         for M in (3, 5):
             approx = solve_problem(problem, WaveletBasisSpec(1, M, 0.2))
-            maxima[M] = max(residual_samples([approx], t)[0] for t in TABLE_POINTS)
+            maxima[M] = max(residual(approx, t) for t in TABLE_POINTS)
         assert maxima[5] <= maxima[3]
 
 
