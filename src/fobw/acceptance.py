@@ -54,8 +54,8 @@ def _columns(preset: str, **overrides) -> dict[str, tuple[float, ...]]:
 
 def criterion_01():
     """Single-well, alpha=2, gamma=1, M=5: AE <= 1e-6, under 5 s, against the
-    step-doubled RK4 reference (runs agree to 1e-12, at most 102400 steps,
-    confirmed by a run of one step fewer)."""
+    step-doubled RK4 reference (two successive runs of coprime step counts
+    agree to 1e-12, at most 102401 steps)."""
     start = time.perf_counter()
     worst = float(np.max(_columns("example1-single", basis=AE_BASIS)[AE_LABEL]))
     elapsed = time.perf_counter() - start

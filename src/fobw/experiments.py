@@ -292,14 +292,16 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
     reference (:func:`rk4_reference`) that blows up or does not settle for
     the AE/MAE columns, leaves NaN sentinel columns, listed in the ``meta``
     key ``failed_columns``, and the cause of each, in the order met, in
-    ``warnings``.  A table with a reference carries its error estimate as
-    the ``meta`` key ``reference_error``.  When ``curves`` is a list, the
-    dense residual curve of every converged solve, at :data:`PLOT_GRID`, is
-    appended to it as ``(plot label, curve)``, ready for
-    :func:`emit_plot_data`.  The bases of each (k, gamma) family share one
-    term pass per run (:func:`_family_outcomes`), and each basis's rows at
-    its collocation grid, the output grid and the plot points serve its
-    solves, table columns and curves for every alpha.  A table carries the
+    ``warnings``, after a note for each basis of one collocation point,
+    which cannot represent oscillation.  A table with a reference carries
+    its error estimate as the ``meta`` key ``reference_error``.  When
+    ``curves`` is a list, the dense residual curve of every converged
+    solve, at :data:`PLOT_GRID`, is appended to it as ``(plot label,
+    curve)``, ready for :func:`emit_plot_data`.  The bases of each (k,
+    gamma) family share one term pass per run (:func:`_family_outcomes`),
+    and each basis's rows at its collocation grid, the output grid and the
+    plot points serve its solves, table columns and curves for every
+    alpha.  A table carries the
     :data:`COMPARISON_COLUMNS` of the config's ``preset`` exactly when it
     has an AE metric and the output grid is :data:`TABLE_POINTS`.
     """
@@ -308,7 +310,8 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
     nan_column = tuple(math.nan for _ in grid)
     columns: dict[str, tuple] = {}
     failed: list[str] = []
-    warnings: list[str] = []
+    warnings = [f"basis {_combination_label(spec, '', False)}: a single collocation point "
+                "cannot represent oscillation" for spec in cfg.specs if spec.sigma_tilde == 1]
     multi_alpha = len(cfg.problems) > 1
 
     expected = None  # the reference's values at the points

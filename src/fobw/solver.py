@@ -12,7 +12,6 @@ evaluated through the same rows.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -127,7 +126,7 @@ def collocation_systems(problems, specs, grids, shared=()):
     its own basis's rows alone, bit-identical to a lone call's."""
     ts = np.concatenate([*grids, shared]).astype(float, copy=False)
     lams = np.broadcast_arrays(1.0, 2.0, *(2.0 - order_values(p.alpha, ts) for p in problems))
-    phis = [np.asarray(p.forcing(ts), dtype=float) for p in problems]
+    phis = [np.full(ts.shape, p.forcing(ts), dtype=float) for p in problems]
     own = [len(grid) for grid in grids]
     ends = [0, *accumulate(own)]
     images = family_images(specs, np.stack(lams), ts, own)
@@ -153,10 +152,6 @@ def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
 def assemble_systems(problems, specs, shared=()):
     """:func:`collocation_systems` at each basis's :func:`collocation_grid`,
     then at the ``shared`` points, where a run reads its table and curves."""
-    for spec in specs:
-        if spec.sigma_tilde == 1:
-            warnings.warn("a single collocation point cannot represent oscillation",
-                          stacklevel=2)
     return collocation_systems(problems, specs, [collocation_grid(s) for s in specs], shared)
 
 

@@ -25,6 +25,18 @@ class TestPresetCommand:
         captured = capsys.readouterr().out
         assert captured.startswith("t,")
 
+    def test_single_point_basis_note_is_one_warning_line(self, capsys):
+        # the note is the table's: one [WARNING] line on stderr, the same text
+        # in meta.warnings, and no failed column, so the exit code is 0
+        note = "basis gamma=1 M=0: a single collocation point cannot represent oscillation"
+        argv = ["preset", "example1-single", "--M", "0", "--gamma", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == f"[WARNING] fobw: {note}\n"
+        assert main([*argv, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"[WARNING] fobw: {note}\n"
+        assert json.loads(captured.out)["meta"]["warnings"] == [note]
+
     def test_fractional_alpha_override(self, tmp_path):
         out = tmp_path / "resid.csv"
         code = main(

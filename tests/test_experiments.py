@@ -400,9 +400,11 @@ class TestRunExperiment:
             {"mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,
              "alpha": [2.0, 1.5], "basis": [[1, 0, 1.0]], "metrics": ["residual"]}
         )
-        with pytest.warns(UserWarning, match="a single collocation point") as record:
-            run_experiment(cfg)
-        assert sum("a single collocation point" in str(w.message) for w in record) == 1
+        table = run_experiment(cfg)
+        assert table.meta["warnings"] == [
+            "basis gamma=1 M=0: a single collocation point cannot represent oscillation"
+        ]
+        assert not table.meta["failed_columns"]
 
     def test_reference_blowup_fails_the_ae_columns_only(self, monkeypatch):
         import fobw.experiments as experiments_module

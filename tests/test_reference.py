@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ class TestRK4:
         with pytest.raises(ValueError):
             rk4_integrate(harmonic_problem(), 0.0)
 
+    def test_scalar_valued_forcing_is_read_as_the_constant(self):
+        runs = [
+            rk4_integrate(OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=ALPHA2, forcing=forcing),
+                          1e-3)
+            for forcing in (lambda t: 1.0, parse_expression("1"))
+        ]
+        assert np.array_equal(runs[0].values, runs[1].values)
+        assert np.array_equal(runs[0].slopes, runs[1].slopes)
+
+    @pytest.mark.parametrize("t", [1.5, -0.5, math.nan, [0.5, 1.0 + 1e-9]])
+    def test_value_outside_the_interval_is_rejected(self, t):
+        traj = rk4_integrate(harmonic_problem(), 1e-2)
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            traj.value(t)
+
     def test_requires_integer_order(self):
         # an expression that is 2 everywhere is a callable all the same: only
         # the constant 2 is the integer order
@@ -92,7 +108,8 @@ class TestRK4Reference:
         problem = preset_config(preset).problems[0]
         steps = record_steps(monkeypatch)
         reference, error = rk4_reference(problem, TABLE_POINTS)
-        assert steps == [100, 200, 400, 800, 799]
+        assert steps == [101, 200, 401, 800]
+        assert np.array_equal(reference.values, rk4_integrate(problem, 1 / 800).values)
         assert 0.0 < error <= 1e-13
         fine = rk4_integrate(problem, 2.5e-5)
         points = np.array(TABLE_POINTS)
@@ -109,18 +126,31 @@ class TestRK4Reference:
     def test_blowup_of_the_coarsest_run_alone_still_settles(self, monkeypatch):
         problem = preset_config("example1-single").problems[0]
         expected, _ = rk4_reference(problem, TABLE_POINTS)
-        steps = record_steps(monkeypatch, blow_up_at={100})
+        steps = record_steps(monkeypatch, blow_up_at={101})
         reference, error = rk4_reference(problem, TABLE_POINTS)
-        assert steps == [100, 200, 400, 800, 799]
+        assert steps == [101, 200, 401, 800]
         assert math.isfinite(error)
         assert np.array_equal(reference.values, expected.values)
 
-    def test_blowup_of_the_confirming_run_moves_on(self, monkeypatch):
+    def test_blowup_of_the_settling_run_moves_on(self, monkeypatch):
+        # the 800-step run would settle the preset; after its blow-up the
+        # next two runs must agree afresh
         problem = preset_config("example1-single").problems[0]
-        steps = record_steps(monkeypatch, blow_up_at={799})
+        steps = record_steps(monkeypatch, blow_up_at={800})
         reference, _ = rk4_reference(problem, TABLE_POINTS)
-        assert steps == [100, 200, 400, 800, 799, 1600, 1599]
-        assert reference.times.size == 1601
+        assert steps == [101, 200, 401, 800, 1601, 3200]
+        assert reference.times.size == 3201
+
+    def test_successive_step_counts_share_only_0_half_and_1(self):
+        # RK4 reads the forcing at i / (2n), its nodes and half-steps; a
+        # point of the coarser run is a point of the finer one exactly when
+        # its reduced denominator divides twice the finer step count
+        steps = fobw.reference.REFERENCE_STEPS
+        assert steps[0] >= 100  # so h <= 0.01, as rk4_integrate requires
+        for coarse, fine in zip(steps, steps[1:]):
+            read = (Fraction(i, 2 * coarse) for i in range(2 * coarse + 1))
+            shared = {t for t in read if (2 * fine) % t.denominator == 0}
+            assert shared == {Fraction(0), Fraction(1, 2), Fraction(1)}
 
     @pytest.mark.parametrize("forcing", [
         dict(forcing=parse_expression("sin(400*pi*t)")),
@@ -138,11 +168,11 @@ class TestRK4Reference:
         assert np.abs(reference.value(points) - fine.value(points)).max() <= 1e-12
 
     def test_blowup_at_the_cap_raises(self, monkeypatch):
-        steps = record_steps(monkeypatch, blow_up_at={102400})
+        steps = record_steps(monkeypatch, blow_up_at={102401})
         problem = OscillatorProblem(mu=0.0, a=1e6, b=0.0, alpha=ALPHA2, init_value=1.0)
-        with pytest.raises(BlowupError, match="t = 0.102400"):
+        with pytest.raises(BlowupError, match="t = 0.102401"):
             rk4_reference(problem, TABLE_POINTS)
-        assert steps[-1] == 102400
+        assert steps[-1] == 102401
 
     def test_blowup_at_every_step_fails_the_ae_and_mae_columns(self, tmp_path, monkeypatch,
                                                                capsys):
@@ -155,7 +185,7 @@ class TestRK4Reference:
         assert all(payload["columns"]["residual gamma=1 M=3"])
         assert "reference_error" not in payload["meta"]
         assert warnings == ["RK4 reference failed, AE/MAE columns are NaN: "
-                            "integration became non-finite after t = 0.102400"]
+                            "integration became non-finite after t = 0.102401"]
 
     def test_reference_that_never_settles_fails_the_ae_and_mae_columns(self, tmp_path,
                                                                        capsys):
@@ -168,12 +198,12 @@ class TestRK4Reference:
         assert all(payload["columns"]["residual gamma=1 M=3"])
         (warning,) = warnings
         assert warning.startswith("RK4 reference failed, AE/MAE columns are NaN: successive "
-                                  "RK4 runs did not agree to 1e-12 x max(1, |y|) by 102400 steps")
+                                  "RK4 runs did not agree to 1e-12 x max(1, |y|) by 102401 steps")
 
     def test_stiff_oscillator_never_settles(self):
         # an angular frequency of 1000: RK4's error stays above 1e-12 even at the cap
         problem = OscillatorProblem(mu=0.0, a=1e6, b=0.0, alpha=ALPHA2, init_value=1.0)
-        with pytest.raises(UnsettledError, match="by 102400 steps; the last two differ"):
+        with pytest.raises(UnsettledError, match="by 102401 steps; the last two differ"):
             rk4_reference(problem, TABLE_POINTS)
 
 

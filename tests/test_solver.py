@@ -75,9 +75,11 @@ class TestAssemble:
         for t, row in zip(system.grid, system.caputo_images, strict=True):
             assert np.array_equal(row, basis_images(spec, 2.0 - SIN_ORDER(t), t))
 
-    def test_single_point_basis_warns(self):
-        with pytest.warns(UserWarning):
-            assemble(manufactured_cos_problem(), WaveletBasisSpec(1, 0, 1.0))
+    def test_single_point_basis_assembles_without_a_warning(self):
+        # the note that one point cannot represent oscillation is the run's
+        # (meta.warnings); a library assembly just builds the 1 x 1 system
+        system = assemble(manufactured_cos_problem(), WaveletBasisSpec(1, 0, 1.0))
+        assert system.caputo_images.shape == (1, 1)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_systems_of_one_call_equal_lone_assemblies(self, k):
@@ -463,6 +465,18 @@ class TestProblemValidation:
         # a forcing is a callable of t; text is the config's, parsed there
         with pytest.raises(ValueError, match="forcing must be a callable of t"):
             OscillatorProblem(mu=0.1, a=0.5, b=0.5, forcing="driven", alpha=ALPHA2)
+
+    def test_scalar_valued_forcing_is_read_as_the_constant(self):
+        # a callable forcing may return one number, as an order may
+        spec = WaveletBasisSpec(1, 3, 1.0)
+        solved = [
+            solve_problem(OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=alpha,
+                                            init_value=1.0, forcing=forcing), spec)
+            for alpha in (ALPHA2, 1.5)
+            for forcing in (lambda t: 1.0, parse_expression("1"))
+        ]
+        for scalar, parsed in zip(solved[::2], solved[1::2]):
+            assert np.array_equal(scalar.coefficients, parsed.coefficients)
 
     def test_forcing_evaluation(self):
         problem = OscillatorProblem(alpha=ALPHA2, **SINGLE_WELL)
