@@ -1,22 +1,31 @@
 """Command-line interface.
 
     fobw solve --config FILE [--out PATH] [--format csv|json]
-    fobw preset NAME [--alpha ...] [--gamma ...] [--M ...] [--out PATH] ...
-    fobw verify [--criterion IDENT ...]
+    fobw preset NAME [--alpha LIST] [--gamma LIST] [--M LIST] [--k K]
+                [--metric AE|MAE|residual] [--out PATH] [--format csv|json]
+                [--plot-data PATH]
+    fobw verify [--criterion IDENT]...
+    fobw --help
 
-The config file is a JSON document whose keys match the ExperimentConfig
+NAME is example1-single, example1-double, example1-hump or example2.  A
+LIST is comma-separated: that of ``--alpha`` holds constants and
+expressions in t, such as ``1.5`` or ``1 + sin(t)``, and those of
+``--gamma`` and ``--M`` hold numbers.  The config file is a JSON document whose keys match the ExperimentConfig
 field names; where the table goes, and in which format, only the flags
-say.  The table is a run's whole outcome: the CLI writes its ``meta``
-warnings, then the table, and exits 1 if a column failed.  With
-``--plot-data``, the run also hands back the residual curve of each
-converged solve, and the CLI writes those curves.  Every message
-goes to stderr as one ``[ERROR] fobw: ...`` or ``[WARNING] fobw: ...`` line.
+say.  A flag's value is the next argument or follows ``=``, as in
+``--out=table.csv``; a repeated flag keeps its last value, but every
+``--criterion`` runs.  The table is a run's whole outcome: the CLI writes
+its ``meta`` warnings, then the table, and exits 1 if a column failed.
+With ``--plot-data``, the run also hands back the residual curve of each
+converged solve, and the CLI writes those curves.  ``--help`` prints this
+text.  Every message goes to stderr as one ``[ERROR] fobw: ...`` or
+``[WARNING] fobw: ...`` line, and an error, a misused flag too, exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .expr import ExpressionError, parse_expression
 from .experiments import (
@@ -47,7 +56,7 @@ def _number(text: str) -> float:
     except ExpressionError:
         number = None
     if number is None:
-        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an unsigned number")
+        raise ValueError(f"{text.strip()!r} is not an unsigned number")
     return int(number) if number.is_integer() else number
 
 
@@ -55,42 +64,64 @@ def _number_list(text: str) -> list[float]:
     return [_number(part) for part in text.split(",") if part.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fobw",
-        description="Fractional-order Bernstein wavelet collocation for "
-        "variable-order Duffing-Van der Pol oscillators",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: each command's flags as ``{flag: (reader, default)}`` and its positional
+#: as ``(name, choices)``; a reader is a function of the flag's text, the
+#: tuple of texts it may be, or ``list`` to collect every use, and a default
+#: of ``...`` makes the flag required
+_COMMANDS = {
+    "solve": ({"--config": (str, ...), "--out": (str, None),
+               "--format": (("csv", "json"), "csv")}, None),
+    "preset": ({"--alpha": (str, None), "--gamma": (_number_list, PRESET_SWEEP["gamma"]),
+                "--M": (_number_list, PRESET_SWEEP["M"]), "--k": (_number, PRESET_SWEEP["k"]),
+                "--metric": (VALID_METRICS, None), "--out": (str, None),
+                "--format": (("csv", "json"), "csv"), "--plot-data": (str, None)},
+               ("name", tuple(sorted(PRESET_PROBLEMS)))),
+    "verify": ({"--criterion": (list, None)}, None),
+}
 
-    p_solve = sub.add_parser("solve", help="run an experiment from a config file")
-    p_solve.add_argument("--config", required=True, help="JSON config path")
-    p_solve.add_argument("--out", default=None, help="output path (default: stdout)")
-    p_solve.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_preset = sub.add_parser("preset", help="run a built-in experiment preset")
-    p_preset.add_argument("name", choices=sorted(PRESET_PROBLEMS))
-    p_preset.add_argument(
-        "--alpha",
-        default=None,
-        help="comma list of constants and/or expressions in t, e.g. '1.5' or '1 + sin(t)'",
-    )
-    p_preset.add_argument("--gamma", type=_number_list, default=PRESET_SWEEP["gamma"],
-                          help="comma list of numbers")
-    p_preset.add_argument("--M", type=_number_list, default=PRESET_SWEEP["M"],
-                          help="comma list of numbers")
-    p_preset.add_argument("--k", type=_number, default=PRESET_SWEEP["k"])
-    p_preset.add_argument("--metric", choices=VALID_METRICS, default=None)
-    p_preset.add_argument("--out", default=None, help="output path (default: stdout)")
-    p_preset.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_preset.add_argument("--plot-data", default=None,
-                          help="write dense residual curves, 401 points, here")
+def _read(name: str, reader, text: str, old=None):
+    """``text`` as the value of the argument ``name``, which a ValueError names."""
+    if reader is list:
+        return [*(old or ()), text]
+    if isinstance(reader, tuple) and text not in reader:
+        raise ValueError(f"argument {name}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, reader))})")
+    try:
+        return text if isinstance(reader, tuple) else reader(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
 
-    p_verify = sub.add_parser("verify", help="run the acceptance criteria")
-    p_verify.add_argument(
-        "--criterion", action="append", default=None, help="run only the named criterion"
-    )
-    return parser
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` as its command's flags, or None if it asks for ``--help``;
+    a usage error raises ValueError."""
+    if {"-h", "--help"} & set(argv):
+        return None
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    command, *rest = argv
+    flags, positional = _COMMANDS[_read("command", tuple(_COMMANDS), command)]
+    values, extras, args = {flag: default for flag, (_, default) in flags.items()}, [], iter(rest)
+    if positional:
+        values[positional[0]] = ...
+    for arg in args:
+        flag, eq, text = arg.partition("=")
+        if flag in flags:
+            if not eq and (text := next(args, "--")).startswith("--"):
+                raise ValueError(f"argument {flag}: expected one argument")
+            values[flag] = _read(flag, flags[flag][0], text, values[flag])
+        elif positional and values[positional[0]] is ... and not arg.startswith("-"):
+            values[positional[0]] = _read(*positional, arg)
+        else:
+            extras.append(arg)
+    missing = [key for key, value in values.items() if value is ...]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **{key.lstrip("-").replace("-", "_"): value
+                                               for key, value in values.items()})
 
 
 def _emit(table, fmt: str, out: str | None, plot=None) -> int:
@@ -158,7 +189,14 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except ValueError as exc:
+        _say("ERROR", exc)
+        return 2
+    if args is None:
+        sys.stdout.write(__doc__ or "")  # python -OO strips docstrings
+        return 0
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "preset":

@@ -159,10 +159,8 @@ class TestCommandErrors:
 
         monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
         monkeypatch.setattr(fobw.experiments, "rk4_reference", refuse)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["preset", "example1-single", *flags])
-        assert exit_info.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        _assert_one_error_naming(capsys, f"unrecognized arguments: {' '.join(flags)}",
+                                 ["preset", "example1-single", *flags])
 
     @pytest.mark.parametrize(
         "grid, preset",
@@ -371,10 +369,8 @@ class TestCommandErrors:
             raise AssertionError("no solve may run")
 
         monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["preset", "example1-single", *flags])
-        assert exit_info.value.code == 2
-        assert f"argument {item} is not an unsigned number" in capsys.readouterr().err
+        _assert_one_error_naming(capsys, f"argument {item} is not an unsigned number",
+                                 ["preset", "example1-single", *flags])
 
     def test_basis_numbers_take_any_spelling_of_the_grammar(self, capsys):
         assert main(["preset", "example1-single", "--M", "3", "--gamma", "0.5,1"]) == 0
@@ -401,6 +397,85 @@ class TestCommandErrors:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: []}))
         _assert_one_error_naming(capsys, message, ["solve", "--config", str(path)])
+
+
+class TestParser:
+    def test_flag_value_after_an_equals_sign(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        assert main(["preset", "example1-single", "--format=json", f"--out={out}"]) == 0
+        assert main(["preset", "example1-single", "--format", "json"]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert json.loads(out.read_text())["meta"]["preset"] == "example1-single"
+
+    @pytest.mark.parametrize("argv", [["--out"], ["--out", "--format", "json"], ["--gamma"]],
+                             ids=["at-the-end", "before-a-flag", "number-list"])
+    def test_flag_without_its_value_is_one_error_line(self, capsys, argv):
+        _assert_one_error_naming(capsys, f"argument {argv[0]}: expected one argument",
+                                 ["preset", "example1-single", *argv])
+
+    def test_repeated_flag_keeps_its_last_value(self, capsys):
+        assert main(["preset", "example1-single", "--M", "3", "--gamma", "1"]) == 0
+        table = capsys.readouterr().out
+        assert main(["preset", "example1-single", "--M", "5", "--gamma", "0.2,0.5",
+                     "--M=3", "--gamma", "1"]) == 0
+        assert capsys.readouterr().out == table
+
+    def test_every_named_criterion_runs(self, capsys):
+        assert main(["verify", "--criterion", "criterion-01", "--criterion=criterion-10"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS criterion-01" in out and "PASS criterion-10" in out
+        assert out.endswith("2/2 criteria passed\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["preset", "example3"], "argument name: invalid choice: 'example3' (choose from "
+                                  "'example1-double', 'example1-hump', 'example1-single', "
+                                  "'example2')"),
+         (["preset", "example2", "--format", "xml"],
+          "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+         (["solve", "--config", "cfg.json", "--format=tsv"],
+          "argument --format: invalid choice: 'tsv'"),
+         (["preset", "example2", "--metric", "ae"],
+          "argument --metric: invalid choice: 'ae' (choose from 'AE', 'MAE', 'residual')"),
+         (["preset"], "the following arguments are required: name"),
+         (["solve", "--out", "t.csv"], "the following arguments are required: --config"),
+         (["simulate"], "argument command: invalid choice: 'simulate' (choose from 'solve', "
+                        "'preset', 'verify')"),
+         ([], "the following arguments are required: command")],
+        ids=["name", "preset-format", "solve-format", "metric", "no-name", "no-config",
+             "command", "empty"],
+    )
+    def test_bad_or_missing_argument_is_named(self, monkeypatch, capsys, argv, message):
+        import fobw.cli
+
+        def refuse(*args):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(fobw.cli, "run_experiment", refuse)
+        _assert_one_error_naming(capsys, message, argv)
+
+    @pytest.mark.parametrize("argv", [["--met", "AE"], ["--form", "json"], ["--plot", "p.csv"]],
+                             ids=["met", "form", "plot"])
+    def test_abbreviated_flag_is_refused(self, capsys, argv):
+        # a flag is read only by its whole name
+        _assert_one_error_naming(capsys, f"unrecognized arguments: {' '.join(argv)}",
+                                 ["preset", "example1-single", *argv])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["preset", "--help"],
+                                      ["solve", "-h"], ["preset", "example2", "--M", "3", "-h"]])
+    def test_help_prints_the_usage(self, capsys, argv):
+        import fobw.cli
+
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == fobw.cli.__doc__ and captured.err == ""
+        assert "fobw preset NAME" in captured.out
+
+    def test_usage_error_is_one_line_from_the_module_entry_point(self):
+        proc = _run_fobw(["preset", "example1-single", "--M", "t"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "[ERROR] fobw: argument --M: 't' is not an unsigned number\n"
 
 
 def _assert_one_error_naming(capsys, name, argv):

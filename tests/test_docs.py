@@ -1,6 +1,7 @@
 """The package docstring's examples and the README's library example run, the
 README's config table names exactly the config keys, its preset table
-shows each preset's forcing, and it names every key of a table's ``meta``."""
+shows each preset's forcing, and it names every key of a table's ``meta``;
+the CLI's usage text names every flag and preset its parser takes."""
 
 import doctest
 import re
@@ -8,6 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import fobw
+import fobw.cli
 from fobw.experiments import PRESET_PROBLEMS, ExperimentConfig, run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +51,11 @@ def test_readme_names_every_meta_key():
                                "reference_error"}
     text = README.read_text()
     assert [key for key in table.meta if f"`meta.{key}`" not in text] == []
+
+
+def test_usage_text_names_every_flag_and_preset():
+    # the module docstring is what --help prints
+    usage = fobw.cli.__doc__
+    names = [*fobw.cli._COMMANDS, *PRESET_PROBLEMS]
+    names += [flag for flags, _ in fobw.cli._COMMANDS.values() for flag in flags]
+    assert [name for name in names if not re.search(rf"{re.escape(name)}\b", usage)] == []
