@@ -153,13 +153,16 @@ def _local_values(spec: WaveletBasisSpec, x, rows=slice(None)) -> np.ndarray:
 
 
 def fobw_matrix(spec: WaveletBasisSpec, ts) -> np.ndarray:
-    """Basis vectors at every point of the 1-D array ``ts``, one row per point.
+    """Basis vectors at the point or every point of the 1-D array ``ts``, one
+    row per point.
 
     Row entries are ordered (eta=1: upsilon=0..M), (eta=2: ...).  A shared
     cell boundary belongs to the left cell, and t = 0 to the first.  A row
     does not depend on the other points of the call.
     """
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a point or a 1-D array of points, got shape {ts.shape}")
     if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
     eta = np.clip(np.ceil(ts * spec.translations), 1, spec.translations)

@@ -22,8 +22,8 @@ from .expr import parse_expression
 from .fracops import order_values
 from .reference import BlowupError, UnsettledError, rk4_reference
 from .solver import (
-    OscillatorProblem, SolverError, assemble_systems, collocation_grid, residual_vector,
-    solve_system,
+    OscillatorProblem, SolverError, collocation_grid, collocation_systems, newton_solve,
+    residual_vector,
 )
 
 VALID_METRICS = ("AE", "MAE", "residual")
@@ -381,16 +381,18 @@ def _family_outcomes(cfg: ExperimentConfig, specs: list, points: np.ndarray,
     at ``points`` (if a metric asks for it), its absolute error against
     ``expected`` there (unless that is None) and its residual curve at
     :data:`PLOT_GRID` (if ``plot``), None for each left out.  One
-    :func:`assemble_systems` call serves them all, each value bit-identical
-    to the one read from the solved approximant."""
+    :func:`collocation_systems` call at each basis's collocation grid serves
+    them all, each value bit-identical to the one read from the solved
+    approximant."""
     shared = np.concatenate([points, PLOT_GRID] if plot else [points])
     outcomes = {}
-    for spec, systems in zip(specs, assemble_systems(cfg.problems, specs, shared)):
+    grids = [collocation_grid(spec) for spec in specs]
+    for spec, systems in zip(specs, collocation_systems(cfg.problems, specs, grids, shared)):
         n, m = spec.sigma_tilde, spec.sigma_tilde + points.size
         outcomes[spec] = []
         for system in systems:
             try:
-                U = solve_system(system.rows(0, n)).coefficients
+                U = newton_solve(system.rows(0, n)).U
             except SolverError as exc:  # its message: the traceback would keep the system
                 outcomes[spec].append(str(exc))
                 continue

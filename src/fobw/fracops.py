@@ -67,8 +67,7 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     0 is the identity, so its row is the basis vector, :func:`fobw_matrix`.
     """
     ts = np.asarray(t, dtype=float)
-    pts = np.atleast_1d(ts)
-    (images,) = family_images([spec], lam, pts, [pts.size])
+    (images,) = family_images([spec], lam, ts, [ts.size])
     return images[..., 0, :] if ts.ndim == 0 else images
 
 
@@ -81,6 +80,9 @@ def family_images(specs, lam, t, own):
     basis that reads them, and each basis contracts its first M+1 term
     columns: bit-identical to a lone :func:`basis_images` call."""
     pts = np.asarray(t, dtype=float)
+    if pts.ndim > 1:
+        raise ValueError(f"t must be a point or a 1-D array of points, got shape {pts.shape}")
+    pts = pts.ravel()
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
     lams = np.asarray(lam, dtype=float)
@@ -145,10 +147,10 @@ def _image_terms(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     zero = orders == 0.0
     live = ~zero.all(axis=1)
     lw = np.where(zero, 1.0, orders)[live]
-    # cells that end before the entry's point cut its terms by the incomplete
-    # beta, formed before the terms so the two largest transients do not add up
-    cut = np.nonzero(~zero[live][..., None] & (tw[:, None] > hi))
-    cut_factors = _cut_factors(exps, orders, tw, lo, hi) if cut[-1].size else 1.0
+    # cells that end before a point cut its terms by the incomplete beta,
+    # formed before the terms so the two largest transients do not add up
+    point, cell = np.nonzero(tw[:, None] > hi)
+    factors = _cut_factors(exps, lw, tw, lo, hi, point, cell) if point.size else 1.0
 
     # the doubles of the orders are exact in long double, so they are
     # deduplicated in double and only the distinct ones are widened
@@ -161,7 +163,7 @@ def _image_terms(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     powers = (cells * s) ** exps
     terms = gamma_ratio(exps + 1.0, distinct[:, None])[inverse][..., None, :] * powers
     terms *= s ** lw.astype(wide)[..., None, None]
-    terms[cut] *= cut_factors
+    terms[:, point, cell] *= factors
     return live, terms
 
 
@@ -178,21 +180,18 @@ def _contract(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray, live:
         out[zero] = fobw_matrix(spec, pts[np.nonzero(zero)[1]])
 
 
-def _cut_factors(exps, orders, tw, lo, hi) -> np.ndarray:
-    """I_z(p+1, lam) of :func:`basis_images`, a row of terms per (order, point,
-    cell) entry of nonzero order whose cell ends before the point, row-major.
-    z and y get one axis of (point, cell) pairs and a constant order one row,
-    so z**(p+1) is formed per (point, cell, term), gamma per (order, term)."""
-    point, cell = np.nonzero(tw[:, None] > hi)
+def _cut_factors(exps, orders, tw, lo, hi, point, cell) -> np.ndarray:
+    """I_z(p+1, lam) of :func:`basis_images`, as a (row, pair, term) array:
+    a row per row of ``orders`` (one column per point of ``tw``), a pair per
+    (``point``, ``cell``) whose cell ends before the point.  z and y get the
+    pair axis and a constant order one column, so z**(p+1) is formed per
+    (pair, term), gamma per (order, term)."""
     beyond = (tw[point] - lo[cell])[:, None]
     z = (hi[cell] - lo[cell])[:, None] / beyond
     y = (tw[point] - hi[cell])[:, None] / beyond
-    live = orders[:, point] != 0.0
-    rows = live.any(axis=1)
-    lam = orders[rows][:, point]
-    # order 0 (the identity) takes a placeholder order, its factors dropped below
-    lam = lam[:, :1] if np.all(lam == lam[:, :1]) else np.where(lam == 0.0, 1.0, lam)
-    return betainc(exps + 1.0, lam[..., None].astype(exps.dtype), z, y)[live[rows]]
+    lam = orders[:, point]
+    lam = lam[:, :1] if np.all(lam == lam[:, :1]) else lam
+    return betainc(exps + 1.0, lam[..., None].astype(exps.dtype), z, y)
 
 
 def order_values(alpha, ts) -> np.ndarray:

@@ -31,18 +31,17 @@ __all__ = [
     "SolverError",
     "collocation_systems",
     "collocation_grid",
-    "assemble_systems",
     "assemble",
     "residual_vector",
     "newton_solve",
-    "solve_system",
     "solve_problem",
 ]
 
 
 class SolverError(RuntimeError):
-    """Raised on a singular Jacobian, NaN residuals, or when a converged solution
-    is required but missing; ``report`` holds the solve's state at that point."""
+    """Raised by :func:`newton_solve` on a non-finite start, a singular
+    Jacobian, a NaN residual or an unconverged iteration budget; ``report``
+    holds the solve's state at that point, ``converged`` False."""
 
     def __init__(self, message: str, report: "SolveReport | None" = None):
         super().__init__(message)
@@ -123,7 +122,9 @@ def collocation_systems(problems, specs, grids, shared=()):
     a generator, one basis at a time, over one :func:`family_images` pass,
     with the I^1 and I^2 rows plus one Caputo order per problem.  The forcing
     and each order are evaluated once at all the points.  Each system holds
-    its own basis's rows alone, bit-identical to a lone call's."""
+    its own basis's rows alone, bit-identical to a lone call's.  A run passes
+    each basis's :func:`collocation_grid` and reads its table and curves at
+    the ``shared`` points; :func:`assemble` is the one-problem, one-basis call."""
     ts = np.concatenate([*grids, shared]).astype(float, copy=False)
     lams = np.broadcast_arrays(1.0, 2.0, *(2.0 - order_values(p.alpha, ts) for p in problems))
     phis = [np.full(ts.shape, p.forcing(ts), dtype=float) for p in problems]
@@ -149,15 +150,9 @@ def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
     return ((eta + np.arange(cells)[:, None]) / cells).ravel()
 
 
-def assemble_systems(problems, specs, shared=()):
-    """:func:`collocation_systems` at each basis's :func:`collocation_grid`,
-    then at the ``shared`` points, where a run reads its table and curves."""
-    return collocation_systems(problems, specs, [collocation_grid(s) for s in specs], shared)
-
-
 def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationSystem:
     """The collocation system: ``problem``'s image rows at :func:`collocation_grid`."""
-    ((system,),) = assemble_systems([problem], [spec])
+    ((system,),) = collocation_systems([problem], [spec], [collocation_grid(spec)])
     return system
 
 
@@ -217,10 +212,12 @@ def newton_solve(system: CollocationSystem) -> SolveReport:
     The zero start is the straight-line initial state (the representation
     already satisfies the initial conditions), which every reference case
     converges from.  The step is halved up to 20 times until the residual
-    norm decreases, for at most ``NEWTON_MAX_ITER`` iterations, until the
-    largest residual entry is at most ``NEWTON_TOL``.  Every ``SolverError``
-    raised here carries the report of the iteration it stopped at.  Overflow
-    is not warned about: a non-finite residual is the error that names it.
+    norm decreases, until the largest residual entry is at most
+    ``NEWTON_TOL``.  The report it returns has converged; a solve that has
+    not after ``NEWTON_MAX_ITER`` iterations raises :class:`SolverError`, as
+    a non-finite start, a singular Jacobian or a NaN residual does, with the
+    report of the iteration it stopped at.  Overflow is not warned about: a
+    non-finite residual is the error that names it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         U = np.zeros(system.spec.sigma_tilde)
@@ -233,7 +230,10 @@ def newton_solve(system: CollocationSystem) -> SolveReport:
 
         if not np.all(np.isfinite(F)):
             raise failure("residual is not finite at the initial guess")
-        while norm > NEWTON_TOL and iterations < NEWTON_MAX_ITER:
+        while norm > NEWTON_TOL:
+            if iterations == NEWTON_MAX_ITER:
+                raise failure(f"Newton did not converge: residual {norm:.3e} "
+                              f"after {iterations} iterations")
             try:
                 step = _solve_linear(_jacobian(system, U), -F)
             except SolverError as exc:
@@ -250,7 +250,7 @@ def newton_solve(system: CollocationSystem) -> SolveReport:
                 damping *= 0.5
             U, F, norm = trial, F_trial, trial_norm
             iterations += 1
-        return SolveReport(U, iterations, float(norm), bool(norm <= NEWTON_TOL))
+        return SolveReport(U, iterations, float(norm), True)
 
 
 def _shaped(values: np.ndarray, like: np.ndarray):
@@ -297,18 +297,7 @@ class SolutionApproximant(NamedTuple):
         return _shaped(_value_from(self.problem, pts, i2, self.coefficients), ts)
 
 
-def solve_system(system: CollocationSystem) -> SolutionApproximant:
-    """newton_solve -> approximant; raises SolverError if not converged."""
-    report = newton_solve(system)
-    if not report.converged:
-        raise SolverError(
-            f"Newton did not converge: residual {report.final_residual_norm:.3e} "
-            f"after {report.iterations} iterations",
-            report,
-        )
-    return SolutionApproximant(system.problem, system.spec, report.U, report)
-
-
 def solve_problem(problem: OscillatorProblem, spec: WaveletBasisSpec) -> SolutionApproximant:
-    """assemble -> :func:`solve_system`."""
-    return solve_system(assemble(problem, spec))
+    """assemble -> :func:`newton_solve` -> the converged approximant."""
+    report = newton_solve(assemble(problem, spec))
+    return SolutionApproximant(problem, spec, report.U, report)

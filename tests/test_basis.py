@@ -187,6 +187,11 @@ class TestWaveletVector:
             ]
             assert np.allclose(vec, flat, rtol=0, atol=1e-12)
 
+    def test_points_of_two_axes_are_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"t must be a point or a 1-D array of points, "
+                                             r"got shape \(2, 3\)"):
+            fobw_matrix(WaveletBasisSpec(1, 3, 0.5), np.full((2, 3), 0.5))
+
     def test_cell_assignment_convention(self):
         spec = WaveletBasisSpec(2, 1, 1.0)
         assert cell_index(spec, 0.0) == 1

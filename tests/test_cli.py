@@ -75,15 +75,15 @@ class TestPresetCommand:
         import fobw.solver
 
         calls = []
-        solve = fobw.solver.solve_system
+        solve = fobw.solver.newton_solve
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        # solve_problem goes through solver.solve_system, so this counts both routes
-        monkeypatch.setattr(fobw.solver, "solve_system", counted)
-        monkeypatch.setattr(fobw.experiments, "solve_system", counted)
+        # solve_problem goes through solver.newton_solve, so this counts both routes
+        monkeypatch.setattr(fobw.solver, "newton_solve", counted)
+        monkeypatch.setattr(fobw.experiments, "newton_solve", counted)
         plot_out = tmp_path / "curves.csv"
         code = main(
             ["preset", "example1-single", "--k", "2", "--alpha", "1.5",
@@ -157,7 +157,7 @@ class TestCommandErrors:
         def refuse(*args):
             raise AssertionError("no solve may run")
 
-        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
+        monkeypatch.setattr(fobw.experiments, "newton_solve", refuse)
         monkeypatch.setattr(fobw.experiments, "rk4_reference", refuse)
         _assert_one_error_naming(capsys, f"unrecognized arguments: {' '.join(flags)}",
                                  ["preset", "example1-single", *flags])
@@ -174,7 +174,7 @@ class TestCommandErrors:
         def refuse(system):
             raise AssertionError("no solve may run")
 
-        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
+        monkeypatch.setattr(fobw.experiments, "newton_solve", refuse)
         doc = {"a": 1.0, "init_value": 1.0}
         if preset is not None:
             doc = {**PRESET_PROBLEMS[preset], "preset": preset}
@@ -274,7 +274,7 @@ class TestCommandErrors:
         def refuse(*args):
             raise AssertionError("no solve may run")
 
-        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
+        monkeypatch.setattr(fobw.experiments, "newton_solve", refuse)
         monkeypatch.setattr(fobw.experiments, "rk4_reference", refuse)
         path = tmp_path / "cfg.json"
         doc = {"a": 1.0, "init_value": 1.0, **raw} if isinstance(raw, dict) else raw
@@ -368,7 +368,7 @@ class TestCommandErrors:
         def refuse(*args):
             raise AssertionError("no solve may run")
 
-        monkeypatch.setattr(fobw.experiments, "solve_system", refuse)
+        monkeypatch.setattr(fobw.experiments, "newton_solve", refuse)
         _assert_one_error_naming(capsys, f"argument {item} is not an unsigned number",
                                  ["preset", "example1-single", *flags])
 

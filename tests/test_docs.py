@@ -1,9 +1,13 @@
 """The package docstring's examples and the README's library example run, the
 README's config table names exactly the config keys, its preset table
 shows each preset's forcing, and it names every key of a table's ``meta``;
-the CLI's usage text names every flag and preset its parser takes."""
+the CLI's usage text names every flag and preset its parser takes; and
+every name the README or a docstring cross-reference gives exists."""
 
 import doctest
+import importlib
+import inspect
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -59,3 +63,43 @@ def test_usage_text_names_every_flag_and_preset():
     names = [*fobw.cli._COMMANDS, *PRESET_PROBLEMS]
     names += [flag for flags, _ in fobw.cli._COMMANDS.values() for flag in flags]
     assert [name for name in names if not re.search(rf"{re.escape(name)}\b", usage)] == []
+
+
+#: every fobw module but ``__main__``, whose import runs the command line
+MODULES = {
+    info.name: importlib.import_module(f"fobw.{info.name}")
+    for info in pkgutil.iter_modules(fobw.__path__) if info.name != "__main__"
+}
+
+
+def _resolves(root, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(root, part):
+            return False
+        root = getattr(root, part)
+    return True
+
+
+def test_readme_names_of_fobw_modules_exist():
+    # `module.name`, and `module.Class.name`, where module is a fobw module
+    named = re.findall(r"`(\w+)\.([\w.]+)`", README.read_text())
+    missing = [f"{module}.{name}" for module, name in named
+               if module in MODULES and not _resolves(MODULES[module], name)]
+    assert sum(module in MODULES for module, _ in named) >= 10
+    assert missing == []
+
+
+def test_docstring_cross_references_resolve():
+    # a :func:, :meth:, :class: or :data: target is read as fobw.<path>, or
+    # in the module that names it, or in a class of that module
+    missing = []
+    for name, module in MODULES.items():
+        classes = [obj for obj in vars(module).values()
+                   if inspect.isclass(obj) and obj.__module__ == module.__name__]
+        text = Path(module.__file__).read_text()
+        for target in re.findall(r":(?:func|meth|class|data):`~?([\w.]+)`", text):
+            path = target.removeprefix("fobw.")
+            roots = [fobw] if path != target else [module, *classes]
+            if not any(_resolves(root, path) for root in roots):
+                missing.append(f"{name}: {target}")
+    assert missing == []

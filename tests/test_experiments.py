@@ -381,7 +381,7 @@ class TestRunExperiment:
         def refuse(system):
             raise SolverError("forced failure for the test", None)
 
-        monkeypatch.setattr(experiments_module, "solve_system", refuse)
+        monkeypatch.setattr(experiments_module, "newton_solve", refuse)
         cfg = ExperimentConfig.from_dict(
             {
                 "mu": 0.0, "a": 1.0, "b": 0.0, "init_value": 1.0,

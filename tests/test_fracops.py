@@ -261,6 +261,15 @@ class TestClosedFormImages:
         assert basis_images(spec, 0.5, 0.7).shape == (spec.sigma_tilde,)
         assert basis_images(spec, 0.5, np.array([0.7])).shape == (1, spec.sigma_tilde)
 
+    @pytest.mark.parametrize("images", [
+        lambda spec, ts: basis_images(spec, 0.5, ts),
+        lambda spec, ts: next(family_images([spec], 0.5, ts, [ts.size])),
+    ], ids=["basis_images", "family_images"])
+    def test_points_of_two_axes_are_refused_by_name(self, images):
+        with pytest.raises(ValueError, match=r"t must be a point or a 1-D array of points, "
+                                             r"got shape \(2, 3\)"):
+            images(WaveletBasisSpec(1, 3, 0.5), np.full((2, 3), 0.5))
+
 
 class TestReconstruct:
     def test_zero_coefficients(self):
@@ -492,15 +501,17 @@ class TestCutFactors:
     term) entry."""
 
     @staticmethod
-    def one_entry_factors(exps, orders, tw, lo, hi):
-        rows = []
-        for o, p, c in np.ndindex(orders.shape + hi.shape):
-            if orders[o, p] != 0.0 and tw[p] > hi[c]:
-                beyond = tw[p] - lo[c]
-                z, y = (hi[c] - lo[c]) / beyond, (tw[p] - hi[c]) / beyond
-                lam = np.longdouble(orders[o, p])
-                rows.append([betainc([e + 1.0], [lam], [z], [y])[0] for e in exps])
-        return np.array(rows, dtype=np.longdouble).reshape(-1, exps.size)
+    def one_entry_factors(exps, orders, tw, lo, hi, point, cell):
+        # the pairs are the (point, cell) whose cell ends before the point;
+        # a zero order reaches here as its placeholder, so no entry is left out
+        assert np.array_equal(np.stack([point, cell]), np.nonzero(tw[:, None] > hi))
+        out = np.empty((orders.shape[0], point.size, exps.size), dtype=np.longdouble)
+        for o, j, i in np.ndindex(out.shape):
+            p, c = point[j], cell[j]
+            beyond = tw[p] - lo[c]
+            z, y = (hi[c] - lo[c]) / beyond, (tw[p] - hi[c]) / beyond
+            out[o, j, i] = betainc([exps[i] + 1.0], [np.longdouble(orders[o, p])], [z], [y])[0]
+        return out
 
     @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
     @pytest.mark.parametrize("k, M, blocks", [(2, 5, 1), (3, 4, 1), (5, 3, 1), (3, 4, 3)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import fobw
 from fobw.basis import WaveletBasisSpec, fobw_matrix
 from fobw.fracops import basis_images, order_values
-from fobw.reference import rk4_integrate
+from fobw.reference import REFERENCE_STEPS, UnsettledError, rk4_integrate, rk4_reference
 from fobw.experiments import PRESET_PROBLEMS, order_label
 from fobw.expr import parse_expression
 from fobw.solver import (
@@ -18,13 +19,11 @@ from fobw.solver import (
     SolverError,
     _jacobian,
     assemble,
-    assemble_systems,
     collocation_grid,
     collocation_systems,
     newton_solve,
     residual_vector,
     solve_problem,
-    solve_system,
 )
 
 ALPHA2 = 2.0
@@ -47,6 +46,38 @@ def preset_problem(name, alpha):
 def manufactured_cos_problem():
     # y'' + y = 0, y(0) = 1, y'(0) = 0  ->  cos t
     return OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=ALPHA2, init_value=1.0)
+
+
+def manufactured(alpha, terms, wave=None):
+    """(problem, exact y) for y = 1 + sum c t^beta over the (c, beta) of
+    ``terms``, each beta > 1 or beta = alpha, plus at alpha = 2 the ``wave``
+    given as a (g, g', g'') triple of callables.  The problem has
+    example1-single's mu, a and b, y's value and slope at 0, and the forcing
+    that the equation's left side gives on y, with the frozen-pointwise
+    Caputo derivative D^alpha(t) t^beta = Gamma(beta+1)/Gamma(beta+1-alpha(t))
+    t^(beta-alpha(t)): at beta = alpha the constant Gamma(alpha+1), at t = 0
+    too, where numpy's 0**0 is 1."""
+    assert wave is None or alpha == ALPHA2  # D^2 g = g''; no closed form elsewhere
+    g, dg, d2g = wave or (np.zeros_like,) * 3
+    gamma = np.vectorize(math.gamma, otypes=[float])
+    mu, a, b = SINGLE_WELL["mu"], SINGLE_WELL["a"], SINGLE_WELL["b"]
+
+    def parts(t):
+        order = order_values(alpha, t)
+        value = 1.0 + g(t) + sum(c * t**beta for c, beta in terms)
+        slope = dg(t) + sum(c * beta * t ** (beta - 1.0) for c, beta in terms)
+        caputo = d2g(t) + sum(c * math.gamma(beta + 1.0) / gamma(beta + 1.0 - order)
+                              * t ** (beta - order) for c, beta in terms)
+        return value, slope, caputo
+
+    def forcing(t):
+        y, slope, caputo = parts(np.asarray(t, dtype=float))
+        return caputo - mu * slope + mu * slope * y**2 + a * y + b * y**3
+
+    (y0,), (y1,), _ = parts(np.zeros(1))
+    problem = OscillatorProblem(mu=mu, a=a, b=b, forcing=forcing, alpha=alpha,
+                                init_value=float(y0), init_slope=float(y1))
+    return problem, lambda t: parts(np.asarray(t, dtype=float))[0]
 
 
 def residual(approx, t):
@@ -90,16 +121,14 @@ class TestAssemble:
             OscillatorProblem(alpha=alpha, **SINGLE_WELL)
             for alpha in (1.5, SIN_ORDER, ALPHA2)
         ]
-        (systems,) = assemble_systems(problems, [spec])
-        (at_grid,) = collocation_systems(problems, [spec], [collocation_grid(spec)])
-        for problem, system, same in zip(problems, systems, at_grid, strict=True):
+        (systems,) = collocation_systems(problems, [spec], [collocation_grid(spec)])
+        for problem, system in zip(problems, systems, strict=True):
             alone = assemble(problem, spec)
             for name in ("grid", "i1", "i2", "caputo_images", "phi"):
                 assert np.array_equal(getattr(system, name), getattr(alone, name)), name
-                assert np.array_equal(getattr(same, name), getattr(alone, name)), name
-            approx = solve_system(system)
+            approx = solve_problem(problem, spec)
             assert approx.problem is problem and approx.spec == spec
-            assert np.array_equal(approx.coefficients, solve_problem(problem, spec).coefficients)
+            assert np.array_equal(newton_solve(system).U, approx.coefficients)
 
 
 class TestResidualVector:
@@ -138,13 +167,22 @@ class TestNewton:
         # a basis on which Newton stalls at a residual of about 0.26
         problem = OscillatorProblem(alpha=1.5, **SINGLE_WELL)
         spec = WaveletBasisSpec(1, 8, 2.0)
-        report = newton_solve(assemble(problem, spec))
+        with pytest.raises(SolverError, match="did not converge") as info:
+            newton_solve(assemble(problem, spec))
+        report = info.value.report
         assert not report.converged
         assert report.iterations == NEWTON_MAX_ITER
         assert report.final_residual_norm > NEWTON_TOL
+        assert str(info.value) == (f"Newton did not converge: residual "
+                                   f"{report.final_residual_norm:.3e} after 100 iterations")
         with pytest.raises(SolverError, match="did not converge") as failure:
             solve_problem(problem, spec)
         assert failure.value.report.iterations == NEWTON_MAX_ITER
+
+    def test_newton_solve_is_the_one_solve_of_a_system(self):
+        # a solve that ends in anything but convergence raises SolverError there
+        for name in ("solve_system", "assemble_systems"):
+            assert not hasattr(fobw, name) and not hasattr(fobw.solver, name)
 
     def test_single_well_alpha2(self):
         problem = OscillatorProblem(alpha=ALPHA2, **SINGLE_WELL)
@@ -217,7 +255,7 @@ class TestSingularity:
         system = system._replace(**{name: getattr(system, name)[rows] for name in
                                     ("grid", "i1", "i2", "caputo_images", "phi")})
         with pytest.raises(SolverError, match="singular") as info:
-            solve_system(system)
+            newton_solve(system)
         report = info.value.report
         assert report is not None and not report.converged
         assert report.iterations == 0 and report.U.shape == (16,)
@@ -270,14 +308,16 @@ class TestCellRefinement:
         problem = preset_problem(preset, alpha)
         system = assemble(problem, WaveletBasisSpec(k, M, gamma))
         try:
-            approx = solve_system(system)
+            report = newton_solve(system)
         except SolverError as exc:
             # in this range every Jacobian on the per-cell grid has full rank
             assert "singular" not in str(exc)
             assert exc.report is not None and not exc.report.converged
             return
+        assert report.converged
+        approx = SolutionApproximant(problem, system.spec, report.U, report)
         assert approx.value(0.0) == problem.init_value
-        assert np.abs(residual_vector(system, approx.coefficients)).max() <= NEWTON_TOL
+        assert np.abs(residual_vector(system, report.U)).max() <= NEWTON_TOL
 
 
 class TestMultistart:
@@ -339,26 +379,65 @@ class TestSolveProblem:
 
 
 class TestManufacturedSolution:
-    # y = 1 + t^3/6 solves the example1-single equation with the forcing
-    # t^(3-alpha(t))/Gamma(4-alpha(t)) - mu y' + mu y' y^2 + a y + b y^3;
-    # y'' = t lies in the span of each basis, so the solve returns y at rounding
+    GRID = np.linspace(0.0, 1.0, 101)
+
     @pytest.mark.parametrize("basis", [(1, 5, 0.2), (1, 2, 0.5), (1, 3, 1.0), (2, 3, 1.0),
                                        (3, 2, 0.5)], ids=str)
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, ALPHA2,
                                        parse_expression("1.5 + 0.3*sin(3*t)")], ids=order_label)
     def test_solution_in_the_basis_span_is_exact(self, alpha, basis):
-        mu, a, b = SINGLE_WELL["mu"], SINGLE_WELL["a"], SINGLE_WELL["b"]
-
-        def forcing(t):
-            order = order_values(alpha, t)
-            y, slope = 1.0 + t**3 / 6.0, t**2 / 2.0
-            caputo = t ** (3.0 - order) / np.vectorize(math.gamma)(4.0 - order)
-            return caputo - mu * slope + mu * slope * y**2 + a * y + b * y**3
-
-        problem = OscillatorProblem(**dict(SINGLE_WELL, forcing=forcing), alpha=alpha)
+        # y = 1 + t^3/6: y'' = t lies in the span of each basis, so the solve
+        # returns y at rounding
+        problem, exact = manufactured(alpha, [(1.0 / 6.0, 3.0)])
         approx = solve_problem(problem, WaveletBasisSpec(*basis))
-        grid = np.linspace(0.0, 1.0, 101)
-        assert np.abs(approx.value(grid) - (1.0 + grid**3 / 6.0)).max() <= 1e-12
+        assert np.abs(approx.value(self.GRID) - exact(self.GRID)).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_error_of_a_t_alpha_solution_falls_with_k(self, alpha, gamma):
+        # y = 1 + 0.5 t^alpha - 0.2 t^3 lies in no basis's span at M = 5: each
+        # step of k = 1..4 takes the largest error to 0.22..0.52 of the last,
+        # first order in the cell width (alpha = 1.5, gamma = 0.5: 3.98e-4,
+        # 1.41e-4, 6.94e-5, 3.50e-5)
+        problem, exact = manufactured(alpha, [(0.5, alpha), (-0.2, 3.0)])
+        errors = [
+            np.abs(solve_problem(problem, WaveletBasisSpec(k, 5, gamma)).value(self.GRID)
+                   - exact(self.GRID)).max()
+            for k in range(1, 5)
+        ]
+        assert all(fine <= 0.6 * coarse for coarse, fine in zip(errors, errors[1:])), errors
+
+
+class TestManufacturedReference:
+    # alpha = 2: y = 1 + 0.1 sin 2t - 0.2 t^3 + 0.3 t^4, so y0 = 1 and y1 = 0.2;
+    # the RK4 reference and the helper's exact y check each other
+    WAVE = (lambda t: 0.1 * np.sin(2.0 * t), lambda t: 0.2 * np.cos(2.0 * t),
+            lambda t: -0.4 * np.sin(2.0 * t))
+    POINTS = np.array(TABLE_POINTS)
+
+    def test_exact_and_reference_errors_agree_to_the_estimate(self):
+        problem, exact = manufactured(ALPHA2, [(-0.2, 3.0), (0.3, 4.0)], self.WAVE)
+        assert (problem.init_value, problem.init_slope) == (1.0, 0.2)
+        ref, estimate = rk4_reference(problem, self.POINTS)
+        y, expected = exact(self.POINTS), ref.value(self.POINTS)
+        # measured: 2.8e-14 against an estimate of 6.6e-14
+        assert np.abs(expected - y).max() <= estimate
+        for basis in [(1, 5, 1.0), (1, 5, 0.5), (2, 5, 0.5), (1, 3, 1.0)]:
+            value = solve_problem(problem, WaveletBasisSpec(*basis)).value(self.POINTS)
+            gap = np.abs(np.abs(value - y) - np.abs(value - expected)).max()
+            assert gap <= estimate, basis
+
+    def test_nonsmooth_y_settles_within_its_estimate_or_fails_by_name(self):
+        # 0.5 t^2.5 for the t^4 term makes y'' grow as t^0.5 from 0, where
+        # RK4 loses its order; today the last two runs differ by 1.856e-09
+        problem, exact = manufactured(ALPHA2, [(-0.2, 3.0), (0.5, 2.5)], self.WAVE)
+        try:
+            ref, estimate = rk4_reference(problem, self.POINTS)
+        except UnsettledError as exc:
+            assert re.search(rf"by {REFERENCE_STEPS[-1]} steps; the last two differ by up "
+                             r"to \d\.\d{3}e[-+]\d\d$", str(exc)), str(exc)
+            return
+        assert np.abs(ref.value(self.POINTS) - exact(self.POINTS)).max() <= estimate
 
 
 class TestEvaluate:
