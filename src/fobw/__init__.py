@@ -1,10 +1,10 @@
 """Fractional-order Bernstein wavelet collocation for variable-order
 Duffing-Van der Pol oscillators.
 
-The pieces compose bottom-up: special functions and the Chebyshev grid
-(`special`), the wavelet basis and its table of monomial coefficients
-(`basis`), closed-form variable-order fractional images of the basis
-(`fracops`), the collocation solve and the approximant it returns
+The pieces compose bottom-up: special functions (`special`), the wavelet
+basis and its table of monomial coefficients (`basis`), closed-form
+variable-order fractional images of the basis (`fracops`), the Chebyshev
+collocation grid, the collocation solve and the approximant it returns
 (`solver`), the integer-order RK4 reference (`reference`), and
 config-driven experiment reproduction and its error tables
 (`experiments`, `cli`).  A solved approximant is read through its
@@ -52,6 +52,5 @@ from .solver import (
     residual_vector,
     solve_problem,
 )
-from .special import chebyshev_grid
 
 __version__ = "0.1.0"

@@ -15,10 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import WaveletBasisSpec, _local_values
+from .basis import WaveletBasisSpec
 from .experiments import TABLE_POINTS, preset_config, run_experiment
 from .fracops import basis_images
-from .oracles import rl_integral_quadrature, weighted_inner_product
+from .oracles import _wavelet_image_quadrature, weighted_inner_product
 from .reference import rk4_integrate
 from .solver import OscillatorProblem, solve_problem
 
@@ -159,11 +159,9 @@ def criterion_08():
     for g in (0.2, 0.5, 1.0):
         spec = WaveletBasisSpec(1, 5, g)
         for upsilon in range(6):
-            # at k = 1 the local coordinate is t itself
-            wavelet = lambda x: _local_values(spec, x, [upsilon])[:, 0]
             for lam in (0.3, 0.5, 1.0, 1.7):
                 for t in rng.uniform(0.05, 1.0, 10):
-                    q = rl_integral_quadrature(wavelet, lam, t)
+                    q = _wavelet_image_quadrature(spec, 1, upsilon, lam, t)
                     worst = max(worst, abs(q - basis_images(spec, lam, t)[upsilon]))
     return worst <= 1e-10, f"max |analytic - quadrature| = {worst:.3e} (limit 1e-10)"
 

@@ -17,13 +17,15 @@ say.  A flag's value is the next argument or follows ``=``, as in
 ``--criterion`` runs.  The table is a run's whole outcome: the CLI writes
 its ``meta`` warnings, then the table, and exits 1 if a column failed.
 With ``--plot-data``, the run also hands back the residual curve of each
-converged solve, and the CLI writes those curves.  ``--help`` prints this
-text.  Every message goes to stderr as one ``[ERROR] fobw: ...`` or
-``[WARNING] fobw: ...`` line, and an error, a misused flag too, exits 2.
+converged solve, and the CLI writes those curves to a file other than
+``--out``'s.  ``--help`` prints this text.  Every message goes to stderr as
+one ``[ERROR] fobw: ...`` or ``[WARNING] fobw: ...`` line, and an error, a
+misused flag too, exits 2.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -160,6 +162,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_preset(args) -> int:
+    if args.out is not None and args.plot_data is not None and (
+            os.path.realpath(args.out) == os.path.realpath(args.plot_data)):
+        _say("ERROR", f"--out and --plot-data name the same file, {args.out}: "
+                      "the plot data would overwrite the table")
+        return 2
     overrides = {"basis": basis_sweep(args.k, args.M, args.gamma)}
     if args.alpha is not None:
         overrides["alpha"] = tuple(part.strip() for part in args.alpha.split(",") if part.strip())

@@ -87,8 +87,8 @@ def family_images(specs, lam, t, own):
         raise ValueError("t must lie in [0, 1]")
     lams = np.asarray(lam, dtype=float)
     lams = np.broadcast_to(lams, lams.shape[:-1] + pts.shape)
-    if np.any(lams < 0.0):
-        raise ValueError("integral order must be nonnegative")
+    if not np.all((lams >= 0.0) & (lams < np.inf)):
+        raise ValueError("integral order must be finite and nonnegative")
     largest = max(specs, key=lambda spec: spec.M)
     if any((spec.k, spec.gamma) != (largest.k, largest.gamma) for spec in specs):
         raise ValueError("the bases of a family must share k and gamma")

@@ -3,12 +3,11 @@
 The sequential RK4 sweep of :func:`fobw.reference.rk4_integrate` is a loop
 over plain Python floats, which avoids numpy's per-scalar overhead: about
 15-19 ms per 10^4 steps on an Intel Xeon core with Python 3.11.  The AE
-reference, :func:`fobw.reference.rk4_reference`, runs 101, 200, 401, 800,
-... steps, each count coprime to the next, until two successive runs agree
-at the output grid to 1e-12 max(1, |y|), with a cap of 102401 steps; each
-preset settles at 800.  ``warmup()``
-and ``USING_NUMBA`` stay for the benchmark in ``perfbench/``, which calls
-and records them.
+reference, :func:`fobw.reference.rk4_reference`, runs the step counts of
+:data:`fobw.reference.REFERENCE_STEPS` in turn until two successive runs
+agree at the output grid to :data:`fobw.reference.REFERENCE_TOLERANCE`.
+``warmup()`` and ``USING_NUMBA`` stay for the benchmark in ``perfbench/``,
+which calls and records them.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 Two families, neither on the path of any command but ``fobw verify``:
 
 * the closed-form Bernstein evaluation (:func:`bernstein_frac`,
-  :func:`fobw_eval`, :func:`weight_eval`), the factored formula of
-  :mod:`fobw.basis` evaluated point by point instead of through the table of
-  monomial coefficients;
+  :func:`fobw_eval`), the factored formula of :mod:`fobw.basis` evaluated
+  point by point instead of through the table of monomial coefficients;
 * the quadrature route (:func:`rl_integral_quadrature`,
   :func:`_wavelet_image_quadrature`, :func:`weighted_inner_product`), which
   integrates the defining singular integrals directly with composite
@@ -13,13 +12,15 @@ Two families, neither on the path of any command but ``fobw verify``:
   forms of :func:`fobw.fracops.basis_images`.
 
 The acceptance criteria and the tests import this module; the solver, the
-experiments and the CLI do not.
+experiments and the CLI do not.  Every wavelet oracle names its wavelet by
+the plain ints ``eta`` (translation, 1..2**(k-1)) and ``upsilon`` (order,
+0..M) after the basis ``spec``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from numbers import Integral
 
 import numpy as np
 
@@ -27,12 +28,10 @@ from .basis import WaveletBasisSpec, _local_values
 
 __all__ = [
     "AccuracyError",
-    "BasisIndex",
     "adaptive_unit_integral",
     "bernstein_frac",
     "fobw_eval",
     "rl_integral_quadrature",
-    "weight_eval",
     "weighted_inner_product",
 ]
 
@@ -41,32 +40,13 @@ __all__ = [
 # closed-form Bernstein evaluation
 # ---------------------------------------------------------------------------
 
-class BasisIndex(NamedTuple):
-    """Position of one wavelet: translation eta in [1, 2**(k-1)], order upsilon in [0, M]."""
-
-    eta: int
-    upsilon: int
-
-
-def _validate_index(idx: BasisIndex, spec: WaveletBasisSpec) -> None:
-    if not (1 <= idx.eta <= spec.translations):
-        raise ValueError(f"eta={idx.eta} outside [1, {spec.translations}]")
-    if not (0 <= idx.upsilon <= spec.M):
-        raise ValueError(f"upsilon={idx.upsilon} outside [0, {spec.M}]")
-
-
-def cell_bounds(spec: WaveletBasisSpec, eta: int) -> tuple[float, float]:
-    """Support of the eta-th translation: [(eta-1), eta] / 2**(k-1)."""
-    width = 1.0 / spec.translations
-    return (eta - 1) * width, eta * width
-
-
-def cell_index(spec: WaveletBasisSpec, t: float) -> int:
-    """Cell owning t.  Shared boundaries belong to the left cell, so cells are
-    half-open on the left except the first, which is closed at 0."""
-    if t <= 0.0:
-        return 1
-    return min(int(math.ceil(t * spec.translations)), spec.translations)
+def _check_index(spec: WaveletBasisSpec, eta: int, *upsilons: int) -> None:
+    """ValueError unless eta is an int in [1, 2**(k-1)] and every upsilon one in [0, M]."""
+    if not (isinstance(eta, Integral) and 1 <= eta <= spec.translations):
+        raise ValueError(f"eta={eta} outside [1, {spec.translations}]")
+    for upsilon in upsilons:
+        if not (isinstance(upsilon, Integral) and 0 <= upsilon <= spec.M):
+            raise ValueError(f"upsilon={upsilon} outside [0, {spec.M}]")
 
 
 def bernstein_frac(upsilon: int, M: int, gamma: float, t: float) -> float:
@@ -90,32 +70,17 @@ def bernstein_frac(upsilon: int, M: int, gamma: float, t: float) -> float:
     return amp * (1.0 - t**gamma) ** (M - upsilon) * inner
 
 
-def fobw_eval(idx: BasisIndex, spec: WaveletBasisSpec, t: float) -> float:
-    """Wavelet (eta, upsilon) at t; zero outside its cell."""
-    _validate_index(idx, spec)
+def fobw_eval(spec: WaveletBasisSpec, eta: int, upsilon: int, t: float) -> float:
+    """Wavelet (eta, upsilon) at t; zero outside its cell.  A shared cell
+    boundary belongs to the left cell, and t = 0 to the first."""
+    _check_index(spec, eta, upsilon)
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    if cell_index(spec, t) != idx.eta:
+    if max(1, math.ceil(t * spec.translations)) != eta:
         return 0.0
-    x = 1.0 + spec.translations * t - idx.eta
-    scale = math.sqrt(spec.gamma) * 2.0 ** ((spec.k - 1) / 2.0)
-    return scale * bernstein_frac(idx.upsilon, spec.M, spec.gamma, x)
-
-
-def weight_eval(spec: WaveletBasisSpec, eta: int, t: float) -> float:
-    """Orthogonality weight of the eta-th cell, (1 + 2**(k-1)*t - eta)**(gamma-1)."""
-    if not (1 <= eta <= spec.translations):
-        raise ValueError(f"eta={eta} outside [1, {spec.translations}]")
-    if spec.gamma == 1.0:
-        return 1.0
     x = 1.0 + spec.translations * t - eta
-    if x < 0.0 or x > 1.0:
-        raise ValueError("t outside the eta-th subinterval")
-    if x == 0.0:
-        if spec.gamma < 1.0:
-            raise ValueError("weight is singular at the left cell endpoint for gamma < 1")
-        return 0.0
-    return x ** (spec.gamma - 1.0)
+    scale = math.sqrt(spec.gamma) * 2.0 ** ((spec.k - 1) / 2.0)
+    return scale * bernstein_frac(upsilon, spec.M, spec.gamma, x)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +165,8 @@ def adaptive_unit_integral(g, max_levels: int = 20) -> float:
 # ---------------------------------------------------------------------------
 
 def rl_integral_quadrature(f, lam: float, t: float) -> float:
-    """Fractional integral of order lam of an evaluable f at t, by quadrature.
+    """Fractional integral of order lam at t, by quadrature, of ``f``, a
+    function of an array of points that returns their values.
 
     The kernel singularity at the upper limit is removed by substituting
     tau = t * (1 - v**(1/lam)):
@@ -212,29 +178,10 @@ def rl_integral_quadrature(f, lam: float, t: float) -> float:
     t = float(t)
     if not (0.0 < t <= 1.0):
         raise ValueError("t must lie in (0, 1]")
-    fv = _vectorized(f)
     inv = 1.0 / lam
-    g = lambda v: fv(t * (1.0 - v**inv))
+    g = lambda v: f(t * (1.0 - v**inv))
     j = adaptive_unit_integral(g)
     return t**lam / math.gamma(lam + 1.0) * j
-
-
-def _vectorized(f):
-    """``f`` if it maps an array of points to an array of values, else ``f``
-    looped over the points one float at a time."""
-    probe = np.array([0.25, 0.75])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-
-    def wrapped(x):
-        x = np.atleast_1d(x)
-        return np.array([float(f(xi)) for xi in x])
-
-    return wrapped
 
 
 def _wavelet_image_quadrature(
@@ -245,23 +192,21 @@ def _wavelet_image_quadrature(
 
     The kernel (t - tau)**(lam-1) is singular at tau = t, or nearly so at the
     cell end when t lies just past it, so both cases substitute it away:
-    inside the cell as above, shifted to the cell start; beyond it with
-    r = (t - tau)**lam, as (t - tau)**(lam-1) dtau = -dr/lam.
+    inside the cell by :func:`rl_integral_quadrature` from the cell start;
+    beyond it with r = (t - tau)**lam, as (t - tau)**(lam-1) dtau = -dr/lam.
     """
-    lo, hi = cell_bounds(spec, eta)
+    _check_index(spec, eta, upsilon)
+    scale = spec.translations
+    lo, hi = (eta - 1) / scale, eta / scale
     if t <= lo:
         return 0.0
     wavelet = lambda x: _local_values(spec, x, [upsilon])[:, 0]
-    scale = spec.translations
-    inv = 1.0 / lam
     if t <= hi:
-        width = t - lo
-        g = lambda v: wavelet(scale * width * (1.0 - v**inv))
-        j = adaptive_unit_integral(g)
-        return width**lam / math.gamma(lam + 1.0) * j
+        return rl_integral_quadrature(lambda tau: wavelet(scale * tau), lam, t - lo)
     # the local coordinate scale*(tau - lo) loses its last digits to
     # cancellation near tau = lo, so it is clipped to the cell
     near, far = (t - hi) ** lam, (t - lo) ** lam
+    inv = 1.0 / lam
     g = lambda v: wavelet(np.clip(scale * (t - lo - (near + (far - near) * v) ** inv), 0.0, 1.0))
     j = adaptive_unit_integral(g)
     return (far - near) / math.gamma(lam + 1.0) * j
@@ -282,10 +227,7 @@ def weighted_inner_product(
     computed directly (1 - (1 - u**(1/gamma)) would lose all relative
     precision near u = 0 and fractional powers amplify that noise).
     """
-    if not (1 <= eta <= spec.translations):
-        raise ValueError(f"eta={eta} outside [1, {spec.translations}]")
-    if not (0 <= upsilon <= spec.M and 0 <= vartheta <= spec.M):
-        raise ValueError(f"upsilon and vartheta must lie in [0, {spec.M}]")
+    _check_index(spec, eta, upsilon, vartheta)
     inv = 1.0 / spec.gamma
 
     def substituted_product(u):

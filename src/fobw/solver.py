@@ -21,7 +21,6 @@ import numpy as np
 from .basis import WaveletBasisSpec, finite_real
 from .expr import parse_expression
 from .fracops import basis_images, family_images, order_values
-from .special import chebyshev_grid
 
 __all__ = [
     "OscillatorProblem",
@@ -143,10 +142,11 @@ def collocation_systems(problems, specs, grids, shared=()):
 
 
 def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
-    """The points a basis is collocated at, ascending: the M+1 Chebyshev points
-    eta of one cell, mapped into each of the 2^(k-1) cells c as (eta + c) / 2^(k-1)."""
-    cells = 2 ** (spec.k - 1)
-    eta = chebyshev_grid(spec.M + 1)
+    """The points a basis is collocated at, ascending: the n = M+1 Chebyshev
+    points eta_r = cos((r - 1/2) pi / n) / 2 + 1/2 of one cell, sorted, mapped
+    into each of the 2^(k-1) cells c as (eta + c) / 2^(k-1)."""
+    cells, n = 2 ** (spec.k - 1), spec.M + 1
+    eta = np.sort(0.5 * np.cos((np.arange(1, n + 1) - 0.5) * np.pi / n) + 0.5)
     return ((eta + np.arange(cells)[:, None]) / cells).ravel()
 
 

@@ -1,4 +1,4 @@
-"""Special functions and the collocation grid.
+"""Special functions: array gamma values and ratios, and the incomplete beta.
 
 The batched fractional integrals take their gamma-function and
 incomplete-beta values from this module: ``gamma_array``, ``gamma_ratio``
@@ -177,19 +177,3 @@ def betainc(a, b, x, y=None) -> np.ndarray:
         out[rest] = np.where(swap, 1.0 - part, part)
     return out
 
-
-def chebyshev_grid(sigma_tilde: int) -> np.ndarray:
-    """Chebyshev collocation points t_r = cos((r-1/2)pi/n)/2 + 1/2, sorted ascending.
-
-    The generating formula yields the points in descending order; a final
-    sort flips them.  Row order is immaterial to the square collocation
-    system, and ascending order matches table output.
-    """
-    n = int(sigma_tilde)
-    if n < 1:
-        raise ValueError("grid size must be a positive integer")
-    r = np.arange(1, n + 1, dtype=float)
-    points = 0.5 * np.cos((r - 0.5) * math.pi / n) + 0.5
-    points.sort()
-    points.setflags(write=False)
-    return points

@@ -14,12 +14,9 @@ from fobw.basis import (
 )
 from fobw.fracops import basis_images
 from fobw.oracles import (
-    BasisIndex,
     adaptive_unit_integral,
     bernstein_frac,
-    cell_index,
     fobw_eval,
-    weight_eval,
     weighted_inner_product,
 )
 
@@ -118,22 +115,22 @@ class TestMonomialSeries:
 class TestWaveletEval:
     def test_first_wavelet_at_zero(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
-        val = fobw_eval(BasisIndex(1, 0), spec, 0.0)
+        val = fobw_eval(spec, 1, 0, 0.0)
         assert val == pytest.approx(math.sqrt(7), rel=1e-14)
 
     def test_compact_support(self):
         spec = WaveletBasisSpec(2, 1, 1.0)
-        assert fobw_eval(BasisIndex(2, 0), spec, 0.25) == 0.0
+        assert fobw_eval(spec, 2, 0, 0.25) == 0.0
         # boundary 0.5 belongs to the left cell; just above it eta=2 is active
         # (the upsilon=1 member is checked because upsilon=0 vanishes at the
         # right cell edge anyway)
-        assert fobw_eval(BasisIndex(2, 1), spec, 0.5) == 0.0
-        assert fobw_eval(BasisIndex(1, 1), spec, 0.5) != 0.0
-        assert fobw_eval(BasisIndex(2, 1), spec, 0.5 + 1e-12) != 0.0
+        assert fobw_eval(spec, 2, 1, 0.5) == 0.0
+        assert fobw_eval(spec, 1, 1, 0.5) != 0.0
+        assert fobw_eval(spec, 2, 1, 0.5 + 1e-12) != 0.0
 
     def test_composition_with_polynomial(self):
         spec = WaveletBasisSpec(1, 5, 0.5)
-        val = fobw_eval(BasisIndex(1, 3), spec, 0.3)
+        val = fobw_eval(spec, 1, 3, 0.3)
         assert val == pytest.approx(
             math.sqrt(0.5) * bernstein_frac(3, 5, 0.5, 0.3), rel=1e-14
         )
@@ -141,9 +138,14 @@ class TestWaveletEval:
     def test_invalid_index(self):
         spec = WaveletBasisSpec(1, 3, 1.0)
         with pytest.raises(ValueError):
-            fobw_eval(BasisIndex(2, 0), spec, 0.5)
+            fobw_eval(spec, 2, 0, 0.5)
         with pytest.raises(ValueError):
-            fobw_eval(BasisIndex(1, 4), spec, 0.5)
+            fobw_eval(spec, 1, 4, 0.5)
+        # a fractional index is no wavelet, not a wavelet that is zero
+        with pytest.raises(ValueError, match="eta=1.5 outside"):
+            fobw_eval(WaveletBasisSpec(2, 3, 0.5), 1.5, 0, 0.3)
+        with pytest.raises(ValueError, match="upsilon=0.5 outside"):
+            weighted_inner_product(spec, 1, 0, 0.5)
 
     def test_classical_reduction(self):
         # independent integer-order implementation as oracle
@@ -153,7 +155,7 @@ class TestWaveletEval:
             for t in rng.uniform(0.0, 1.0, 25):
                 for eta in range(1, spec.translations + 1):
                     for ups in range(M + 1):
-                        ours = fobw_eval(BasisIndex(eta, ups), spec, float(t))
+                        ours = fobw_eval(spec, eta, ups, float(t))
                         oracle = classical_wavelet(eta, ups, k, M, float(t))
                         assert ours == pytest.approx(oracle, abs=1e-13)
 
@@ -181,7 +183,7 @@ class TestWaveletVector:
         for t in rng.uniform(0.0, 1.0, 20):
             vec = fobw_matrix(spec, [t])[0]
             flat = [
-                fobw_eval(BasisIndex(eta, ups), spec, float(t))
+                fobw_eval(spec, eta, ups, float(t))
                 for eta in range(1, 3)
                 for ups in range(3)
             ]
@@ -193,11 +195,14 @@ class TestWaveletVector:
             fobw_matrix(WaveletBasisSpec(1, 3, 0.5), np.full((2, 3), 0.5))
 
     def test_cell_assignment_convention(self):
+        # t = 0 and the shared boundary 0.5 belong to the left cell; the
+        # upsilon = 1 wavelets vanish at neither end of their cell
         spec = WaveletBasisSpec(2, 1, 1.0)
-        assert cell_index(spec, 0.0) == 1
-        assert cell_index(spec, 0.5) == 1
-        assert cell_index(spec, 0.5 + 1e-12) == 2
-        assert cell_index(spec, 1.0) == 2
+        for t, owner in ((0.0, 1), (0.5, 1), (0.5 + 1e-12, 2), (1.0, 2)):
+            for eta in (1, 2):
+                value = fobw_eval(spec, eta, 1, t)
+                assert (value != 0.0) == (eta == owner), (t, eta)
+            assert fobw_matrix(spec, [t])[0][[1, 3]].nonzero()[0].tolist() == [owner - 1]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -214,35 +219,6 @@ class TestWaveletVector:
         ts = np.array(ts)
         i = data.draw(st.integers(0, ts.size - 1))
         assert np.array_equal(fobw_matrix(spec, ts)[i], fobw_matrix(spec, ts[i : i + 1])[0])
-
-
-class TestWeight:
-    def test_unit_gamma_is_one(self):
-        spec = WaveletBasisSpec(2, 3, 1.0)
-        for eta, t in ((1, 0.1), (2, 0.9), (1, 0.0)):
-            assert weight_eval(spec, eta, t) == 1.0
-
-    def test_half_gamma(self):
-        spec = WaveletBasisSpec(1, 3, 0.5)
-        assert weight_eval(spec, 1, 0.25) == pytest.approx(2.0, rel=1e-14)
-
-    def test_translated_cell(self):
-        spec = WaveletBasisSpec(2, 3, 0.2)
-        assert weight_eval(spec, 2, 0.75) == pytest.approx(0.5 ** (-0.8), rel=1e-14)
-        # cross-check through logarithms
-        assert weight_eval(spec, 2, 0.75) == pytest.approx(
-            math.exp(-0.8 * math.log(0.5)), rel=1e-14
-        )
-
-    def test_singular_endpoint_raises(self):
-        spec = WaveletBasisSpec(1, 3, 0.5)
-        with pytest.raises(ValueError):
-            weight_eval(spec, 1, 0.0)
-
-    def test_outside_cell_raises(self):
-        spec = WaveletBasisSpec(2, 3, 0.5)
-        with pytest.raises(ValueError):
-            weight_eval(spec, 2, 0.25)
 
 
 class TestOrthonormality:

@@ -193,6 +193,25 @@ class TestCommandErrors:
             argv += [flag, path]
         _assert_one_error_naming(capsys, missing, argv)
 
+    @pytest.mark.parametrize("spelling", ["same", "symlink"])
+    def test_plot_data_at_the_table_path_exits_before_any_solve(self, tmp_path, monkeypatch,
+                                                                 capsys, spelling):
+        import fobw.experiments
+
+        def refuse(*args):
+            raise AssertionError("no solve may run")
+
+        monkeypatch.setattr(fobw.experiments, "newton_solve", refuse)
+        table = tmp_path / "t.csv"
+        plot = table
+        if spelling == "symlink":
+            plot = tmp_path / "link.csv"
+            plot.symlink_to(table)
+        argv = ["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2", "--M", "3",
+                "--out", str(table), "--plot-data", str(plot)]
+        _assert_one_error_naming(capsys, "--out and --plot-data name the same file", argv)
+        assert not table.exists()
+
     def test_solve_unwritable_out_path(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"a": 1.0, "init_value": 1.0, "basis": [[1, 3, 1.0]]}))

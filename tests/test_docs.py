@@ -2,7 +2,8 @@
 README's config table names exactly the config keys, its preset table
 shows each preset's forcing, and it names every key of a table's ``meta``;
 the CLI's usage text names every flag and preset its parser takes; and
-every name the README or a docstring cross-reference gives exists."""
+every name the README, a docstring cross-reference or a module's ``__all__``
+gives exists."""
 
 import doctest
 import importlib
@@ -102,4 +103,11 @@ def test_docstring_cross_references_resolve():
             roots = [fobw] if path != target else [module, *classes]
             if not any(_resolves(root, path) for root in roots):
                 missing.append(f"{name}: {target}")
+    assert missing == []
+
+
+def test_every_exported_name_exists():
+    missing = [f"{name}.{export}" for name, module in MODULES.items()
+               for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
+    assert sum(hasattr(module, "__all__") for module in MODULES.values()) >= 3
     assert missing == []

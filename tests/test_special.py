@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fobw.special import betainc, chebyshev_grid, gamma_array, gamma_ratio
+from fobw.basis import WaveletBasisSpec
+from fobw.solver import collocation_grid
+from fobw.special import betainc, gamma_array, gamma_ratio
 
 
 class TestGammaArray:
@@ -242,11 +244,17 @@ class TestGamma:
 
 
 class TestChebyshevGrid:
+    """The collocation points of a one-cell basis: the Chebyshev points of [0, 1]."""
+
+    @staticmethod
+    def grid(n):
+        return collocation_grid(WaveletBasisSpec(1, n - 1, 1.0))
+
     def test_single_point(self):
-        assert list(chebyshev_grid(1)) == [0.5]
+        assert list(self.grid(1)) == [0.5]
 
     def test_two_points(self):
-        grid = chebyshev_grid(2)
+        grid = self.grid(2)
         assert grid[0] == pytest.approx(0.14644660940672627, abs=1e-16)
         assert grid[1] == pytest.approx(0.8535533905932737, abs=1e-16)
 
@@ -255,17 +263,13 @@ class TestChebyshevGrid:
         expected = sorted(
             0.5 * math.cos((r - 0.5) * math.pi / 4) + 0.5 for r in range(1, 5)
         )
-        grid = chebyshev_grid(4)
+        grid = self.grid(4)
         assert np.allclose(grid, expected, rtol=0, atol=0)
         assert len(set(grid)) == 4
 
-    def test_zero_size_rejected(self):
-        with pytest.raises(ValueError):
-            chebyshev_grid(0)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 33])
     def test_interior_and_symmetric(self, n):
-        grid = chebyshev_grid(n)
+        grid = self.grid(n)
         assert grid.min() > 0.0
         assert grid.max() < 1.0
         assert np.all(np.diff(grid) > 0)
