@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from numbers import Real
 
@@ -107,6 +107,13 @@ class WaveletBasisSpec:
         """Total basis size, 2**(k-1) * (M+1)."""
         return self.translations * (self.M + 1)
 
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The 2**(k-1) + 1 edges of the cells, ascending from 0 to 1; read-only."""
+        edges = np.arange(self.translations + 1) / self.translations
+        edges.setflags(write=False)
+        return edges
+
 
 @lru_cache(maxsize=1024)
 def local_series_table(spec: WaveletBasisSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -114,14 +121,14 @@ def local_series_table(spec: WaveletBasisSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(coefficients, exponents)``: row upsilon of the (M+1, M+1)
     coefficient matrix holds wavelet upsilon as a sum of ``x**exponents`` in
-    its local cell coordinate x in [0, 1], so the table evaluated at
-    x(t) = 1 + 2**(k-1)*t - eta is the wavelet (eta, upsilon) on its cell.
-    The row is the integer-index expansion of the polynomial, times the
-    wavelet normalization sqrt(gamma) * 2**((k-1)/2).  Both arrays are
-    read-only.
+    its local cell coordinate x in [0, 1], so the table evaluated at x(t) =
+    (t - lo)/(hi - lo) is wavelet (eta, upsilon) on its cell [lo, hi] of the
+    spec's ``edges``.  The row is the integer-index expansion of the
+    polynomial, times sqrt(gamma / width).  Both arrays are read-only.
     """
     M = spec.M
-    scale = math.sqrt(spec.gamma) * 2.0 ** ((spec.k - 1) / 2.0)
+    # sqrt(1/width), not 1/sqrt(width): 2**((k-1)/2) to the last bit
+    scale = math.sqrt(spec.gamma) * math.sqrt(1.0 / np.diff(spec.edges)[0])
     coeffs = np.zeros((M + 1, M + 1))
     for upsilon in range(M + 1):
         amp = math.sqrt(1.0 + 2.0 * M - 2.0 * upsilon)
@@ -165,8 +172,8 @@ def fobw_matrix(spec: WaveletBasisSpec, ts) -> np.ndarray:
         raise ValueError(f"t must be a point or a 1-D array of points, got shape {ts.shape}")
     if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
-    eta = np.clip(np.ceil(ts * spec.translations), 1, spec.translations)
-    x = 1.0 + spec.translations * ts - eta
-    out = np.zeros((ts.size, spec.translations, spec.M + 1))
-    out[np.arange(ts.size), eta.astype(int) - 1] = _local_values(spec, x)
+    cell = np.searchsorted(spec.edges[1:-1], ts)  # a point on an edge is its left cell's
+    lo, hi = spec.edges[cell], spec.edges[cell + 1]
+    out = np.zeros((ts.size, spec.edges.size - 1, spec.M + 1))
+    out[np.arange(ts.size), cell] = _local_values(spec, (ts - lo) / (hi - lo))
     return out.reshape(ts.size, spec.sigma_tilde)

@@ -54,16 +54,16 @@ def basis_images(spec: WaveletBasisSpec, lam, t) -> np.ndarray:
     extended-precision contraction.  Each entry is computed elementwise, so
     it does not depend on the rest of the call or on the blocks.
 
-    Wavelet (eta, upsilon) on the cell [lo, hi] is sum_i c_i x**p_i in the
-    local coordinate x = T*(tau - lo), T = 2**(k-1).  With s = t - lo and
+    Wavelet (eta, upsilon) on its cell [lo, hi] of the spec's ``edges`` is
+    sum_i c_i x**p_i in x = (tau - lo)/w, w = hi - lo.  With s = t - lo and
     G_i = gamma(p_i+1)/gamma(p_i+1+lam), the image of term i is
 
-        0                                              for t <= lo,
-        c_i T**p_i G_i s**(p_i+lam)                    for lo < t <= hi,
-        c_i T**p_i G_i s**(p_i+lam) I_z(p_i+1, lam)    for t > hi,
+        0                                            for t <= lo,
+        c_i (s/w)**p_i G_i s**lam                    for lo < t <= hi,
+        c_i (s/w)**p_i G_i s**lam I_z(p_i+1, lam)    for t > hi,
 
-    with z = (hi - lo)/s: the last line is s**(p_i+lam) B_z(p_i+1, lam) /
-    gamma(lam) written with the regularized incomplete beta function.  Order
+    with z = w/s: the last line is c_i w**-p_i s**(p_i+lam) B_z(p_i+1, lam)
+    / gamma(lam) written with the regularized incomplete beta function.  Order
     0 is the identity, so its row is the basis vector, :func:`fobw_matrix`.
     """
     ts = np.asarray(t, dtype=float)
@@ -137,9 +137,7 @@ def _image_terms(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     wide = np.longdouble
     exps = exps.astype(wide)
     tw = pts.astype(wide)
-    cells = spec.translations
-    lo = np.arange(cells, dtype=wide) / cells
-    hi = lo + wide(1.0) / cells
+    lo, hi = spec.edges[:-1].astype(wide), spec.edges[1:].astype(wide)
     s = np.maximum(tw[:, None] - lo, 0.0)[:, :, None]
 
     # order 0 is the identity, whose rows _contract fills: a zero among
@@ -160,7 +158,7 @@ def _image_terms(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     if np.all(inverse == inverse[..., :1]):
         # constant orders: one row of ratios per order, broadcast over points
         inverse = inverse[..., :1]
-    powers = (cells * s) ** exps
+    powers = (s / (hi - lo)[:, None]) ** exps
     terms = gamma_ratio(exps + 1.0, distinct[:, None])[inverse][..., None, :] * powers
     terms *= s ** lw.astype(wide)[..., None, None]
     terms[:, point, cell] *= factors

@@ -71,14 +71,14 @@ def bernstein_frac(upsilon: int, M: int, gamma: float, t: float) -> float:
 
 
 def fobw_eval(spec: WaveletBasisSpec, eta: int, upsilon: int, t: float) -> float:
-    """Wavelet (eta, upsilon) at t; zero outside its cell.  A shared cell
-    boundary belongs to the left cell, and t = 0 to the first."""
+    """Wavelet (eta, upsilon) at t, in the exact local coordinate T*(t - lo);
+    zero outside its cell.  A shared boundary is the left cell's, t = 0 the first's."""
     _check_index(spec, eta, upsilon)
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     if max(1, math.ceil(t * spec.translations)) != eta:
         return 0.0
-    x = 1.0 + spec.translations * t - eta
+    x = spec.translations * (t - (eta - 1) / spec.translations)
     scale = math.sqrt(spec.gamma) * 2.0 ** ((spec.k - 1) / 2.0)
     return scale * bernstein_frac(upsilon, spec.M, spec.gamma, x)
 

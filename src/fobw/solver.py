@@ -144,10 +144,10 @@ def collocation_systems(problems, specs, grids, shared=()):
 def collocation_grid(spec: WaveletBasisSpec) -> np.ndarray:
     """The points a basis is collocated at, ascending: the n = M+1 Chebyshev
     points eta_r = cos((r - 1/2) pi / n) / 2 + 1/2 of one cell, sorted, mapped
-    into each of the 2^(k-1) cells c as (eta + c) / 2^(k-1)."""
-    cells, n = 2 ** (spec.k - 1), spec.M + 1
+    into each cell [lo, hi] of the spec's ``edges`` as lo + eta * (hi - lo)."""
+    n, edges = spec.M + 1, spec.edges[:, None]
     eta = np.sort(0.5 * np.cos((np.arange(1, n + 1) - 0.5) * np.pi / n) + 0.5)
-    return ((eta + np.arange(cells)[:, None]) / cells).ravel()
+    return (edges[:-1] + eta * (edges[1:] - edges[:-1])).ravel()
 
 
 def assemble(problem: OscillatorProblem, spec: WaveletBasisSpec) -> CollocationSystem:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fobw import fracops
 from fobw.basis import (
     WaveletBasisSpec,
     _local_values,
@@ -19,6 +20,8 @@ from fobw.oracles import (
     fobw_eval,
     weighted_inner_product,
 )
+from fobw.solver import collocation_grid
+from fobw.special import gamma_ratio
 
 
 def classical_wavelet(eta, ups, k, M, t):
@@ -219,6 +222,82 @@ class TestWaveletVector:
         ts = np.array(ts)
         i = data.draw(st.integers(0, ts.size - 1))
         assert np.array_equal(fobw_matrix(spec, ts)[i], fobw_matrix(spec, ts[i : i + 1])[0])
+
+    @pytest.mark.parametrize("t", [1e-17, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_rounding_near_the_first_cell_start(self, k, t):
+        # 1 + T*t - 1 rounds T*t away, and at gamma = 0.2 that moves the
+        # wavelet by 4e-3 at t = 1e-17: both routes read the exact T*t
+        spec, T = WaveletBasisSpec(k, 3, 0.2), 2 ** (k - 1)
+        scale = math.sqrt(0.2) * 2 ** ((k - 1) / 2)
+        closed = [scale * bernstein_frac(ups, 3, 0.2, T * t) for ups in range(4)]
+        assert fobw_matrix(spec, [t])[0, :4] == pytest.approx(closed, rel=1e-14)
+        assert [fobw_eval(spec, 1, ups, t) for ups in range(4)] == pytest.approx(closed,
+                                                                                   rel=1e-14)
+
+
+class TestCellEdges:
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 11), g=st.sampled_from([0.2, 1.0, 2.0]), data=st.data())
+    def test_edges_ascend_from_zero_to_one_one_per_cell_and_are_read_only(self, k, g, data):
+        spec = WaveletBasisSpec(k, data.draw(st.integers(0, min(3, 2 ** (11 - k) - 1))), g)
+        edges = spec.edges
+        assert edges.size == spec.translations + 1
+        assert edges[0] == 0.0 and edges[-1] == 1.0
+        assert np.all(np.diff(edges) > 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            edges[1] = 0.5
+        with pytest.raises(AttributeError):
+            spec.edges = np.linspace(0.0, 1.0, edges.size)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_table_scale_is_the_dyadic_one_to_the_last_bit(self, k):
+        # the one-term table is its scale, sqrt(gamma) * sqrt(1 / width)
+        coeffs, _ = local_series_table(WaveletBasisSpec(k, 0, 0.7))
+        assert coeffs[0, 0] == math.sqrt(0.7) * 2.0 ** ((k - 1) / 2.0)
+
+    @pytest.fixture
+    def edges(self, monkeypatch):
+        """k = 2 cells [0, 0.25] and [0.25, 1] in place of the two halves."""
+        edges = np.array([0.0, 0.25, 1.0])
+        monkeypatch.setattr(WaveletBasisSpec, "edges", property(lambda spec: edges))
+        yield edges
+        local_series_table.cache_clear()  # its tables carry these cells' scale
+
+    def test_grid_places_each_cells_points_strictly_inside_it(self, edges):
+        spec = WaveletBasisSpec(2, 3, 0.5)
+        grid = collocation_grid(spec)
+        assert grid.size == 2 * (spec.M + 1)
+        for lo, hi in zip(edges, edges[1:]):
+            assert np.count_nonzero((grid > lo) & (grid < hi)) == spec.M + 1
+
+    def test_matrix_assigns_points_by_the_edges(self, edges):
+        # the upsilon = 1 wavelets vanish at neither end of their cell, and
+        # the shared edge 0.25 belongs to the left cell
+        spec = WaveletBasisSpec(2, 1, 1.0)
+        ts = np.array([0.0, 0.1, 0.25, np.nextafter(0.25, 1.0), 0.625, 1.0])
+        rows = fobw_matrix(spec, ts)
+        assert [row[[1, 3]].nonzero()[0].tolist() for row in rows] == [[0]] * 3 + [[1]] * 3
+        # 0.625 is the middle of [0.25, 1]
+        assert np.array_equal(rows[4, 2:], _local_values(spec, 0.5))
+
+    def test_images_cut_exactly_the_pairs_past_each_cell_end(self, edges, monkeypatch):
+        spec = WaveletBasisSpec(2, 2, 0.5)
+        ts = np.array([0.1, 0.25, np.nextafter(0.25, 1.0), 0.6, 1.0])
+        cut, real = [], fracops._cut_factors
+
+        def spy(exps, orders, tw, lo, hi, point, cell):
+            cut.extend(zip(point.tolist(), cell.tolist()))
+            return real(exps, orders, tw, lo, hi, point, cell)
+
+        monkeypatch.setattr(fracops, "_cut_factors", spy)
+        _, terms = fracops._image_terms(spec, np.full((1, ts.size), 0.5), ts)
+        assert sorted(cut) == [(2, 0), (3, 0), (4, 0)]
+        # t = 1 ends the cell [0.25, 1], where every term's x**p is 1
+        _, exps = local_series_table(spec)
+        wide = exps.astype(np.longdouble)
+        expected = gamma_ratio(wide + 1.0, np.longdouble(0.5)) * np.longdouble(0.75) ** 0.5
+        assert np.allclose(terms[0, 4, 1].astype(float), expected.astype(float), rtol=1e-15)
 
 
 class TestOrthonormality:
