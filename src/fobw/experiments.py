@@ -298,12 +298,12 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
     ``curves`` is a list, the dense residual curve of every converged
     solve, at :data:`PLOT_GRID`, is appended to it as ``(plot label,
     curve)``, ready for :func:`emit_plot_data`.  The bases of each (k,
-    gamma) family share one term pass per run (:func:`_family_outcomes`),
-    and each basis's rows at its collocation grid, the output grid and the
-    plot points serve its solves, table columns and curves for every
-    alpha.  A table carries the
-    :data:`COMPARISON_COLUMNS` of the config's ``preset`` exactly when it
-    has an AE metric and the output grid is :data:`TABLE_POINTS`.
+    gamma) family share one term pass per run: :func:`_family_outcomes`
+    gives each converged solve's columns and curve as a dict, which this
+    function only labels, filling a NaN column for each metric the dict
+    lacks.  A table carries the :data:`COMPARISON_COLUMNS` of the config's
+    ``preset`` exactly when it has an AE metric and the output grid is
+    :data:`TABLE_POINTS`.
     """
     grid = cfg.output_grid
     points = np.array(grid)
@@ -336,25 +336,14 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
             outcome = outcomes[spec][j]
             if isinstance(outcome, str):
                 warnings.append(f"solve failed for {labels[cfg.metrics[0]]}: {outcome}")
-                for metric in cfg.metrics:
-                    columns[labels[metric]] = nan_column
-                    failed.append(labels[metric])
-                continue
-            residual, error, curve = outcome
-            if curves is not None:
-                curves.append((f"residual {_combination_label(spec, alpha_label, True)}", curve))
+                outcome = {}
+            if "curve" in outcome:
+                curves.append((f"residual {_combination_label(spec, alpha_label, True)}",
+                               outcome["curve"]))
             for metric in cfg.metrics:
-                if metric == "residual":
-                    vals = tuple(residual)
-                elif error is None:
-                    vals = nan_column
+                columns[labels[metric]] = tuple(outcome.get(metric, nan_column))
+                if metric not in outcome:
                     failed.append(labels[metric])
-                elif metric == "AE":
-                    vals = tuple(error)
-                else:
-                    mae = float(error.max())
-                    vals = tuple(mae for _ in grid)
-                columns[labels[metric]] = vals
 
     # the published values are absolute errors at the table points, comparable
     # only to AE columns there
@@ -377,13 +366,13 @@ def run_experiment(cfg: ExperimentConfig, curves: list | None = None) -> ErrorTa
 def _family_outcomes(cfg: ExperimentConfig, specs: list, points: np.ndarray,
                      expected: np.ndarray | None, plot: bool) -> dict:
     """Per basis of ``specs``, which share k and gamma, and per problem of
-    ``cfg``: the message of the SolverError its solve raised, or its residual
-    at ``points`` (if a metric asks for it), its absolute error against
-    ``expected`` there (unless that is None) and its residual curve at
-    :data:`PLOT_GRID` (if ``plot``), None for each left out.  One
-    :func:`collocation_systems` call at each basis's collocation grid serves
-    them all, each value bit-identical to the one read from the solved
-    approximant."""
+    ``cfg``: the message of the SolverError its solve raised, or a dict of
+    the values the run asks for: under each metric of ``cfg``, its column at
+    ``points`` ("residual", and "AE" and "MAE" unless ``expected``, the
+    reference there, is None), and under "curve" the residual at
+    :data:`PLOT_GRID` if ``plot``.  One :func:`collocation_systems` call at
+    each basis's collocation grid serves them all, each value bit-identical
+    to the one read from the solved approximant."""
     shared = np.concatenate([points, PLOT_GRID] if plot else [points])
     outcomes = {}
     grids = [collocation_grid(spec) for spec in specs]
@@ -397,11 +386,16 @@ def _family_outcomes(cfg: ExperimentConfig, specs: list, points: np.ndarray,
                 outcomes[spec].append(str(exc))
                 continue
             table = system.rows(n, m)
-            outcomes[spec].append((
-                np.abs(residual_vector(table, U)) if "residual" in cfg.metrics else None,
-                None if expected is None else np.abs(table.value(U) - expected),
-                np.abs(residual_vector(system.rows(m, len(system.grid)), U)) if plot else None,
-            ))
+            error = None if expected is None else np.abs(table.value(U) - expected)
+            values = {}
+            for metric in cfg.metrics:
+                if metric == "residual":
+                    values[metric] = np.abs(residual_vector(table, U))
+                elif error is not None:  # AE, or MAE repeated at every point
+                    values[metric] = error if metric == "AE" else np.full(error.size, error.max())
+            if plot:
+                values["curve"] = np.abs(residual_vector(system.rows(m, len(system.grid)), U))
+            outcomes[spec].append(values)
     return outcomes
 
 

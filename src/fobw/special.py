@@ -81,40 +81,38 @@ _BETA_CF_MAX_ITER = 500
 def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The continued fraction 1/(1+ d1/(1+ d2/(1+ ...))) of DLMF 8.17.22.
 
-    Modified Lentz evaluation over 1-D arrays.  An entry whose own last
-    factor is within tolerance of 1 is written out and dropped from the
-    arrays, so each iteration only pays for the entries still converging;
-    every step is elementwise, so an entry does not depend on the batch.
+    Lentz evaluation over 1-D arrays, elementwise, so an entry does not
+    depend on the batch.  An entry whose own last factor is within tolerance
+    of 1 is written out and dropped, so each iteration only pays for the
+    entries still converging.  A zero denominator raises ArithmeticError, as
+    does a fraction that does not converge.
     """
-    tiny = 1e-300
     tol = 4.0 * np.finfo(x.dtype).eps
-
-    def guard(v):
-        return np.where(np.abs(v) < tiny, tiny, v)
-
     ab = a + b
     c = np.ones_like(x)
-    d = 1.0 / guard(1.0 - ab * x / (a + 1.0))
-    h = d.copy()
     out = np.empty_like(x)
     live = np.arange(x.size)  # the place in ``out`` of each entry still iterating
-    for m in range(1, _BETA_CF_MAX_ITER + 1):
-        a2m = a + 2 * m
-        even = m * (b - m) * x / ((a2m - 1.0) * a2m)
-        d = 1.0 / guard(1.0 + even * d)
-        c = guard(1.0 + even / c)
-        step = d * c
-        odd = -(a + m) * (ab + m) * x / (a2m * (a2m + 1.0))
-        d = 1.0 / guard(1.0 + odd * d)
-        c = guard(1.0 + odd / c)
-        last = d * c
-        h = h * step * last
-        going = np.abs(last - 1.0) > tol
-        if not going.all():
-            out[live[~going]] = h[~going]
-            live, a, b, ab, x, c, d, h = (v[going] for v in (live, a, b, ab, x, c, d, h))
-            if not live.size:
-                return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = d = 1.0 / (1.0 - ab * x / (a + 1.0))
+        for m in range(1, _BETA_CF_MAX_ITER + 1):
+            a2m = a + 2 * m
+            even = m * (b - m) * x / ((a2m - 1.0) * a2m)
+            d = 1.0 / (1.0 + even * d)
+            c = 1.0 + even / c
+            step = d * c
+            odd = -(a + m) * (ab + m) * x / (a2m * (a2m + 1.0))
+            d = 1.0 / (1.0 + odd * d)
+            c = 1.0 + odd / c
+            last = d * c
+            h = h * step * last
+            going = np.abs(last - 1.0) > tol
+            if not going.all():
+                out[live[~going]] = h[~going]
+                live, a, b, ab, x, c, d, h = (v[going] for v in (live, a, b, ab, x, c, d, h))
+                if not live.size:
+                    if not np.isfinite(out).all():
+                        raise ArithmeticError("zero denominator in the incomplete beta fraction")
+                    return out
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
@@ -159,14 +157,10 @@ def betainc(a, b, x, y=None) -> np.ndarray:
 
     rest = ~finite
     if rest.any():
-        # gamma(a + b), gamma(a) and gamma(b) where b is fractional, in one call
+        # gamma(a + b), gamma(a) and gamma(b) where b is fractional
         ab = a + b
-        args = [np.broadcast_arrays(v, ~whole) for v in (ab, a, b)]
-        flat, need = (np.concatenate([arg[i].ravel() for arg in args]) for i in (0, 1))
-        values = np.split(gamma_array(flat, where=need),
-                          np.cumsum([v.size for v, _ in args[:-1]]))
-        both, ga, gb = (pick(g.reshape(v.shape), rest) for g, (v, _) in zip(values, args))
-        del args, flat, need, values  # as large as the broadcast of a and b
+        both, ga, gb = (pick(gamma_array(*np.broadcast_arrays(v, ~whole)), rest)
+                        for v in (ab, a, b))
         ar, br, xr = pick(a, rest), pick(b, rest), pick(x, rest)
         # parameters of the fraction actually evaluated: (a, b, x) or (b, a, 1-x)
         swap = ~(xr < (ar + 1.0) / (pick(ab, rest) + 2.0))

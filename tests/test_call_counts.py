@@ -305,7 +305,10 @@ def test_variable_order_images_take_gamma_once_per_exponent(counted):
     assert np.shape(bottom) == (np.unique(lams).size, spec.M + 1) == (403, spec.M + 1)
 
 
-def test_incomplete_beta_takes_its_gamma_values_in_one_call(counted):
+def test_incomplete_beta_takes_its_gamma_values_in_three_calls(counted):
+    # gamma(a + b), gamma(a) and gamma(b), each only where b is fractional:
+    # 2 of the 3 rows of b against 6 values of a
     gammas = counted(special, "gamma_array")
     special.betainc(np.linspace(0.5, 3.0, 6), np.array([[0.5], [1.0], [2.5]]), 0.4)
-    assert gammas.calls == 1
+    assert gammas.calls == 3
+    assert [np.count_nonzero(where) for _, where in gammas.args] == [12, 12, 2]

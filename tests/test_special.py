@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fobw.basis import WaveletBasisSpec
 from fobw.solver import collocation_grid
-from fobw.special import betainc, gamma_array, gamma_ratio
+from fobw.special import _beta_cf, betainc, gamma_array, gamma_ratio
 
 
 class TestGammaArray:
@@ -143,7 +143,7 @@ class TestBetainc:
     def one_entry(a, b, x, y):
         """I_x(a, b) of one long-double entry, each operation in the order
         the array code takes it: the reference that pins its bits."""
-        one, tiny = np.longdouble(1.0), np.longdouble(1e-300)
+        one = np.longdouble(1.0)
         if b == math.floor(b):
             term = total = one
             for j in range(1, int(b)):
@@ -155,19 +155,16 @@ class TestBetainc:
         gamma = [np.longdouble(math.gamma(float(w))) for w in (p + q, p, q)]
         front = u**p * v**q * gamma[0] / (p * gamma[1] * gamma[2])
 
-        def guard(w):
-            return tiny if abs(w) < tiny else w
-
-        c, d = one, one / guard(1.0 - (p + q) * u / (p + 1.0))
+        c, d = one, one / (1.0 - (p + q) * u / (p + 1.0))
         h = d
         for m in range(1, 501):
             even = m * (q - m) * u / ((p + 2 * m - 1.0) * (p + 2 * m))
-            d = one / guard(1.0 + even * d)
-            c = guard(1.0 + even / c)
+            d = one / (1.0 + even * d)
+            c = 1.0 + even / c
             step = d * c
             odd = -(p + m) * (p + q + m) * u / ((p + 2 * m) * (p + 2 * m + 1.0))
-            d = one / guard(1.0 + odd * d)
-            c = guard(1.0 + odd / c)
+            d = one / (1.0 + odd * d)
+            c = 1.0 + odd / c
             last = d * c
             h = h * step * last
             if not abs(last - 1.0) > 4.0 * np.finfo(np.longdouble).eps:
@@ -188,6 +185,13 @@ class TestBetainc:
                              for o, r, i in np.ndindex(batch.shape)]).reshape(batch.shape)
         assert np.array_equal(batch, expected)
         assert np.array_equal(np.signbit(batch), np.signbit(expected))
+
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_zero_denominator_raises(self, dtype):
+        # at a = b = x = 1 the first denominator, 1 - (a+b) x / (a+1), is 0
+        one = np.ones(1, dtype=dtype)
+        with pytest.raises(ArithmeticError, match="zero denominator"):
+            _beta_cf(one, one, one)
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 0.5), (1.0, -0.5, 0.5), (1.0, 1.0, 1.5)])
     def test_rejects_bad_arguments(self, args):
