@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .basis import WaveletBasisSpec, fobw_matrix, local_series_table
-from .special import betainc, gamma_ratio
+from .special import betainc, gamma_ratio, power
 
 __all__ = [
     "basis_images",
@@ -133,7 +133,8 @@ def _image_terms(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     # The terms of one wavelet cancel: for M = 5 their sum can be 1e3 times
     # smaller than the largest term, and an ill-conditioned collocation
     # system (k = 2) amplifies the rounding further.  So the terms are formed
-    # and summed in extended precision, where the platform has it.
+    # and summed in extended precision, where the platform has it, with the
+    # fractional powers by exp(p log x) (special.power), not glibc's slow powl.
     wide = np.longdouble
     exps = exps.astype(wide)
     tw = pts.astype(wide)
@@ -158,9 +159,9 @@ def _image_terms(spec: WaveletBasisSpec, orders: np.ndarray, pts: np.ndarray) ->
     if np.all(inverse == inverse[..., :1]):
         # constant orders: one row of ratios per order, broadcast over points
         inverse = inverse[..., :1]
-    powers = (s / (hi - lo)[:, None]) ** exps
+    powers = power(s / (hi - lo)[:, None], exps)
     terms = gamma_ratio(exps + 1.0, distinct[:, None])[inverse][..., None, :] * powers
-    terms *= s ** lw.astype(wide)[..., None, None]
+    terms *= power(s, lw.astype(wide)[..., None, None])
     terms[:, point, cell] *= factors
     return live, terms
 

@@ -193,7 +193,8 @@ def _solve_linear(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     the ones it refuses, all at M >= 16 with gamma <= 0.2 and fractional
     alpha, fall to 3.6e-15..9.6e-14.  The condition number cannot tell them
     apart."""
-    r_min = np.abs(np.diag(np.linalg.qr(J, mode="r"))).min() / np.abs(J).sum(axis=1).max()
+    r = np.linalg.qr(J, mode="raw")[0]  # R is its upper triangle
+    r_min = np.abs(np.diagonal(r)).min() / np.abs(J).sum(axis=1).max()
     if r_min >= 1e-13:
         try:
             return np.linalg.solve(J, rhs)

@@ -10,7 +10,11 @@ double precision, one per entry that needs one.  ``gamma_ratio`` and
 ``betainc`` take each power and gamma value on the broadcast of the operands
 it reads alone, so a caller that keeps repeated values on axes of their own
 gets each value once.  Scalar gamma values and binomials come from
-:mod:`math`."""
+:mod:`math`.  Fractional powers of long doubles are exp(p log x)
+(:func:`power`): numpy's ``**`` calls glibc's ``powl`` there, about 0.4 us an
+entry against 0.1 us for ``exp``, and exp(p log x) is good to about
+|p ln x| + 1 ulps of 1.08e-19, at most about 1e-16 relative for the images'
+x <= 512 and p <= 168: below the double gamma values that every term carries."""
 
 from __future__ import annotations
 
@@ -24,6 +28,20 @@ def _floating(*values) -> list[np.ndarray]:
     arrays = [np.asarray(v) for v in values]
     dtype = np.result_type(*arrays, float)
     return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def power(x, p) -> np.ndarray:
+    """x**p elementwise for x, p >= 0 in the operands' common floating type:
+    exp(p log x) where p is fractional and the type long double, else ``**``."""
+    x, p = _floating(x, p)
+    whole = p == np.rint(p)  # np.floor is over 10x slower on long doubles
+    if x.dtype != np.longdouble or whole.all():
+        return x**p
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 at x = 0 is NaN here
+        out = np.exp(p * np.log(x))
+    if whole.any():
+        np.power(x, p, out=out, where=whole)
+    return out
 
 
 def gamma_array(x, where=True) -> np.ndarray:
@@ -138,7 +156,7 @@ def betainc(a, b, x, y=None) -> np.ndarray:
         raise ValueError("incomplete beta argument must lie in [0, 1]")
     shape = np.broadcast_shapes(a.shape, b.shape, x.shape, y.shape)
     whole = b == np.floor(b)
-    xa = x**a
+    xa = power(x, a)
     out = np.empty(shape, dtype=x.dtype)
 
     def pick(v, where):
@@ -165,7 +183,7 @@ def betainc(a, b, x, y=None) -> np.ndarray:
         # parameters of the fraction actually evaluated: (a, b, x) or (b, a, 1-x)
         swap = ~(xr < (ar + 1.0) / (pick(ab, rest) + 2.0))
         p, q = np.where(swap, br, ar), np.where(swap, ar, br)
-        front = pick(xa, rest) * pick(y**b, rest) * both
+        front = pick(xa, rest) * pick(power(y, b), rest) * both
         front /= p * np.where(swap, gb, ga) * np.where(swap, ga, gb)
         part = front * _beta_cf(p, q, np.where(swap, pick(y, rest), xr))
         out[rest] = np.where(swap, 1.0 - part, part)

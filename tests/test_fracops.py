@@ -248,6 +248,39 @@ class TestClosedFormImages:
             ]
             assert np.allclose(basis_images(spec, lam, t), oracle, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("g", [0.2, 0.9])
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 2.0])
+    def test_matches_the_series_in_40_digits(self, k, g, lam):
+        # the same sum of terms as basis_images, every term in 40-digit
+        # mpmath.  The bounds sit a little above the largest errors of these
+        # cases with glibc powl: 2.34e-12 at a fractional order, from its
+        # double gamma values, and 5.6e-17 at order 2
+        mpmath = pytest.importorskip("mpmath")
+        spec = WaveletBasisSpec(k, 5, g)
+        coeffs, exps = local_series_table(spec)
+        ts = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 8))
+        exact = np.zeros((ts.size, spec.sigma_tilde))
+        with mpmath.workdps(40):
+            lam_mp = mpmath.mpf(lam)
+            ps = [mpmath.mpf(p) for p in exps.tolist()]
+            ratios = [mpmath.gamma(p + 1) / mpmath.gamma(p + 1 + lam_mp) for p in ps]
+            for r, t in enumerate(ts.tolist()):
+                for cell, (lo, hi) in enumerate(zip(spec.edges[:-1].tolist(),
+                                                    spec.edges[1:].tolist())):
+                    if t <= lo:
+                        continue
+                    s, w = mpmath.mpf(t) - lo, mpmath.mpf(hi) - lo
+                    terms = [(s / w) ** p * ratio * s**lam_mp for p, ratio in zip(ps, ratios)]
+                    if t > hi:
+                        terms = [term * mpmath.betainc(p + 1, lam_mp, 0, w / s, regularized=True)
+                                 for term, p in zip(terms, ps)]
+                    for ups, row in enumerate(coeffs.tolist()):
+                        exact[r, cell * (spec.M + 1) + ups] = mpmath.fsum(
+                            mpmath.mpf(c) * term for c, term in zip(row, terms))
+        error = np.abs(basis_images(spec, lam, ts) - exact).max()
+        assert error <= (1e-16 if lam == 2.0 else 3e-12)
+
     def test_batch_rows_equal_pointwise_calls(self):
         rng = np.random.default_rng(5)
         spec = WaveletBasisSpec(3, 4, 0.5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fobw.basis import WaveletBasisSpec
 from fobw.solver import collocation_grid
-from fobw.special import _beta_cf, betainc, gamma_array, gamma_ratio
+from fobw.special import _beta_cf, betainc, gamma_array, gamma_ratio, power
 
 
 class TestGammaArray:
@@ -143,17 +143,20 @@ class TestBetainc:
     def one_entry(a, b, x, y):
         """I_x(a, b) of one long-double entry, each operation in the order
         the array code takes it: the reference that pins its bits."""
+        def pw(base, p):  # special.power of one positive long-double entry
+            return base**p if p == math.floor(p) else np.exp(p * np.log(base))
+
         one = np.longdouble(1.0)
         if b == math.floor(b):
             term = total = one
             for j in range(1, int(b)):
                 term = term * (a + j - 1.0) / j * y
                 total = total + term
-            return x**a * total
+            return pw(x, a) * total
         swap = not x < (a + 1.0) / (a + b + 2.0)
         p, q, u, v = (b, a, y, x) if swap else (a, b, x, y)
         gamma = [np.longdouble(math.gamma(float(w))) for w in (p + q, p, q)]
-        front = u**p * v**q * gamma[0] / (p * gamma[1] * gamma[2])
+        front = pw(u, p) * pw(v, q) * gamma[0] / (p * gamma[1] * gamma[2])
 
         c, d = one, one / (1.0 - (p + q) * u / (p + 1.0))
         h = d
@@ -197,6 +200,60 @@ class TestBetainc:
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
             betainc(*args)
+
+
+class TestPower:
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_whole_exponents_are_star_star(self, dtype):
+        x = np.linspace(0.0, 8.0, 97, dtype=dtype)
+        p = np.arange(9, dtype=dtype)[:, None]
+        assert np.array_equal(power(x, p), x**p)
+        # whole exponents keep their bits among fractional ones
+        mixed = np.array([0.0, 0.5, 1.0, 1.3, 2.0, 7.0], dtype=dtype)[:, None]
+        whole = [0, 2, 4, 5]
+        assert np.array_equal(power(x, mixed)[whole], x**mixed[whole])
+
+    def test_double_operands_are_star_star(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 8.0, 300)])
+        p = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 20.0, 300)])
+        assert np.array_equal(power(x, p), x**p)
+        assert np.array_equal(power(x[:, None], p[:5]), x[:, None] ** p[:5])
+
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_zero_base(self, dtype):
+        zero = np.zeros(4, dtype=dtype)
+        assert np.array_equal(power(zero, np.array([0.0, 0.3, 1.0, 2.5], dtype=dtype)),
+                              [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(power(zero[:2], np.array([0.3, 2.5], dtype=dtype)), [0.0, 0.0])
+        assert power(dtype(0.0), dtype(0.0)) == 1.0
+
+    def test_shapes_and_types(self):
+        wide = np.longdouble
+        one = power(wide(2.0), wide(0.5))
+        assert np.shape(one) == () and one.dtype == wide
+        assert one == np.exp(wide(0.5) * np.log(wide(2.0)))
+        assert power(np.array(4.0, dtype=wide), wide(2.0)) == 16.0
+        out = power(np.linspace(0.0, 2.0, 4, dtype=wide)[:, None], np.array([0.0, 0.5, 3.0]))
+        assert out.shape == (4, 3) and out.dtype == wide
+        assert power(wide(3.0), np.array([0.25, 1.0])).shape == (2,)
+        assert power(np.float32(4.0), 0.5).dtype == np.float64
+        assert power(4, 0.5) == 2.0 and power(4, 2).dtype == np.float64
+
+    def test_long_double_error_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        x = np.exp(rng.uniform(np.log(1e-3), np.log(512.0), 600))
+        p = np.concatenate([rng.uniform(0.0, 168.0, 300), rng.uniform(0.0, 3.0, 294),
+                            [0.0, 1.0, 2.0, 0.2, 167.9, 168.0]])
+        got = power(x.astype(np.longdouble), p.astype(np.longdouble))
+        eps = float(np.finfo(np.longdouble).eps)
+        with mpmath.workdps(40):
+            for xi, pi, gi in zip(x.tolist(), p.tolist(), got):
+                exact = mpmath.mpf(xi) ** mpmath.mpf(pi)
+                num, den = gi.as_integer_ratio()
+                error = abs(mpmath.mpf(num) / den / exact - 1)
+                assert error <= (abs(pi * math.log(xi)) + 8.0) * eps, (xi, pi)
 
 
 class TestGamma:
