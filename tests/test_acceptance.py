@@ -3,7 +3,7 @@ one PASS/FAIL line (visible with `pytest -s`, or via `fobw verify`)."""
 
 import pytest
 
-from fobw import acceptance
+from fobw import acceptance, experiments
 from fobw.acceptance import CRITERIA, run_criterion
 from fobw.cli import main
 from fobw.solver import SolverError
@@ -29,3 +29,15 @@ def test_a_criterion_that_raises_fails_and_verify_goes_on(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL criterion-09" in captured.out and "PASS criterion-10" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_criterion_06_names_each_preset_that_did_not_converge(monkeypatch):
+    def fail(system):
+        raise SolverError("Jacobian is singular")
+
+    monkeypatch.setattr(experiments, "newton_solve", fail)
+    passed, detail = acceptance.criterion_06()
+    assert not passed
+    for preset in acceptance.ALL_PRESETS:
+        assert f"{preset}: did not converge (" in detail
+    assert "max residual" not in detail

@@ -150,6 +150,10 @@ class TestWaveletEval:
         with pytest.raises(ValueError, match="upsilon=0.5 outside"):
             weighted_inner_product(spec, 1, 0, 0.5)
 
+    def test_point_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            fobw_eval(WaveletBasisSpec(1, 3, 1.0), 1, 0, 1.5)
+
     def test_classical_reduction(self):
         # independent integer-order implementation as oracle
         rng = np.random.default_rng(3)

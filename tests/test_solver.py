@@ -279,6 +279,22 @@ class TestSingularity:
             newton_solve(assemble(problem, WaveletBasisSpec(1, 3, 1.0)))
         assert info.value.report is not None and info.value.report.iterations == 0
 
+    def test_nan_trial_residual_raises_with_report(self, monkeypatch):
+        # the first trial step's residual is NaN; the start's is left as it is
+        system = assemble(OscillatorProblem(alpha=1.5, **SINGLE_WELL), WaveletBasisSpec(1, 3, 1.0))
+        calls = []
+
+        def nan_at_first_trial(system, U):
+            calls.append(U)
+            F = residual_vector(system, U)
+            return np.full_like(F, np.nan) if len(calls) == 2 else F
+
+        monkeypatch.setattr(fobw.solver, "residual_vector", nan_at_first_trial)
+        with pytest.raises(SolverError) as info:
+            newton_solve(system)
+        assert str(info.value) == "residual became NaN at iteration 0"
+        assert not info.value.report.converged and info.value.report.iterations == 0
+
 
 class TestCellRefinement:
     @pytest.mark.parametrize("M", [2, 3])

@@ -19,13 +19,6 @@ class TestGammaArray:
         with pytest.raises(ValueError):
             gamma_array(np.array([1.5, -2.0]))
 
-    def test_masked_entries_take_no_gamma_value(self):
-        # a pole and an overflow outside the mask are never evaluated
-        x = np.array([[1.5, -2.0], [200.0, 4.0]], dtype=np.longdouble)
-        out = gamma_array(x, where=[[True, False], [False, True]])
-        assert out.dtype == np.longdouble
-        assert np.array_equal(out, [[math.gamma(1.5), 1.0], [1.0, 6.0]])
-
     def test_keeps_extended_precision(self):
         x = np.array([1.5, 2.25], dtype=np.longdouble)
         assert gamma_array(x).dtype == np.longdouble
@@ -65,11 +58,8 @@ class TestGammaRatio:
         assert np.allclose(gamma_ratio(x, d), expected, rtol=1e-13, atol=0)
 
     def test_whole_offsets_take_no_gamma_of_x(self):
-        # gamma(200) overflows a double; the products need no gamma value
-        assert np.array_equal(gamma_ratio([200.0, 0.5], [1.0, 0.5]),
-                              [1.0 / 200.0, math.gamma(0.5) / math.gamma(1.0)])
-        with pytest.raises(OverflowError):
-            gamma_ratio([200.0, 0.5], [[1.0], [0.5]])
+        # gamma(200) overflows a double; the product needs no gamma value
+        assert np.array_equal(gamma_ratio([200.0], [1.0]), [1.0 / 200.0])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -195,6 +185,11 @@ class TestBetainc:
         one = np.ones(1, dtype=dtype)
         with pytest.raises(ArithmeticError, match="zero denominator"):
             _beta_cf(one, one, one)
+
+    def test_fraction_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr("fobw.special._BETA_CF_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _beta_cf(np.array([2.0]), np.array([0.5]), np.array([0.5]))
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 0.5), (1.0, -0.5, 0.5), (1.0, 1.0, 1.5)])
     def test_rejects_bad_arguments(self, args):
