@@ -88,21 +88,11 @@ def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
     halves = times[:-1] + 0.5 * step
     phi_nodes = np.full(times.shape, problem.forcing(times), dtype=float)
     phi_half = np.full(halves.shape, problem.forcing(halves), dtype=float)
-    ys, vs, n_good = kernels.rk4_sweep(
-        float(problem.init_value),
-        float(problem.init_slope),
-        step,
-        float(problem.mu),
-        float(problem.a),
-        float(problem.b),
-        phi_nodes,
-        phi_half,
-    )
-    if n_good < n:
-        raise BlowupError(
-            f"integration became non-finite after t = {times[n_good]:.6f}",
-            float(times[n_good]),
-        )
+    ys, vs = kernels.rk4_sweep(problem.init_value, problem.init_slope, step, problem.mu,
+                               problem.a, problem.b, phi_nodes, phi_half)
+    if ys.size <= n:
+        last = float(times[ys.size - 1])
+        raise BlowupError(f"integration became non-finite after t = {last:.6f}", last)
     for arr in (times, ys, vs):
         arr.setflags(write=False)
     return ReferenceTrajectory(step, times, ys, vs)

@@ -195,12 +195,14 @@ def _solve_linear(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     apart."""
     r = np.linalg.qr(J, mode="raw")[0]  # R is its upper triangle
     r_min = np.abs(np.diagonal(r)).min() / np.abs(J).sum(axis=1).max()
-    if r_min >= 1e-13:
-        try:
-            return np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            pass
-    raise SolverError(f"Jacobian is singular: smallest relative |R_ii| {r_min:.2e}, floor 1e-13")
+    if not r_min >= 1e-13:  # a NaN ratio is refused too
+        raise SolverError(f"Jacobian is singular: smallest relative |R_ii| {r_min:.2e}, "
+                          "floor 1e-13")
+    try:
+        return np.linalg.solve(J, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"linear solve failed ({exc}) although the Jacobian passed the "
+                          f"rank test: smallest relative |R_ii| {r_min:.2e}") from None
 
 
 NEWTON_TOL = 1e-12  # largest residual entry of a converged Newton solve

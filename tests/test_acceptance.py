@@ -41,3 +41,14 @@ def test_criterion_06_names_each_preset_that_did_not_converge(monkeypatch):
     for preset in acceptance.ALL_PRESETS:
         assert f"{preset}: did not converge (" in detail
     assert "max residual" not in detail
+
+
+def test_an_unknown_criterion_is_a_key_error():
+    with pytest.raises(KeyError) as info:
+        run_criterion("criterion-99")
+    assert info.value.args == ("no criterion named 'criterion-99'",)
+
+
+def test_criterion_11_reports_a_failed_preset_command(monkeypatch):
+    monkeypatch.setattr("fobw.cli.main", lambda argv: 2)
+    assert acceptance.criterion_11() == (False, "preset command exited with 2")

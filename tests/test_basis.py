@@ -12,6 +12,7 @@ from fobw.basis import (
     _local_values,
     fobw_matrix,
     local_series_table,
+    short_repr,
 )
 from fobw.fracops import basis_images
 from fobw.oracles import (
@@ -420,6 +421,15 @@ class TestSpecValidation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_short_repr_cuts_a_long_dict_after_its_first_keys(self):
+        assert short_repr({i: i for i in range(6)}) == "{0: 0, 1: 1, 2: 2, 3: 3, ...}"
+
+    def test_short_repr_cuts_a_deep_dict(self):
+        nested = {}
+        for _ in range(8):
+            nested = {"k": nested}
+        assert short_repr(nested) == "{'k': {'k': {'k': {'k': {'k': {'k': {...}}}}}}}"
 
     @pytest.mark.parametrize("k, M, gamma", [(1, 3, 56.0), (2, 4, 42.0)])
     def test_largest_exponent_has_finite_images(self, k, M, gamma):

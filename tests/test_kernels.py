@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import fobw
 from fobw import kernels
+from fobw.reference import REFERENCE_STEPS
 
 
 def _parent_rk4_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half):
@@ -58,16 +60,18 @@ def _forcing(n):
 def _assert_same_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half):
     with np.errstate(over="ignore", invalid="ignore"):
         ys_o, vs_o, good_o = _parent_rk4_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half)
-    ys, vs, good = kernels.rk4_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half)
-    assert good == good_o
-    assert ys.shape == vs.shape == (phi_half.size + 1,)
-    # entries past n_good are unset in both
-    assert np.array_equal(ys[: good + 1], ys_o[: good_o + 1])
-    assert np.array_equal(vs[: good + 1], vs_o[: good_o + 1])
-    return good
+    ys, vs = kernels.rk4_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half)
+    # the oracle's entries past good_o are unset; the sweep returns only the
+    # states it computed
+    assert ys.shape == vs.shape == (good_o + 1,)
+    assert np.array_equal(ys, ys_o[: good_o + 1])
+    assert np.array_equal(vs, vs_o[: good_o + 1])
+    return good_o
 
 
-BLOCK = kernels._BLOCK
+# the sweep once converted the forcing 256 steps at a time; sizes around that
+# block stay as regression cases
+BLOCK = 256
 coefficient = st.floats(-3.0, 3.0, allow_nan=False)
 
 
@@ -91,14 +95,28 @@ class TestRK4Sweep:
         n = 200
         h = 1.0 / n
         phi = np.zeros(n + 1)
-        ys, vs, good = kernels.rk4_sweep(2.0, 0.0, h, 0.0, 0.0, -50.0, phi, phi[:-1])
-        assert good < n
-        assert np.all(np.isfinite(ys[: good + 1])) and np.all(np.isfinite(vs[: good + 1]))
+        ys, vs = kernels.rk4_sweep(2.0, 0.0, h, 0.0, 0.0, -50.0, phi, phi[:-1])
+        assert ys.size == vs.size < n + 1
+        assert np.all(np.isfinite(ys)) and np.all(np.isfinite(vs))
 
     def test_zero_steps(self):
-        ys, vs, good = kernels.rk4_sweep(1.5, -0.5, 0.1, 0.1, 0.5, 0.5, np.zeros(1), np.zeros(0))
-        assert good == 0
+        ys, vs = kernels.rk4_sweep(1.5, -0.5, 0.1, 0.1, 0.5, 0.5, np.zeros(1), np.zeros(0))
         assert ys.tolist() == [1.5] and vs.tolist() == [-0.5]
+
+    def test_a_long_sweep_takes_bounded_memory(self):
+        # the states (1.6 MB at the reference's largest step count) and
+        # nothing proportional beside them: Python-float lists of the forcing
+        # or of the states would take several times that
+        n = REFERENCE_STEPS[-1]
+        h, phi_nodes, phi_half = _forcing(n)
+        tracemalloc.start()
+        try:
+            ys, vs = kernels.rk4_sweep(1.0, 0.0, h, 0.1, 0.5, 0.5, phi_nodes, phi_half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ys.size == vs.size == n + 1
+        assert peak < 2.5 * 2**20
 
 
 def test_warmup_runs():

@@ -18,6 +18,7 @@ from fobw.solver import (
     SolutionApproximant,
     SolverError,
     _jacobian,
+    _solve_linear,
     assemble,
     collocation_grid,
     collocation_systems,
@@ -294,6 +295,21 @@ class TestSingularity:
             newton_solve(system)
         assert str(info.value) == "residual became NaN at iteration 0"
         assert not info.value.report.converged and info.value.report.iterations == 0
+
+    def test_rank_test_names_the_smallest_pivot(self):
+        with pytest.raises(SolverError) as info:
+            _solve_linear(np.diag([1.0, 0.0]), np.ones(2))
+        assert str(info.value) == "Jacobian is singular: smallest relative |R_ii| 0.00e+00, floor 1e-13"
+
+    def test_a_solve_that_fails_past_the_rank_test_is_named(self, monkeypatch):
+        def refuse(J, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(fobw.solver.np.linalg, "solve", refuse)
+        with pytest.raises(SolverError) as info:
+            _solve_linear(np.eye(3), np.ones(3))
+        assert str(info.value) == ("linear solve failed (Singular matrix) although the Jacobian "
+                                   "passed the rank test: smallest relative |R_ii| 1.00e+00")
 
 
 class TestCellRefinement:

@@ -1,8 +1,8 @@
 """What a command's start-up loads: a fresh interpreter that imports the CLI
 and runs a preset loads no oracle code, no ``numpy.polynomial``, no ``json``,
-no ``logging`` and no ``argparse``, ``gettext`` or ``locale``, and the only
-dataclasses it builds are the four records that check themselves when they
-are constructed."""
+no ``logging``, no ``argparse``, ``gettext`` or ``locale`` and no ``array``,
+and the only dataclasses it builds are the four records that check themselves
+when they are constructed."""
 
 import ast
 import os
@@ -18,7 +18,7 @@ import fobw.cli
 
 code = fobw.cli.main(["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2", "--M", "3"])
 loaded = [m for m in ("numpy.polynomial", "json", "logging", "fobw.oracles", "fobw.acceptance",
-                      "argparse", "gettext", "locale")
+                      "argparse", "gettext", "locale", "array")
           if m in sys.modules]
 records = sorted(
     obj.__name__
