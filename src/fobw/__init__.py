@@ -33,6 +33,7 @@ from .experiments import (
     run_experiment,
 )
 from .fracops import basis_images
+from . import kernels  # perfbench/child.py reads it after `import fobw.cli` alone
 from .reference import (
     BlowupError,
     ReferenceTrajectory,

