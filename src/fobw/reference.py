@@ -34,9 +34,11 @@ class UnsettledError(RuntimeError):
     """Successive RK4 runs still disagree at the step cap of :func:`rk4_reference`."""
 
 
-#: step counts :func:`rk4_reference` tries: 100 * 2**j, plus 1 for even j, up
-#: to its cap of 102401, so that each count is coprime to the next
-REFERENCE_STEPS = tuple(100 * 2**j + (j % 2 == 0) for j in range(11))
+#: step counts :func:`rk4_reference` tries: 100 * 2**j, plus 1 for even j, so
+#: that each count is coprime to the next, from 401 up to its cap of 102401;
+#: the presets settle on (401, 800), and on none of them do the coarser pairs
+#: (101, 200) and (200, 401) agree to the tolerance
+REFERENCE_STEPS = tuple(100 * 2**j + (j % 2 == 0) for j in range(2, 11))
 #: how closely two successive runs must agree, relative to max(1, |y|)
 REFERENCE_TOLERANCE = 1e-12
 
@@ -52,9 +54,7 @@ class ReferenceTrajectory(NamedTuple):
     def value(self, t):
         """y(t) by cubic Hermite between the stored nodes; inf where the sum
         overflows, which :func:`rk4_reference` reads as runs that disagree."""
-        ts = np.asarray(t, dtype=float)
-        if not np.all((ts >= 0.0) & (ts <= 1.0)):
-            raise ValueError("t must lie in [0, 1]")
+        ts = _unit_points(t)
         idx = np.clip((ts / self.step).astype(int), 0, self.times.size - 2)
         th = (ts - self.times[idx]) / self.step
         h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
@@ -156,13 +156,17 @@ def rk4_reference(problem, points) -> tuple[ReferenceTrajectory, float]:
     a pair differ by a factor within 2 +- 0.02).  RK4 reads the forcing only
     at its nodes and half-steps, and successive step counts are coprime, so
     two successive runs share only t = 0, 1/2 and 1: a forcing that is zero
-    or constant on one run's points, such as sin(400 pi t) on 200 steps, is
+    or constant on one run's points, such as cos(3200 pi t) on 800 steps, is
     read elsewhere by the other and not mistaken for a resolved one.  A run
     that blows up below the cap is passed over, since a finer step can be
     stable where a coarser one is not; a blow-up at the cap raises
     :class:`BlowupError`, and runs that still disagree there raise
-    :class:`UnsettledError`.
+    :class:`UnsettledError`.  An empty point set, or a point outside [0, 1],
+    raises ``ValueError`` before the first run.
     """
+    points = _unit_points(points)
+    if points.size == 0:
+        raise ValueError("the point set is empty: the reference needs at least one point")
     previous = gap = None
     for n in REFERENCE_STEPS:
         try:
@@ -181,6 +185,13 @@ def rk4_reference(problem, points) -> tuple[ReferenceTrajectory, float]:
     detail = "" if gap is None else f"; the last two differ by up to {gap.max():.3e}"
     raise UnsettledError(f"successive RK4 runs did not agree to {REFERENCE_TOLERANCE:g} "
                          f"x max(1, |y|) by {n} steps{detail}")
+
+
+def _unit_points(t) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):
+        raise ValueError("t must lie in [0, 1]")
+    return ts
 
 
 def _settled(gap, values) -> bool:

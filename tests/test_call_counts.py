@@ -1,14 +1,15 @@
-"""Call counts that pin the dense-evaluation path to whole-array work.
+"""Call counts that pin the dense-evaluation path to whole-array work, and
+the AE reference to its two RK4 runs.
 
 No timing: each test counts the calls one operation makes to the function
-that a per-point loop would call once per point, so such a loop cannot come
-back unnoticed.
+that a per-point loop (or a needless RK4 run) would call once more, so such
+work cannot come back unnoticed.
 """
 
 import numpy as np
 import pytest
 
-from fobw import acceptance, fracops, solver, special
+from fobw import acceptance, fracops, reference, solver, special
 from fobw.basis import WaveletBasisSpec
 from fobw.experiments import (
     PLOT_GRID, PLOT_POINTS, PRESET_PROBLEMS, PRESET_SWEEP, TABLE_POINTS, ExperimentConfig,
@@ -193,6 +194,16 @@ def test_ae_table_makes_one_term_pass_per_family(counted):
         [gamma] for gamma in PRESET_SWEEP["gamma"]
     ]
     _check_rows(passes)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_PROBLEMS))
+def test_ae_table_runs_the_reference_at_401_and_800_steps_only(counted, preset):
+    # every preset settles on its first pair of runs: a coarser rung of the
+    # step ladder would show up here as a third sweep
+    sweeps = counted(reference, "rk4_sweep")
+    table = run_experiment(preset_config(preset))
+    assert table.meta["metrics"] == ["AE"] and not table.meta["failed_columns"]
+    assert [len(phi_half) for *_, phi_half in sweeps.args] == [401, 800]
 
 
 def test_constant_order_family_makes_one_term_pass(counted):

@@ -1,6 +1,7 @@
 """The package docstring's examples and the README's library example run, the
 README's config table names exactly the config keys, its preset table
-shows each preset's forcing, and it names every key of a table's ``meta``;
+shows each preset's forcing, its ladder sentence lists the RK4 reference's
+step counts, and it names every key of a table's ``meta``;
 the CLI's usage text names every flag and preset its parser takes; and
 every name the README, a docstring cross-reference or a module's ``__all__``
 gives exists."""
@@ -56,6 +57,15 @@ def test_readme_names_every_meta_key():
                                "reference_error"}
     text = README.read_text()
     assert [key for key in table.meta if f"`meta.{key}`" not in text] == []
+
+
+def test_readme_ladder_sentence_lists_the_reference_step_counts():
+    # the first step counts in order, an ellipsis, then the cap
+    (listed,) = re.findall(r"It runs n = ([\d,.\s]+?) steps", README.read_text())
+    *first, cap = (int(n) for n in re.findall(r"\d+", listed))
+    assert "..." in listed and len(first) >= 2
+    assert first == list(fobw.reference.REFERENCE_STEPS[:len(first)])
+    assert cap == fobw.reference.REFERENCE_STEPS[-1]
 
 
 def test_usage_text_names_every_flag_and_preset():

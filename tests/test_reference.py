@@ -219,7 +219,7 @@ class TestRK4Reference:
         problem = preset_config(preset).problems[0]
         steps = record_steps(monkeypatch)
         reference, error = rk4_reference(problem, TABLE_POINTS)
-        assert steps == [101, 200, 401, 800]
+        assert steps == [401, 800]
         assert np.array_equal(reference.values, rk4_integrate(problem, 1 / 800).values)
         assert 0.0 < error <= 1e-13
         fine = rk4_integrate(problem, 2.5e-5)
@@ -236,12 +236,13 @@ class TestRK4Reference:
 
     def test_blowup_of_the_coarsest_run_alone_still_settles(self, monkeypatch):
         problem = preset_config("example1-single").problems[0]
-        expected, _ = rk4_reference(problem, TABLE_POINTS)
-        steps = record_steps(monkeypatch, blow_up_at={101})
+        steps = record_steps(monkeypatch, blow_up_at={401})
         reference, error = rk4_reference(problem, TABLE_POINTS)
-        assert steps == [101, 200, 401, 800]
+        assert steps == [401, 800, 1601]
         assert math.isfinite(error)
-        assert np.array_equal(reference.values, expected.values)
+        fine = rk4_integrate(problem, 2.5e-5)
+        points = np.array(TABLE_POINTS)
+        assert np.abs(reference.value(points) - fine.value(points)).max() <= 1e-13
 
     def test_blowup_of_the_settling_run_moves_on(self, monkeypatch):
         # the 800-step run would settle the preset; after its blow-up the
@@ -249,7 +250,7 @@ class TestRK4Reference:
         problem = preset_config("example1-single").problems[0]
         steps = record_steps(monkeypatch, blow_up_at={800})
         reference, _ = rk4_reference(problem, TABLE_POINTS)
-        assert steps == [101, 200, 401, 800, 1601, 3200]
+        assert steps == [401, 800, 1601, 3200]
         assert reference.times.size == 3201
 
     def test_successive_step_counts_share_only_0_half_and_1(self):
@@ -268,9 +269,10 @@ class TestRK4Reference:
         dict(forcing=parse_expression("cos(3200*pi*t)")),
     ], ids=["zero-on-the-nested-grids", "constant-on-the-nested-grids"])
     def test_forcing_the_nested_grids_miss_is_resolved(self, forcing):
-        # the doubled runs read sin(400 pi t) only where it is 0 up to 200
+        # doubled runs would read sin(400 pi t) only where it is 0 up to 200
         # steps, and cos(3200 pi t) only where it is 1 up to 800 steps, so
-        # two of them agree as if the forcing were that constant
+        # two of them would agree as if the forcing were that constant; no
+        # two successive coprime step counts both read either forcing there
         problem = OscillatorProblem(mu=0.0, a=1.0, b=0.0, alpha=ALPHA2, **forcing)
         reference, _ = rk4_reference(problem, TABLE_POINTS)
         fine = rk4_integrate(problem, 2.5e-5)
@@ -316,6 +318,18 @@ class TestRK4Reference:
         problem = OscillatorProblem(mu=0.0, a=1e6, b=0.0, alpha=ALPHA2, init_value=1.0)
         with pytest.raises(UnsettledError, match="by 102401 steps; the last two differ"):
             rk4_reference(problem, TABLE_POINTS)
+
+    @pytest.mark.parametrize("points, message", [
+        ([], "the point set is empty"),
+        (np.empty(0), "the point set is empty"),
+        ([0.5, 1.5], r"t must lie in \[0, 1\]"),
+        ([-0.1], r"t must lie in \[0, 1\]"),
+    ], ids=["empty-list", "empty-array", "above-1", "below-0"])
+    def test_points_are_checked_before_the_first_run(self, monkeypatch, points, message):
+        steps = record_steps(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            rk4_reference(preset_config("example1-single").problems[0], points)
+        assert steps == []
 
 
 def _run_json(tmp_path, capsys, doc, code):
